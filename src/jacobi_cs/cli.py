@@ -10,6 +10,8 @@ variable) provides defaults that individual flags override.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -21,12 +23,14 @@ from .core import (
     BoundaryEscape,
     BoundaryViolation,
     InvalidK,
-    JacobiPoint,
     ModelParams,
     NonFinite,
     TangentVector,
+    check_metric,
+    check_points,
+    eta_at,
     make_jacobi_point,
-    eta_of,
+    require_finite,
 )
 from .geodesics import GeodesicState
 from .verify import SUITE_NAMES, VerifyConfig, run_suites
@@ -102,66 +106,98 @@ def _settings(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _point(args: argparse.Namespace) -> JacobiPoint:
-    return make_jacobi_point(args.z, args.w)
-
-
 _EVAL_QUANTITIES = ("kernel", "potential", "metric", "ricci",
                     "scalar-curvature", "diastasis", "berezin",
                     "christoffel", "volume", "eta")
+_CHRISTOFFEL_KEYS = tuple(f.name for f in dataclasses.fields(geodesics.ChristoffelSet))
+_TABLE_CHUNK_ROWS = 8192
 
 
-def _eval_value(quantity: str, zeta: JacobiPoint, zeta2: JacobiPoint,
-                params: ModelParams) -> dict:
+def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
+             w2: np.ndarray, params: ModelParams) -> dict:
+    """Value columns of one quantity at validated coordinates, by output key."""
     if quantity == "kernel":
-        v = kernels.jacobi_kernel(zeta, zeta2, params)
+        v = kernels.kernel_at(z, w, z2, w2, params)
         return {"re": v.real, "im": v.imag}
     if quantity == "potential":
-        return {"value": kernels.kahler_potential(zeta, params)}
+        return {"value": kernels.potential_at(z, w, params)}
     if quantity == "metric":
-        h = geometry.metric(zeta, params)
-        return {"h_zz": h.h_zz, "h_zw_re": h.h_zw.real,
-                "h_zw_im": h.h_zw.imag, "h_ww": h.h_ww}
+        h_zz, h_zw, h_ww = geometry.metric_at(z, w, params)
+        check_metric(h_zz, h_zw, h_ww)
+        return {"h_zz": h_zz, "h_zw_re": h_zw.real, "h_zw_im": h_zw.imag,
+                "h_ww": h_ww}
     if quantity == "ricci":
-        r = geometry.ricci(zeta, params)
-        return {"r_zz": r.r_zz, "r_zw_re": r.r_zw.real,
-                "r_zw_im": r.r_zw.imag, "r_ww": r.r_ww}
+        r_zz, r_zw, r_ww = geometry.ricci_at(w)
+        return {"r_zz": r_zz, "r_zw_re": r_zw.real, "r_zw_im": r_zw.imag,
+                "r_ww": r_ww}
     if quantity == "scalar-curvature":
-        return {"value": geometry.scalar_curvature(zeta, params)}
+        check_metric(*geometry.metric_at(z, w, params))
+        return {"value": geometry.scalar_curvature_at(z, w, params)}
     if quantity == "diastasis":
-        return {"value": kernels.diastasis(zeta, zeta2, params)}
+        return {"value": kernels.diastasis_at(z, w, z2, w2, params)}
     if quantity == "berezin":
-        return {"value": kernels.berezin_kernel(zeta, zeta2, params)}
+        return {"value": kernels.berezin_at(z, w, z2, w2, params)}
     if quantity == "christoffel":
-        g = geodesics.christoffel(zeta, params)
-        return {name: [val.real, val.imag] for name, val in (
-            ("g_zzz", g.g_zzz), ("g_wzz", g.g_wzz), ("g_zzw", g.g_zzw),
-            ("g_wwz", g.g_wwz), ("g_zww", g.g_zww), ("g_www", g.g_www))}
+        return dict(zip(_CHRISTOFFEL_KEYS, geodesics.christoffel_at(z, w, params)))
     if quantity == "volume":
-        return {"value": geometry.volume_density(zeta, params)}
+        return {"value": geometry.volume_density_at(w, params)}
     if quantity == "eta":
-        v = eta_of(zeta)
+        v = eta_at(z, w)
         return {"re": v.real, "im": v.imag}
     raise ValueError(f"unknown quantity {quantity!r}")
+
+
+def evaluate(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
+             w2: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
+    """One quantity at every node of coordinate arrays, as value columns.
+
+    The shared evaluator of ``eval`` (a one-node grid) and ``table``.  All
+    nodes, then all second points, are validated before anything is
+    evaluated, raising what :func:`make_jacobi_point` raises at the first
+    invalid one.  Arithmetic warnings are silenced: a value that is not
+    finite is the caller's to report or write.  Complex columns hold
+    complex values; the others are real.
+    """
+    check_points(z, w)
+    check_points(z2, w2)
+    with np.errstate(all="ignore"):
+        columns = _columns(quantity, z, w, z2, w2, params)
+    shape = np.broadcast_shapes(np.shape(z), np.shape(z2))
+    return {key: np.broadcast_to(col, shape) for key, col in columns.items()}
+
+
+def _complex_grid(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
-    zeta = _point(args)
-    zeta2 = make_jacobi_point(args.z2 if args.z2 is not None else args.z,
-                              args.w2 if args.w2 is not None else args.w)
+    z2 = args.z2 if args.z2 is not None else args.z
+    w2 = args.w2 if args.w2 is not None else args.w
+    columns = evaluate(args.quantity, np.array([args.z]), np.array([args.w]),
+                       np.array([z2]), np.array([w2]), params)
+    if not all(np.isfinite(col).all() for col in columns.values()):
+        print(f"error: {args.quantity} is not finite at this point",
+              file=sys.stderr)
+        return EXIT_DOMAIN
+    value = {}
+    for key, col in columns.items():
+        cell = col[0].item()
+        value[key] = [cell.real, cell.imag] if isinstance(cell, complex) else cell
     record = {
         "quantity": args.quantity,
         "inputs": {"k": params.k, "mu": params.mu,
-                   "z": [zeta.z.real, zeta.z.imag],
-                   "w": [zeta.w.real, zeta.w.imag]},
-        "value": _eval_value(args.quantity, zeta, zeta2, params),
+                   "z": [args.z.real, args.z.imag],
+                   "w": [args.w.real, args.w.imag]},
+        "value": value,
     }
     if args.quantity in ("kernel", "diastasis", "berezin"):
-        record["inputs"]["z2"] = [zeta2.z.real, zeta2.z.imag]
-        record["inputs"]["w2"] = [zeta2.w.real, zeta2.w.imag]
-    print(json.dumps(record))
+        record["inputs"]["z2"] = [z2.real, z2.imag]
+        record["inputs"]["w2"] = [w2.real, w2.imag]
+    print(json.dumps(record, allow_nan=False))
     return EXIT_OK
 
 
@@ -192,7 +228,9 @@ def _closed_form_residual(path: geodesics.GeodesicPath, s0: GeodesicState,
 def cmd_geodesic(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
-    state = GeodesicState(_point(args), TangentVector(args.dz, args.dw))
+    require_finite(args.t_end, "t_end")
+    state = GeodesicState(make_jacobi_point(args.z, args.w),
+                          TangentVector(args.dz, args.dw))
     n_steps = args.steps or max(1, round(args.t_end / cfg["rk4_step"]))
     try:
         path = geodesics.integrate(state, args.t_end, n_steps, params)
@@ -238,31 +276,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
-    header = ["re_z", "im_z", "re_w", "im_w"]
-    quantity = args.quantity
-    origin = make_jacobi_point(0.0, 0.0)   # reference for two-point quantities
-    rows = []
-    for x in map(float, args.re_z):
-        for y in map(float, args.im_z):
-            for u in map(float, args.re_w):
-                for v in map(float, args.im_w):
-                    zeta = make_jacobi_point(complex(x, y), complex(u, v))
-                    values = _eval_value(quantity, zeta, origin, params)
-                    rows.append(([x, y, u, v], values))
+    axes = (args.re_z, args.im_z, args.re_w, args.im_w)
+    # ij indexing and itertools.product both put the rows in the order of
+    # nested loops over re_z, im_z, re_w, im_w
+    re_z, im_z, re_w, im_w = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    origin = np.zeros(1, dtype=complex)   # reference for two-point quantities
+    columns = evaluate(args.quantity, _complex_grid(re_z, im_z),
+                       _complex_grid(re_w, im_w), origin, origin, params)
+    n_rows = re_z.size
+    keys = sorted(columns) if n_rows else ["value"]
+    # each coordinate is formatted once per axis value, not once per row
+    coords = map(",".join, itertools.product(
+        *([repr(x) for x in axis.tolist()] for axis in axes)))
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
-        if rows:
-            value_keys = sorted(rows[0][1])
-            print(",".join(header + value_keys), file=out)
-            for coords, values in rows:
-                cells = [repr(c) for c in coords]
-                for key in value_keys:
-                    cell = values[key]
-                    cells.append(repr(cell) if not isinstance(cell, list)
-                                 else repr(complex(cell[0], cell[1])))
-                print(",".join(cells), file=out)
-        else:
-            print(",".join(header + ["value"]), file=out)
+        out.write(",".join(["re_z", "im_z", "re_w", "im_w"] + keys) + "\n")
+        for start in range(0, n_rows, _TABLE_CHUNK_ROWS):
+            stop = start + _TABLE_CHUNK_ROWS
+            rows = zip(itertools.islice(coords, _TABLE_CHUNK_ROWS),
+                       *(map(repr, columns[key][start:stop].tolist()) for key in keys))
+            out.write("".join([",".join(row) + "\n" for row in rows]))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -345,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

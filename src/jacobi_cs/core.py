@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 EPS_BOUND = 1e-9
 
 
@@ -85,14 +87,34 @@ class JacobiPoint:
     def __post_init__(self):
         require_finite(self.z, "z")
         check_disk(self.w)
-        object.__setattr__(self, "p", 1.0 - (self.w * self.w.conjugate()).real)
+        object.__setattr__(self, "p", p_at(self.w))
 
 
 def make_jacobi_point(z: complex, w: complex, eps_bound: float = EPS_BOUND) -> JacobiPoint:
-    """Validated constructor for a point of the Siegel-Jacobi disk."""
-    require_finite(complex(z), "z")
-    check_disk(complex(w), eps_bound)
-    return JacobiPoint(complex(z), complex(w))
+    """Validated constructor for a point of the Siegel-Jacobi disk.
+
+    The point validates itself against ``EPS_BOUND``; a wider
+    ``eps_bound`` adds one disk check, a narrower one is already implied.
+    """
+    point = JacobiPoint(complex(z), complex(w))
+    if eps_bound > EPS_BOUND:
+        check_disk(point.w, eps_bound)
+    return point
+
+
+def check_points(z, w, eps_bound: float = EPS_BOUND) -> None:
+    """Validate arrays of coordinates (z, w) as points, all at once.
+
+    Raises exactly what :func:`make_jacobi_point` raises at the first
+    invalid node in C order, which for ``np.meshgrid(..., indexing="ij")``
+    grids is the order of the nested loops over the axes.  The array test
+    only selects candidates (``np.hypot`` rounds as ``abs`` of a Python
+    complex does); the scalar constructor decides.
+    """
+    z, w = np.broadcast_arrays(np.asarray(z), np.asarray(w))
+    good = np.isfinite(z) & np.isfinite(w) & (np.hypot(w.real, w.imag) < 1.0 - eps_bound)
+    for i in np.flatnonzero(~good):
+        make_jacobi_point(z.flat[i].item(), w.flat[i].item(), eps_bound)
 
 
 @dataclass(frozen=True)
@@ -148,25 +170,62 @@ class HermitianMetric2:
         require_finite(complex(self.h_zz), "h_zz")
         require_finite(self.h_zw, "h_zw")
         require_finite(complex(self.h_ww), "h_ww")
-        det = self.h_zz * self.h_ww - abs(self.h_zw) ** 2
-        if self.h_zz <= 0.0 or self.h_ww <= 0.0 or det <= 0.0:
+        if not positive_definite(self.h_zz, self.h_zw, self.h_ww):
             raise ValueError(
                 f"metric coefficients are not positive definite "
-                f"(h_zz={self.h_zz!r}, h_ww={self.h_ww!r}, det={det!r})"
+                f"(h_zz={self.h_zz!r}, h_ww={self.h_ww!r}, det={self.det()!r})"
             )
 
     def det(self) -> float:
-        return self.h_zz * self.h_ww - abs(self.h_zw) ** 2
+        return hermitian_det(self.h_zz, self.h_zw, self.h_ww)
 
 
-def eta_of(zeta: JacobiPoint) -> complex:
+def hermitian_det(h_zz, h_zw, h_ww):
+    """Determinant h_zz h_ww - |h_zw|^2 of 2x2 Hermitian coefficients (numbers or arrays)."""
+    return h_zz * h_ww - abs(h_zw) ** 2
+
+
+def positive_definite(h_zz, h_zw, h_ww):
+    """Whether Hermitian coefficients are positive definite (numbers or arrays).
+
+    Finiteness is not part of the test: an infinite diagonal passes it.
+    """
+    return (h_zz > 0.0) & (h_ww > 0.0) & (hermitian_det(h_zz, h_zw, h_ww) > 0.0)
+
+
+def check_metric(h_zz, h_zw, h_ww) -> None:
+    """Validate arrays of metric coefficients, all at once.
+
+    Raises what :class:`HermitianMetric2` raises at the first triple, in
+    C order, that is not finite and positive definite.  The array test only
+    selects candidates; the scalar constructor decides.
+    """
+    h_zz, h_zw, h_ww = np.broadcast_arrays(h_zz, h_zw, h_ww)
+    with np.errstate(invalid="ignore", over="ignore"):
+        good = (np.isfinite(h_zz) & np.isfinite(h_zw) & np.isfinite(h_ww)
+                & positive_definite(h_zz, h_zw, h_ww))
+    for i in np.flatnonzero(~good):
+        HermitianMetric2(h_zz.flat[i].item(), complex(h_zw.flat[i]), h_ww.flat[i].item())
+
+
+def p_at(w):
+    """P = 1 - w conj(w), positive on the disk (numbers or arrays)."""
+    return 1.0 - (w * w.conjugate()).real
+
+
+def eta_at(z, w):
     """Displacement coordinate eta = (z + conj(z) w) / (1 - w conj(w)).
 
     This is the coordinate in which the metric splits into a flat block
     and a pure disk block; see the group module for the companion change
-    of variables z = eta - w conj(eta).
+    of variables z = eta - w conj(eta).  Takes numbers or arrays.
     """
-    return (zeta.z + zeta.z.conjugate() * zeta.w) / zeta.p
+    return (z + z.conjugate() * w) / p_at(w)
+
+
+def eta_of(zeta: JacobiPoint) -> complex:
+    """:func:`eta_at` at a point."""
+    return eta_at(zeta.z, zeta.w)
 
 
 def principal_power_log(base: complex, exponent: float) -> complex:

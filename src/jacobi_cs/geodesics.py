@@ -40,8 +40,10 @@ from .core import (
     NonFinite,
     TangentVector,
     ZeroDirection,
+    eta_at,
     eta_of,
     make_jacobi_point,
+    p_at,
 )
 from .geometry import tangent_norm
 from .group import disk_geodesic_map
@@ -97,19 +99,21 @@ class GeodesicPath:
             ])
 
 
+def christoffel_at(z, w, params: ModelParams):
+    """Closed-form connection coefficients on coordinates (numbers or arrays).
+
+    Returned in :class:`ChristoffelSet` field order; g_wzz = lam is constant.
+    """
+    lam = params.mu / (2.0 * params.k)
+    etab = eta_at(z, w).conjugate()
+    wb_over_p = w.conjugate() / p_at(w)
+    return (-lam * etab, complex(lam), -lam * etab**2 + wb_over_p,
+            lam * etab, -lam * etab**3, lam * etab**2 + 2.0 * wb_over_p)
+
+
 def christoffel(zeta: JacobiPoint, params: ModelParams) -> ChristoffelSet:
     """Closed-form connection coefficients at a point."""
-    lam = params.mu / (2.0 * params.k)
-    etab = eta_of(zeta).conjugate()
-    wb_over_p = zeta.w.conjugate() / zeta.p
-    return ChristoffelSet(
-        g_zzz=-lam * etab,
-        g_wzz=complex(lam),
-        g_zzw=-lam * etab**2 + wb_over_p,
-        g_wwz=lam * etab,
-        g_zww=-lam * etab**3,
-        g_www=lam * etab**2 + 2.0 * wb_over_p,
-    )
+    return ChristoffelSet(*christoffel_at(zeta.z, zeta.w, params))
 
 
 def geodesic_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:

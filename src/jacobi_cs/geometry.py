@@ -34,7 +34,9 @@ from .core import (
     JacobiPoint,
     ModelParams,
     TangentVector,
-    eta_of,
+    eta_at,
+    hermitian_det,
+    p_at,
 )
 from .kernels import kahler_potential
 
@@ -59,16 +61,37 @@ class WirtingerStencil:
             raise ValueError(f"step {self.step} outside [1e-7, 1e-2]")
 
 
+def metric_at(z, w, params: ModelParams):
+    """Closed-form metric coefficients (h_zz, h_zw, h_ww) on coordinates.
+
+    Takes numbers or arrays and checks nothing; :func:`metric` and
+    :func:`jacobi_cs.core.check_metric` validate the result.
+    """
+    p = p_at(w)
+    eta = eta_at(z, w)
+    mu, k = params.mu, params.k
+    return mu / p, mu * eta / p, mu * abs(eta) ** 2 / p + 2.0 * k / p**2
+
+
+def ricci_at(w):
+    """Ricci coefficients (r_zz, r_zw, r_ww): only r_ww = -3 / P^2 survives."""
+    return 0.0, 0.0 + 0.0j, -3.0 / p_at(w) ** 2
+
+
+def scalar_curvature_at(z, w, params: ModelParams):
+    """Trace of (inverse metric) * Ricci, h_zz r_ww / det h, on coordinates."""
+    h_zz, h_zw, h_ww = metric_at(z, w, params)
+    return h_zz * ricci_at(w)[2] / hermitian_det(h_zz, h_zw, h_ww)
+
+
+def volume_density_at(w, params: ModelParams):
+    """Volume density 4 k mu / P^3 on coordinates."""
+    return 4.0 * params.k * params.mu / p_at(w) ** 3
+
+
 def metric(zeta: JacobiPoint, params: ModelParams) -> HermitianMetric2:
     """Closed-form metric coefficients at a point."""
-    p = zeta.p
-    eta = eta_of(zeta)
-    mu, k = params.mu, params.k
-    return HermitianMetric2(
-        h_zz=mu / p,
-        h_zw=mu * eta / p,
-        h_ww=mu * abs(eta) ** 2 / p + 2.0 * k / p**2,
-    )
+    return HermitianMetric2(*metric_at(zeta.z, zeta.w, params))
 
 
 def metric_det(zeta: JacobiPoint, params: ModelParams) -> float:
@@ -78,16 +101,16 @@ def metric_det(zeta: JacobiPoint, params: ModelParams) -> float:
 
 def ricci(zeta: JacobiPoint, params: ModelParams) -> RicciTensor2:
     """Ricci coefficients: only the pure-w entry survives, -3 / P^2."""
-    return RicciTensor2(r_zz=0.0, r_zw=0.0 + 0.0j, r_ww=-3.0 / zeta.p**2)
+    return RicciTensor2(*ricci_at(zeta.w))
 
 
 def scalar_curvature(zeta: JacobiPoint, params: ModelParams) -> float:
-    """Trace of (inverse metric) * Ricci; constant -3/(2k) over the space."""
-    h = metric(zeta, params)
-    r = ricci(zeta, params)
-    hm = np.array([[h.h_zz, h.h_zw], [h.h_zw.conjugate(), h.h_ww]], dtype=complex)
-    rm = np.array([[r.r_zz, r.r_zw], [r.r_zw.conjugate(), r.r_ww]], dtype=complex)
-    return float(np.trace(np.linalg.inv(hm) @ rm).real)
+    """Trace of (inverse metric) * Ricci; constant -3/(2k) over the space.
+
+    Raises where the metric is not finite and positive definite.
+    """
+    metric(zeta, params)
+    return scalar_curvature_at(zeta.z, zeta.w, params)
 
 
 def tilde_metric(zeta: JacobiPoint, params: ModelParams) -> HermitianMetric2:
@@ -108,7 +131,7 @@ def volume_density(zeta: JacobiPoint, params: ModelParams) -> float:
     passing from the wedge of complex differentials to real coordinates;
     the ratio to :func:`metric_det` is exactly 2.
     """
-    return 4.0 * params.k * params.mu / zeta.p**3
+    return volume_density_at(zeta.w, params)
 
 
 def tangent_norm(zeta: JacobiPoint, v: TangentVector, params: ModelParams) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidK, JacobiPoint, ModelParams
+from .core import InvalidK, JacobiPoint, ModelParams, p_at
 
 
 @dataclass(frozen=True)
@@ -70,33 +70,82 @@ def disk_kernel(w: complex, w2: complex, k: float) -> complex:
     return cmath.exp(-2.0 * k * cmath.log(1.0 - w * w2.conjugate()))
 
 
+def cross_F_at(z, w, z2, w2):
+    """Mixed exponent F(zeta, conj(zeta2)) on coordinates (numbers or arrays)."""
+    z2c, w2c = z2.conjugate(), w2.conjugate()
+    return (2.0 * z2c * z + z * z * w2c + z2c * z2c * w) / (2.0 * (1.0 - w * w2c))
+
+
+def diagonal_F_at(z, w):
+    """F(zeta, conj(zeta)) on coordinates; real and nonnegative."""
+    return ((z * z.conjugate()).real + (z * z * w.conjugate()).real) / p_at(w)
+
+
+def log_kernel_at(z, w, z2, w2, params: ModelParams):
+    """Principal log of the kernel: -2k Log(1 - w conj(w2)) + mu F."""
+    return (-2.0 * params.k * np.log(1.0 - w * w2.conjugate())
+            + params.mu * cross_F_at(z, w, z2, w2))
+
+
+def kernel_at(z, w, z2, w2, params: ModelParams):
+    """Two-point kernel on coordinates (numbers or arrays).
+
+    Raises OverflowError, as ``cmath.exp`` does, where a finite log-kernel
+    exceeds the float range.
+    """
+    log_k = log_kernel_at(z, w, z2, w2, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(log_k)
+    if np.any(np.isfinite(log_k) & ~np.isfinite(value)):
+        raise OverflowError("kernel value exceeds the floating-point range")
+    return value
+
+
+def potential_at(z, w, params: ModelParams):
+    """Potential mu F(zeta) - 2k ln(1 - w conj(w)) on coordinates."""
+    return (params.mu * diagonal_F_at(z, w)
+            - 2.0 * params.k * np.log(p_at(w)))
+
+
+def _log_normalized_at(z, w, z2, w2, params: ModelParams):
+    return (log_kernel_at(z, w, z2, w2, params)
+            - 0.5 * potential_at(z, w, params)
+            - 0.5 * potential_at(z2, w2, params))
+
+
+def normalized_kernel_at(z, w, z2, w2, params: ModelParams):
+    """Normalized kernel on coordinates, combined in log space."""
+    return np.exp(_log_normalized_at(z, w, z2, w2, params))
+
+
+def berezin_at(z, w, z2, w2, params: ModelParams):
+    """Berezin kernel |normalized kernel|^2 on coordinates."""
+    return abs(normalized_kernel_at(z, w, z2, w2, params)) ** 2
+
+
+def diastasis_at(z, w, z2, w2, params: ModelParams):
+    """Diastasis -2 Re(log normalized kernel) on coordinates."""
+    return -2.0 * _log_normalized_at(z, w, z2, w2, params).real
+
+
 def cross_F(zeta: JacobiPoint, zeta2: JacobiPoint) -> complex:
     """Mixed exponent F(zeta, conj(zeta2)) of the two-point kernel."""
-    z, w = zeta.z, zeta.w
-    z2c, w2c = zeta2.z.conjugate(), zeta2.w.conjugate()
-    return (2.0 * z2c * z + z * z * w2c + z2c * z2c * w) / (2.0 * (1.0 - w * w2c))
+    return cross_F_at(zeta.z, zeta.w, zeta2.z, zeta2.w)
 
 
 def diagonal_F(zeta: JacobiPoint) -> float:
     """F(zeta, conj(zeta)); real and nonnegative on the diagonal."""
-    z, w = zeta.z, zeta.w
-    return ((z * z.conjugate()).real + (z * z * w.conjugate()).real) / zeta.p
-
-
-def log_jacobi_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> complex:
-    """Principal log of the kernel: -2k Log(1 - w conj(w2)) + mu F."""
-    return (-2.0 * params.k * cmath.log(1.0 - zeta.w * zeta2.w.conjugate())
-            + params.mu * cross_F(zeta, zeta2))
+    return diagonal_F_at(zeta.z, zeta.w)
 
 
 def jacobi_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> complex:
     """Two-point reproducing kernel; real and positive on the diagonal."""
-    return cmath.exp(log_jacobi_kernel(zeta, zeta2, params))
+    return complex(kernel_at(zeta.z, zeta.w, zeta2.z, zeta2.w, params))
 
 
 def kahler_potential(zeta: JacobiPoint, params: ModelParams) -> float:
     """Potential f = mu * F(zeta) - 2k ln(1 - w conj(w)) = ln K(zeta, zeta)."""
-    return params.mu * diagonal_F(zeta) - 2.0 * params.k * math.log(zeta.p)
+    return float(potential_at(zeta.z, zeta.w, params))
 
 
 def normalized_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> complex:
@@ -105,15 +154,12 @@ def normalized_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams
     Combined in log space so the three kernel factors never overflow
     individually.
     """
-    log_k12 = log_jacobi_kernel(zeta, zeta2, params)
-    return cmath.exp(log_k12
-                     - 0.5 * kahler_potential(zeta, params)
-                     - 0.5 * kahler_potential(zeta2, params))
+    return complex(normalized_kernel_at(zeta.z, zeta.w, zeta2.z, zeta2.w, params))
 
 
 def berezin_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> float:
     """Squared modulus of the normalized kernel, valued in [0, 1]."""
-    return abs(normalized_kernel(zeta, zeta2, params)) ** 2
+    return float(berezin_at(zeta.z, zeta.w, zeta2.z, zeta2.w, params))
 
 
 def diastasis(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> float:
@@ -122,10 +168,7 @@ def diastasis(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> flo
     Evaluated as -2 Re(log-space combination) rather than through exp/log
     round trips.
     """
-    log_k12 = log_jacobi_kernel(zeta, zeta2, params)
-    return -2.0 * (log_k12.real
-                   - 0.5 * kahler_potential(zeta, params)
-                   - 0.5 * kahler_potential(zeta2, params))
+    return float(diastasis_at(zeta.z, zeta.w, zeta2.z, zeta2.w, params))
 
 
 def diastasis_split(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> float:

@@ -66,6 +66,28 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"]["re"] == pytest.approx(2.0)
 
+    def test_christoffel_pairs(self, capsys):
+        code, out, _ = run(capsys, "eval", "christoffel", "--k", "2",
+                           "--z", "1", "--w", "0.5")
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert list(value) == ["g_zzz", "g_wzz", "g_zzw", "g_wwz", "g_zww", "g_www"]
+        assert value["g_wzz"] == [0.25, 0.0]
+
+    def test_kernel_overflow_exits_3(self, capsys):
+        code, out, err = run(capsys, "eval", "kernel", "--z", "30")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("quantity", ["berezin", "potential", "diastasis"])
+    def test_non_finite_value_exits_3(self, capsys, quantity):
+        code, out, err = run(capsys, "eval", quantity, "--z", "1e200")
+        assert code == 3
+        assert out == ""       # never NaN in place of JSON
+        assert err.startswith("error:")
+
 
 class TestGeodesic:
     def test_zero_velocity_two_rows(self, capsys, tmp_path):
@@ -88,6 +110,16 @@ class TestGeodesic:
         assert summary["closed_form_residual"] < 1e-8
         assert summary["energy_drift"] < 1e-8
         assert summary["final"]["w"][0] == pytest.approx(math.tanh(0.6), rel=1e-6)
+
+    @pytest.mark.parametrize("t_end", ["inf", "-inf", "nan"])
+    def test_non_finite_t_end_exits_2(self, capsys, tmp_path, t_end):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "geodesic", "--dw", "0.6",
+                             f"--t-end={t_end}", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "t_end" in err
+        assert not out_file.exists()
 
     def test_boundary_escape_exits_3(self, capsys, tmp_path):
         code, out, err = run(capsys, "geodesic", "--w", "0.9", "--dw", "2.0",
@@ -165,6 +197,15 @@ class TestTable:
                            "--out", str(tmp_path / "v.csv"))
         assert code == 2
         assert err
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_cells_are_written(self, capsys, tmp_path):
+        out_file = tmp_path / "d.csv"
+        code, _, err = run(capsys, "table", "diastasis", "--re-z=1e200",
+                           "--out", str(out_file))
+        assert code == 0
+        assert err == ""
+        assert out_file.read_text().splitlines()[1].split(",")[-1] == "nan"
 
 
 class TestConfig:
