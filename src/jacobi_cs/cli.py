@@ -30,6 +30,7 @@ from .core import (
     check_points,
     eta_at,
     make_jacobi_point,
+    p_at,
     require_finite,
 )
 from .geodesics import GeodesicState
@@ -119,30 +120,32 @@ def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
     if quantity == "kernel":
         v = kernels.kernel_at(z, w, z2, w2, params)
         return {"re": v.real, "im": v.imag}
-    if quantity == "potential":
-        return {"value": kernels.potential_at(z, w, params)}
-    if quantity == "metric":
-        h_zz, h_zw, h_ww = geometry.metric_at(z, w, params)
-        check_metric(h_zz, h_zw, h_ww)
-        return {"h_zz": h_zz, "h_zw_re": h_zw.real, "h_zw_im": h_zw.imag,
-                "h_ww": h_ww}
-    if quantity == "ricci":
-        r_zz, r_zw, r_ww = geometry.ricci_at(w)
-        return {"r_zz": r_zz, "r_zw_re": r_zw.real, "r_zw_im": r_zw.imag,
-                "r_ww": r_ww}
-    if quantity == "scalar-curvature":
-        check_metric(*geometry.metric_at(z, w, params))
-        return {"value": geometry.scalar_curvature_at(z, w, params)}
     if quantity == "diastasis":
         return {"value": kernels.diastasis_at(z, w, z2, w2, params)}
     if quantity == "berezin":
         return {"value": kernels.berezin_at(z, w, z2, w2, params)}
+    p = p_at(w)
+    if quantity == "potential":
+        return {"value": kernels.potential_at(z, w, p, params)}
+    if quantity == "metric":
+        h_zz, h_zw, h_ww = geometry.metric_at(z, w, p, params)
+        check_metric(h_zz, h_zw, h_ww)
+        return {"h_zz": h_zz, "h_zw_re": h_zw.real, "h_zw_im": h_zw.imag,
+                "h_ww": h_ww}
+    if quantity == "ricci":
+        r_zz, r_zw, r_ww = geometry.ricci_at(p)
+        return {"r_zz": r_zz, "r_zw_re": r_zw.real, "r_zw_im": r_zw.imag,
+                "r_ww": r_ww}
+    if quantity == "scalar-curvature":
+        h = geometry.metric_at(z, w, p, params)
+        check_metric(*h)
+        return {"value": geometry.scalar_curvature_at(*h, geometry.ricci_at(p)[2])}
     if quantity == "christoffel":
-        return dict(zip(_CHRISTOFFEL_KEYS, geodesics.christoffel_at(z, w, params)))
+        return dict(zip(_CHRISTOFFEL_KEYS, geodesics.christoffel_at(z, w, p, params)))
     if quantity == "volume":
-        return {"value": geometry.volume_density_at(w, params)}
+        return {"value": geometry.volume_density_at(p, params)}
     if quantity == "eta":
-        v = eta_at(z, w)
+        v = eta_at(z, w, p)
         return {"re": v.real, "im": v.imag}
     raise ValueError(f"unknown quantity {quantity!r}")
 

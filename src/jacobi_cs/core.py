@@ -102,7 +102,7 @@ def make_jacobi_point(z: complex, w: complex, eps_bound: float = EPS_BOUND) -> J
     return point
 
 
-def check_points(z, w, eps_bound: float = EPS_BOUND) -> None:
+def check_points(z, w) -> None:
     """Validate arrays of coordinates (z, w) as points, all at once.
 
     Raises exactly what :func:`make_jacobi_point` raises at the first
@@ -112,9 +112,9 @@ def check_points(z, w, eps_bound: float = EPS_BOUND) -> None:
     complex does); the scalar constructor decides.
     """
     z, w = np.broadcast_arrays(np.asarray(z), np.asarray(w))
-    good = np.isfinite(z) & np.isfinite(w) & (np.hypot(w.real, w.imag) < 1.0 - eps_bound)
+    good = np.isfinite(z) & np.isfinite(w) & (np.hypot(w.real, w.imag) < 1.0 - EPS_BOUND)
     for i in np.flatnonzero(~good):
-        make_jacobi_point(z.flat[i].item(), w.flat[i].item(), eps_bound)
+        make_jacobi_point(z.flat[i].item(), w.flat[i].item())
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,15 @@ class HermitianMetric2:
     h_ww: float
 
     def __post_init__(self):
-        require_finite(complex(self.h_zz), "h_zz")
-        require_finite(self.h_zw, "h_zw")
-        require_finite(complex(self.h_ww), "h_ww")
-        if not positive_definite(self.h_zz, self.h_zw, self.h_ww):
+        h_zz, h_zw, h_ww = self.h_zz, self.h_zw, self.h_ww
+        # one test passes valid coefficients; the checks below name the fault
+        if (math.isfinite(h_zz) and cmath.isfinite(h_zw) and math.isfinite(h_ww)
+                and positive_definite(h_zz, h_zw, h_ww)):
+            return
+        require_finite(complex(h_zz), "h_zz")
+        require_finite(h_zw, "h_zw")
+        require_finite(complex(h_ww), "h_ww")
+        if not positive_definite(h_zz, h_zw, h_ww):
             raise ValueError(
                 f"metric coefficients are not positive definite "
                 f"(h_zz={self.h_zz!r}, h_ww={self.h_ww!r}, det={self.det()!r})"
@@ -213,19 +218,19 @@ def p_at(w):
     return 1.0 - (w * w.conjugate()).real
 
 
-def eta_at(z, w):
-    """Displacement coordinate eta = (z + conj(z) w) / (1 - w conj(w)).
+def eta_at(z, w, p):
+    """Displacement coordinate eta = (z + conj(z) w) / P, with P = p_at(w).
 
     This is the coordinate in which the metric splits into a flat block
     and a pure disk block; see the group module for the companion change
     of variables z = eta - w conj(eta).  Takes numbers or arrays.
     """
-    return (z + z.conjugate() * w) / p_at(w)
+    return (z + z.conjugate() * w) / p
 
 
 def eta_of(zeta: JacobiPoint) -> complex:
     """:func:`eta_at` at a point."""
-    return eta_at(zeta.z, zeta.w)
+    return eta_at(zeta.z, zeta.w, zeta.p)
 
 
 def principal_power_log(base: complex, exponent: float) -> complex:

@@ -43,7 +43,6 @@ from .core import (
     eta_at,
     eta_of,
     make_jacobi_point,
-    p_at,
 )
 from .geometry import tangent_norm
 from .group import disk_geodesic_map
@@ -99,21 +98,22 @@ class GeodesicPath:
             ])
 
 
-def christoffel_at(z, w, params: ModelParams):
+def christoffel_at(z, w, p, params: ModelParams):
     """Closed-form connection coefficients on coordinates (numbers or arrays).
 
-    Returned in :class:`ChristoffelSet` field order; g_wzz = lam is constant.
+    ``p`` is P = p_at(w).  Returned in :class:`ChristoffelSet` field order;
+    g_wzz = lam is constant.
     """
     lam = params.mu / (2.0 * params.k)
-    etab = eta_at(z, w).conjugate()
-    wb_over_p = w.conjugate() / p_at(w)
+    etab = eta_at(z, w, p).conjugate()
+    wb_over_p = w.conjugate() / p
     return (-lam * etab, complex(lam), -lam * etab**2 + wb_over_p,
             lam * etab, -lam * etab**3, lam * etab**2 + 2.0 * wb_over_p)
 
 
 def christoffel(zeta: JacobiPoint, params: ModelParams) -> ChristoffelSet:
     """Closed-form connection coefficients at a point."""
-    return ChristoffelSet(*christoffel_at(zeta.z, zeta.w, params))
+    return ChristoffelSet(*christoffel_at(zeta.z, zeta.w, zeta.p, params))
 
 
 def geodesic_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:

@@ -36,7 +36,6 @@ from .core import (
     TangentVector,
     eta_at,
     hermitian_det,
-    p_at,
 )
 from .kernels import kahler_potential
 
@@ -61,37 +60,39 @@ class WirtingerStencil:
             raise ValueError(f"step {self.step} outside [1e-7, 1e-2]")
 
 
-def metric_at(z, w, params: ModelParams):
+def metric_at(z, w, p, params: ModelParams):
     """Closed-form metric coefficients (h_zz, h_zw, h_ww) on coordinates.
 
-    Takes numbers or arrays and checks nothing; :func:`metric` and
-    :func:`jacobi_cs.core.check_metric` validate the result.
+    ``p`` is P = p_at(w).  Takes numbers or arrays and checks nothing;
+    :func:`metric` and :func:`jacobi_cs.core.check_metric` validate the
+    result.
     """
-    p = p_at(w)
-    eta = eta_at(z, w)
+    eta = eta_at(z, w, p)
     mu, k = params.mu, params.k
     return mu / p, mu * eta / p, mu * abs(eta) ** 2 / p + 2.0 * k / p**2
 
 
-def ricci_at(w):
-    """Ricci coefficients (r_zz, r_zw, r_ww): only r_ww = -3 / P^2 survives."""
-    return 0.0, 0.0 + 0.0j, -3.0 / p_at(w) ** 2
+def ricci_at(p):
+    """Ricci coefficients (r_zz, r_zw, r_ww) from P: only r_ww = -3 / P^2 survives."""
+    return 0.0, 0.0 + 0.0j, -3.0 / p**2
 
 
-def scalar_curvature_at(z, w, params: ModelParams):
-    """Trace of (inverse metric) * Ricci, h_zz r_ww / det h, on coordinates."""
-    h_zz, h_zw, h_ww = metric_at(z, w, params)
-    return h_zz * ricci_at(w)[2] / hermitian_det(h_zz, h_zw, h_ww)
+def scalar_curvature_at(h_zz, h_zw, h_ww, r_ww):
+    """Trace of (inverse metric) * Ricci, h_zz r_ww / det h, from coefficients.
+
+    Uses that r_zz and r_zw vanish; takes numbers or arrays.
+    """
+    return h_zz * r_ww / hermitian_det(h_zz, h_zw, h_ww)
 
 
-def volume_density_at(w, params: ModelParams):
-    """Volume density 4 k mu / P^3 on coordinates."""
-    return 4.0 * params.k * params.mu / p_at(w) ** 3
+def volume_density_at(p, params: ModelParams):
+    """Volume density 4 k mu / P^3 from P."""
+    return 4.0 * params.k * params.mu / p**3
 
 
 def metric(zeta: JacobiPoint, params: ModelParams) -> HermitianMetric2:
     """Closed-form metric coefficients at a point."""
-    return HermitianMetric2(*metric_at(zeta.z, zeta.w, params))
+    return HermitianMetric2(*metric_at(zeta.z, zeta.w, zeta.p, params))
 
 
 def metric_det(zeta: JacobiPoint, params: ModelParams) -> float:
@@ -101,7 +102,7 @@ def metric_det(zeta: JacobiPoint, params: ModelParams) -> float:
 
 def ricci(zeta: JacobiPoint, params: ModelParams) -> RicciTensor2:
     """Ricci coefficients: only the pure-w entry survives, -3 / P^2."""
-    return RicciTensor2(*ricci_at(zeta.w))
+    return RicciTensor2(*ricci_at(zeta.p))
 
 
 def scalar_curvature(zeta: JacobiPoint, params: ModelParams) -> float:
@@ -109,8 +110,8 @@ def scalar_curvature(zeta: JacobiPoint, params: ModelParams) -> float:
 
     Raises where the metric is not finite and positive definite.
     """
-    metric(zeta, params)
-    return scalar_curvature_at(zeta.z, zeta.w, params)
+    h = metric(zeta, params)
+    return scalar_curvature_at(h.h_zz, h.h_zw, h.h_ww, ricci(zeta, params).r_ww)
 
 
 def tilde_metric(zeta: JacobiPoint, params: ModelParams) -> HermitianMetric2:
@@ -131,7 +132,7 @@ def volume_density(zeta: JacobiPoint, params: ModelParams) -> float:
     passing from the wedge of complex differentials to real coordinates;
     the ratio to :func:`metric_det` is exactly 2.
     """
-    return volume_density_at(zeta.w, params)
+    return volume_density_at(zeta.p, params)
 
 
 def tangent_norm(zeta: JacobiPoint, v: TangentVector, params: ModelParams) -> float:

@@ -76,9 +76,9 @@ def cross_F_at(z, w, z2, w2):
     return (2.0 * z2c * z + z * z * w2c + z2c * z2c * w) / (2.0 * (1.0 - w * w2c))
 
 
-def diagonal_F_at(z, w):
-    """F(zeta, conj(zeta)) on coordinates; real and nonnegative."""
-    return ((z * z.conjugate()).real + (z * z * w.conjugate()).real) / p_at(w)
+def diagonal_F_at(z, w, p):
+    """F(zeta, conj(zeta)) on coordinates, with P = p_at(w); real and nonnegative."""
+    return ((z * z.conjugate()).real + (z * z * w.conjugate()).real) / p
 
 
 def log_kernel_at(z, w, z2, w2, params: ModelParams):
@@ -101,16 +101,15 @@ def kernel_at(z, w, z2, w2, params: ModelParams):
     return value
 
 
-def potential_at(z, w, params: ModelParams):
-    """Potential mu F(zeta) - 2k ln(1 - w conj(w)) on coordinates."""
-    return (params.mu * diagonal_F_at(z, w)
-            - 2.0 * params.k * np.log(p_at(w)))
+def potential_at(z, w, p, params: ModelParams):
+    """Potential mu F(zeta) - 2k ln P on coordinates, with P = p_at(w)."""
+    return params.mu * diagonal_F_at(z, w, p) - 2.0 * params.k * np.log(p)
 
 
 def _log_normalized_at(z, w, z2, w2, params: ModelParams):
     return (log_kernel_at(z, w, z2, w2, params)
-            - 0.5 * potential_at(z, w, params)
-            - 0.5 * potential_at(z2, w2, params))
+            - 0.5 * potential_at(z, w, p_at(w), params)
+            - 0.5 * potential_at(z2, w2, p_at(w2), params))
 
 
 def normalized_kernel_at(z, w, z2, w2, params: ModelParams):
@@ -135,7 +134,7 @@ def cross_F(zeta: JacobiPoint, zeta2: JacobiPoint) -> complex:
 
 def diagonal_F(zeta: JacobiPoint) -> float:
     """F(zeta, conj(zeta)); real and nonnegative on the diagonal."""
-    return diagonal_F_at(zeta.z, zeta.w)
+    return diagonal_F_at(zeta.z, zeta.w, zeta.p)
 
 
 def jacobi_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> complex:
@@ -145,7 +144,7 @@ def jacobi_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) ->
 
 def kahler_potential(zeta: JacobiPoint, params: ModelParams) -> float:
     """Potential f = mu * F(zeta) - 2k ln(1 - w conj(w)) = ln K(zeta, zeta)."""
-    return float(potential_at(zeta.z, zeta.w, params))
+    return float(potential_at(zeta.z, zeta.w, zeta.p, params))
 
 
 def normalized_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> complex:

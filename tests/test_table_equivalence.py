@@ -13,12 +13,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jacobi_cs import ModelParams, geodesics, geometry, kernels, make_jacobi_point
-from jacobi_cs.cli import main, parse_range
+from jacobi_cs.cli import evaluate, main, parse_range
 from jacobi_cs.core import eta_of
 
 QUANTITIES = ("kernel", "potential", "metric", "ricci", "scalar-curvature",
@@ -192,3 +193,54 @@ def test_degenerate_metric_raises_as_scalar(quantity, tmp_path):
     with pytest.raises(ValueError) as raised:
         geometry.metric(make_jacobi_point(0.0, 0.0), ModelParams(1.0, 0.0))
     assert err == f"error: {raised.value}\n"
+
+
+# (k, mu), z, w, (h_zz, h_zw, h_ww), scalar curvature, as the per-point
+# implementation computed them (the curvature as the trace of an inverted
+# 2x2 matrix); pins the closed forms themselves, not only their batching
+PINNED = [
+    ((1.0, 1.0), 0.3 + 0.2j, 0.1 - 0.2j,
+     (1.0526315789473684, 0.3213296398891967 + 0.1329639889196676j, 2.3309520338241727),
+     -1.5),
+    ((1.0, 1.0), -1.4 + 0.7j, 0.5 + 0.3j,
+     (1.5151515151515151, -4.338842975206611 - 0.16069788797061538j, 17.033280463032526),
+     -1.5),
+    ((1.0, 1.0), 2.1 + 2.1j, 0.67 + 0.67j,
+     (9.784735812133087, 470.47154384366013 + 201.05621531780346j, 26944.077203908062),
+     -1.4999999999999705),
+    ((1.0, 1.0), -2.1 + 2.1j, -0.67 + 0.67j,
+     (9.784735812133087, 68.35911320805322 + 201.05621531780346j, 4800.351571645833),
+     -1.5000000000000038),
+    ((1.0, 1.0), 2.97 + 0j, -0.95 + 0j,
+     (10.256410256410254, 15.62130177514795 + 0j, 234.18034693774334),
+     -1.4999999999999998),
+    ((2.5, 0.3), 0.3 + 0.2j, 0.1 - 0.2j,
+     (0.3157894736842105, 0.096398891966759 + 0.03988919667590028j, 5.574631870535064),
+     -0.6),
+    ((2.5, 0.3), 2.1 + 2.1j, 0.67 + 0.67j,
+     (2.9354207436399262, 141.14146315309804 + 60.31686459534103j, 8504.483802790674),
+     -0.5999999999999994),
+    ((2.5, 0.3), 2.97 + 0j, -0.95 + 0j,
+     (3.0769230769230758, 4.686390532544385 + 0j, 533.1074900116316),
+     -0.6000000000000002),
+]
+
+
+@pytest.mark.parametrize("kmu, z, w, h_want, curvature", PINNED)
+def test_pinned_metric_and_curvature(kmu, z, w, h_want, curvature):
+    params = ModelParams(*kmu)
+    zeta = make_jacobi_point(z, w)
+    origin = np.zeros(1, dtype=complex)
+    batch = {q: evaluate(q, np.array([z]), np.array([w]), origin, origin, params)
+             for q in ("metric", "scalar-curvature")}
+    h = geometry.metric(zeta, params)
+    for got in ((h.h_zz, h.h_zw, h.h_ww),
+                (batch["metric"]["h_zz"][0],
+                 complex(batch["metric"]["h_zw_re"][0], batch["metric"]["h_zw_im"][0]),
+                 batch["metric"]["h_ww"][0])):
+        for a, b in zip(got, h_want):
+            assert _close(a, b, REL), (got, h_want)
+    cond = _condition("scalar-curvature", zeta, params)
+    for got in (geometry.scalar_curvature(zeta, params),
+                batch["scalar-curvature"]["value"][0]):
+        assert _close(got, curvature, REL * cond), (got, curvature)
