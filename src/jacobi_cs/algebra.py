@@ -16,7 +16,6 @@ the algebra (a Heisenberg pair extended by the su(1,1) triple).
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -203,20 +202,6 @@ class RelationReport:
     @property
     def max_deviation(self) -> float:
         return max((c.deviation for c in self.checks), default=0.0)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "max_degree": self.max_degree,
-            "k": self.k,
-            "mu": self.mu,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "checks": [
-                {"relation": c.relation, "monomial": c.monomial,
-                 "deviation": c.deviation, "pass": c.passed}
-                for c in self.checks
-            ],
-        }, indent=2)
 
 
 def check_relations(max_degree: int, params: ModelParams,

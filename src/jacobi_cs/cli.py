@@ -112,6 +112,9 @@ _EVAL_QUANTITIES = ("kernel", "potential", "metric", "ricci",
                     "christoffel", "volume", "eta")
 _CHRISTOFFEL_KEYS = tuple(f.name for f in dataclasses.fields(geodesics.ChristoffelSet))
 _TABLE_CHUNK_ROWS = 8192
+# A geodesic path keeps every sample, about 512 B each, so 10^6 steps
+# hold about 0.5 GB; longer runs are refused before integrating.
+MAX_GEODESIC_STEPS = 1_000_000
 
 
 def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
@@ -234,7 +237,11 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
     require_finite(args.t_end, "t_end")
     state = GeodesicState(make_jacobi_point(args.z, args.w),
                           TangentVector(args.dz, args.dw))
-    n_steps = args.steps or max(1, round(args.t_end / cfg["rk4_step"]))
+    n_steps = args.steps or args.t_end / cfg["rk4_step"]
+    if not n_steps <= MAX_GEODESIC_STEPS:      # also refuses an inf or nan quotient
+        raise ValueError(f"a geodesic run is limited to {MAX_GEODESIC_STEPS} steps "
+                         "(--steps, or --t-end / --rk4-step)")
+    n_steps = max(1, round(n_steps))
     try:
         path = geodesics.integrate(state, args.t_end, n_steps, params)
     except BoundaryEscape as exc:

@@ -20,6 +20,10 @@ import numpy as np
 
 EPS_BOUND = 1e-9
 
+# Smallest admitted disk weight k.  The measure normalization
+# (4k - 3) / (2 pi^2) vanishes there, so measure operations need k > K_MIN.
+K_MIN = 0.75
+
 
 class NonFinite(ValueError):
     """A coordinate or parameter is NaN or infinite."""
@@ -121,10 +125,10 @@ def check_points(z, w) -> None:
 class ModelParams:
     """Representation parameters: disk weight ``k`` and Heisenberg scale ``mu``.
 
-    ``k`` may not fall below 3/4; the boundary value itself is admitted
-    because the smallest basis family sits exactly there, but measure
-    operations (whose normalization (4k - 3)/(2 pi^2) degenerates at the
-    boundary) insist on k > 3/4.  ``mu`` is strictly positive for every
+    ``k`` may not fall below ``K_MIN`` = 3/4; the boundary value itself is
+    admitted because the smallest basis family sits exactly there, but
+    measure operations (whose normalization (4k - 3)/(2 pi^2) degenerates
+    at the boundary) insist on k > 3/4.  ``mu`` is strictly positive for every
     kernel and measure; ``mu = 0`` is additionally admitted because the
     geodesic system has a well-defined flat limit that the closed-form
     solutions are checked against.
@@ -136,7 +140,7 @@ class ModelParams:
     def __post_init__(self):
         if not (math.isfinite(self.k) and math.isfinite(self.mu)):
             raise NonFinite("model parameters must be finite")
-        if self.k < 0.75:
+        if self.k < K_MIN:
             raise ValueError(f"k must be at least 3/4, got {self.k}")
         if self.mu < 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
@@ -201,21 +205,27 @@ def positive_definite(h_zz, h_zw, h_ww):
 def check_metric(h_zz, h_zw, h_ww) -> None:
     """Validate arrays of metric coefficients, all at once.
 
-    Raises what :class:`HermitianMetric2` raises at the first triple, in
-    C order, that is not finite and positive definite.  The array test only
-    selects candidates; the scalar constructor decides.
+    Raises what :class:`HermitianMetric2` raises at the first finite
+    triple, in C order, that is not positive definite.  A triple that is
+    not finite passes: it is a domain escape of the point, for the caller
+    to report or write, not a degenerate metric.
     """
     h_zz, h_zw, h_ww = np.broadcast_arrays(h_zz, h_zw, h_ww)
     with np.errstate(invalid="ignore", over="ignore"):
-        good = (np.isfinite(h_zz) & np.isfinite(h_zw) & np.isfinite(h_ww)
-                & positive_definite(h_zz, h_zw, h_ww))
-    for i in np.flatnonzero(~good):
+        bad = (np.isfinite(h_zz) & np.isfinite(h_zw) & np.isfinite(h_ww)
+               & ~positive_definite(h_zz, h_zw, h_ww))
+    for i in np.flatnonzero(bad):
         HermitianMetric2(h_zz.flat[i].item(), complex(h_zw.flat[i]), h_ww.flat[i].item())
 
 
 def p_at(w):
-    """P = 1 - w conj(w), positive on the disk (numbers or arrays)."""
-    return 1.0 - (w * w.conjugate()).real
+    """P = 1 - w conj(w), positive on the disk (numbers or arrays).
+
+    Written with real products: numpy's complex multiply may fuse them and
+    round differently from Python's, and near |w| = 1 the cancellation in P
+    would magnify that last-digit difference between arrays and numbers.
+    """
+    return 1.0 - (w.real * w.real + w.imag * w.imag)
 
 
 def eta_at(z, w, p):

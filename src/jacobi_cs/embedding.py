@@ -15,7 +15,6 @@ truncation error reported, never hidden.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,9 +46,6 @@ class ProjectiveVector:
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.components))
-
-    def to_json(self) -> str:
-        return json.dumps([[c.real, c.imag] for c in self.components])
 
 
 def basis_order(trunc: TruncationOrder) -> list[tuple[int, int]]:

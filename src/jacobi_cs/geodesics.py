@@ -41,8 +41,8 @@ from .core import (
     TangentVector,
     ZeroDirection,
     eta_at,
-    eta_of,
     make_jacobi_point,
+    p_at,
 )
 from .geometry import tangent_norm
 from .group import disk_geodesic_map
@@ -116,18 +116,24 @@ def christoffel(zeta: JacobiPoint, params: ModelParams) -> ChristoffelSet:
     return ChristoffelSet(*christoffel_at(zeta.z, zeta.w, zeta.p, params))
 
 
+def acceleration_at(z, w, p, dz, dw, params: ModelParams):
+    """Accelerations (d2z, d2w) of the geodesic system on coordinates.
+
+    ``p`` is P = p_at(w); takes numbers or arrays.
+    """
+    etab = eta_at(z, w, p).conjugate()
+    wb_over_p = w.conjugate() / p
+    lam = params.mu / (2.0 * params.k)
+    c = dz + etab * dw
+    c2 = c * c
+    return (-2.0 * wb_over_p * dz * dw + lam * etab * c2,
+            -2.0 * wb_over_p * dw * dw - lam * c2)
+
+
 def geodesic_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:
     """Accelerations (d2z, d2w) of the geodesic system at a phase point."""
     zeta, v = state.pos, state.vel
-    etab = eta_of(zeta).conjugate()
-    wb_over_p = zeta.w.conjugate() / zeta.p
-    lam = params.mu / (2.0 * params.k)
-    c = v.dz + etab * v.dw
-    c2 = c * c
-    return TangentVector(
-        dz=-2.0 * wb_over_p * v.dz * v.dw + lam * etab * c2,
-        dw=-2.0 * wb_over_p * v.dw * v.dw - lam * c2,
-    )
+    return TangentVector(*acceleration_at(zeta.z, zeta.w, zeta.p, v.dz, v.dw, params))
 
 
 def christoffel_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:
@@ -140,19 +146,13 @@ def christoffel_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:
     )
 
 
-def _rhs_raw(z: complex, w: complex, dz: complex, dw: complex,
-             params: ModelParams, t: float) -> tuple[complex, complex]:
-    """Acceleration without constructing validated objects (hot loop)."""
-    p = 1.0 - (w * w.conjugate()).real
+def _stage_acceleration(z: complex, w: complex, dz: complex, dw: complex,
+                        params: ModelParams, t: float) -> tuple[complex, complex]:
+    """:func:`acceleration_at` at an RK4 stage, guarding the disk (hot loop)."""
+    p = p_at(w)
     if p <= EPS_BOUND or abs(w) >= 1.0 - EPS_BOUND:
         raise BoundaryEscape(t)
-    etab = ((z + z.conjugate() * w) / p).conjugate()
-    wb_over_p = w.conjugate() / p
-    lam = params.mu / (2.0 * params.k)
-    c = dz + etab * dw
-    c2 = c * c
-    return (-2.0 * wb_over_p * dz * dw + lam * etab * c2,
-            -2.0 * wb_over_p * dw * dw - lam * c2)
+    return acceleration_at(z, w, p, dz, dw, params)
 
 
 def integrate(s0: GeodesicState, t_end: float, n_steps: int,
@@ -171,16 +171,16 @@ def integrate(s0: GeodesicState, t_end: float, n_steps: int,
     t = 0.0
     for _ in range(n_steps):
         # y = (z, w, dz, dw); stages k1..k4 of y' = (dz, dw, accel)
-        a1 = _rhs_raw(z, w, dz, dw, params, t)
+        a1 = _stage_acceleration(z, w, dz, dw, params, t)
         k1 = (dz, dw, a1[0], a1[1])
-        a2 = _rhs_raw(z + 0.5 * h * k1[0], w + 0.5 * h * k1[1],
-                      dz + 0.5 * h * k1[2], dw + 0.5 * h * k1[3], params, t)
+        a2 = _stage_acceleration(z + 0.5 * h * k1[0], w + 0.5 * h * k1[1],
+                                 dz + 0.5 * h * k1[2], dw + 0.5 * h * k1[3], params, t)
         k2 = (dz + 0.5 * h * k1[2], dw + 0.5 * h * k1[3], a2[0], a2[1])
-        a3 = _rhs_raw(z + 0.5 * h * k2[0], w + 0.5 * h * k2[1],
-                      dz + 0.5 * h * k2[2], dw + 0.5 * h * k2[3], params, t)
+        a3 = _stage_acceleration(z + 0.5 * h * k2[0], w + 0.5 * h * k2[1],
+                                 dz + 0.5 * h * k2[2], dw + 0.5 * h * k2[3], params, t)
         k3 = (dz + 0.5 * h * k2[2], dw + 0.5 * h * k2[3], a3[0], a3[1])
-        a4 = _rhs_raw(z + h * k3[0], w + h * k3[1],
-                      dz + h * k3[2], dw + h * k3[3], params, t)
+        a4 = _stage_acceleration(z + h * k3[0], w + h * k3[1],
+                                 dz + h * k3[2], dw + h * k3[3], params, t)
         k4 = (dz + h * k3[2], dw + h * k3[3], a4[0], a4[1])
         z += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         w += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])

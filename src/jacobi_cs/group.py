@@ -24,7 +24,6 @@ real Jacobian; that is the one numerical subtlety in this module.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -76,23 +75,6 @@ class JacobiGroupElement:
     @classmethod
     def identity(cls) -> "JacobiGroupElement":
         return cls(SU11Element.identity(), 0.0 + 0.0j, 0.0)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "a_re": self.g.a.real, "a_im": self.g.a.imag,
-            "b_re": self.g.b.real, "b_im": self.g.b.imag,
-            "alpha_re": self.alpha.real, "alpha_im": self.alpha.imag,
-            "t": self.t,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "JacobiGroupElement":
-        d = json.loads(text)
-        return cls(
-            SU11Element(complex(d["a_re"], d["a_im"]), complex(d["b_re"], d["b_im"])),
-            complex(d["alpha_re"], d["alpha_im"]),
-            float(d.get("t", 0.0)),
-        )
 
 
 def mobius(g: SU11Element, w: complex) -> complex:

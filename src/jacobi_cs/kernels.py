@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidK, JacobiPoint, ModelParams, p_at
+from .core import K_MIN, InvalidK, JacobiPoint, ModelParams, p_at
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def heisenberg_kernel(z: complex, z2: complex, mu: float) -> complex:
 
 def disk_kernel(w: complex, w2: complex, k: float) -> complex:
     """Disk-factor kernel (1 - w conj(w2))^(-2k), principal branch."""
-    if k <= 0.75:
-        raise ValueError("k must exceed 3/4")
+    if k < K_MIN:
+        raise ValueError(f"k must be at least 3/4, got {k}")
     return cmath.exp(-2.0 * k * cmath.log(1.0 - w * w2.conjugate()))
 
 
@@ -186,6 +186,15 @@ def diastasis_split(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) 
     return 2.0 * (disk_part + flat_part)
 
 
+def _pn_values(z, w, n_max: int):
+    """Yield P_0, ..., P_n_max at (z, w) by the recurrence P_(n+1) = z P_n + n w P_(n-1)."""
+    prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
+    yield cur
+    for i in range(n_max):
+        prev, cur = cur, z * cur + i * w * prev
+        yield cur
+
+
 def pn_polynomial(n: int, z: complex, w: complex) -> complex:
     """Heat-family polynomial P_n with generating function exp(z t + w t^2 / 2).
 
@@ -193,10 +202,8 @@ def pn_polynomial(n: int, z: complex, w: complex) -> complex:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
-    for i in range(n):
-        prev, cur = cur, z * cur + i * w * prev
-    return cur
+    *_, pn = _pn_values(z, w, n)
+    return pn
 
 
 def two_k_prime(k: float) -> int:
@@ -209,42 +216,46 @@ def two_k_prime(k: float) -> int:
     return int(nearest)
 
 
-def _disk_coeff_log(m: np.ndarray | int, two_kp: int) -> np.ndarray | float:
-    """log of c[m]^2 = Gamma(m + 2k') / (m! Gamma(2k')), via log-gamma."""
-    if isinstance(m, np.ndarray):
-        return np.array([math.lgamma(mi + two_kp) - math.lgamma(mi + 1.0)
-                         - math.lgamma(two_kp) for mi in m])
-    return math.lgamma(m + two_kp) - math.lgamma(m + 1.0) - math.lgamma(two_kp)
+def disk_coeff_log(m_max: int, two_kp: float) -> np.ndarray:
+    """log c[m]^2 = lgamma(m + 2k') - lgamma(m + 1) - lgamma(2k') for m = 0..m_max.
+
+    c[m]^2 = Gamma(m + 2k') / (m! Gamma(2k')) is the squared norm factor of
+    w^m under the disk weight with parameter 2k'.
+    """
+    return (np.array([math.lgamma(m + two_kp) - math.lgamma(m + 1.0)
+                      for m in range(m_max + 1)]) - math.lgamma(two_kp))
+
+
+def basis_at(z, w, params: ModelParams, n_max: int, m_max: int) -> np.ndarray:
+    """All f[n, m] for n <= n_max, m <= m_max on coordinates (numbers or arrays).
+
+    Returns shape (n_max + 1, m_max + 1) + the broadcast shape of z and w.
+    The flat factor P_n(sqrt(mu) z, w) / sqrt(n!) comes from the
+    three-term recurrence, the disk factor c[m] w^m from log-gamma weights;
+    Python numbers stay Python numbers through the recurrence.
+    """
+    two_kp = two_k_prime(params.k)
+    shape = np.broadcast(z, w).shape
+    flat = np.empty((n_max + 1,) + shape, dtype=complex)
+    for n, pn in enumerate(_pn_values(math.sqrt(params.mu) * z, w, n_max)):
+        flat[n] = pn * math.exp(-0.5 * math.lgamma(n + 1.0))
+    ms = np.arange(m_max + 1).reshape((-1,) + (1,) * len(shape))
+    disk = np.exp(0.5 * disk_coeff_log(m_max, two_kp)).reshape(ms.shape) * w ** ms
+    return flat[:, None] * disk[None]
 
 
 def basis_function(idx: BasisIndex, zeta: JacobiPoint, params: ModelParams) -> complex:
     """Orthonormal basis polynomial f[n, m] at zeta."""
-    two_kp = two_k_prime(params.k)
-    disk = math.exp(0.5 * _disk_coeff_log(idx.m, two_kp)) * zeta.w ** idx.m
-    flat = pn_polynomial(idx.n, math.sqrt(params.mu) * zeta.z, zeta.w)
-    return disk * flat * math.exp(-0.5 * math.lgamma(idx.n + 1.0))
+    return complex(basis_at(zeta.z, zeta.w, params, idx.n, idx.m)[idx.n, idx.m])
 
 
 def basis_matrix(zeta: JacobiPoint, params: ModelParams,
                  trunc: TruncationOrder) -> np.ndarray:
     """All f[n, m](zeta) for n <= n_max, m <= m_max as an (n, m) array.
 
-    Uses the three-term recurrence in n and log-gamma weights in m; this is
-    the workhorse behind series summation and the projective embedding.
+    The workhorse behind series summation and the projective embedding.
     """
-    two_kp = two_k_prime(params.k)
-    n_max, m_max = trunc.n_max, trunc.m_max
-    sz = math.sqrt(params.mu) * zeta.z
-    # P_n(sqrt(mu) z, w) / sqrt(n!) by recurrence, dividing as we go.
-    flat = np.empty(n_max + 1, dtype=complex)
-    prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
-    flat[0] = 1.0
-    for i in range(n_max):
-        prev, cur = cur, sz * cur + i * zeta.w * prev
-        flat[i + 1] = cur * math.exp(-0.5 * math.lgamma(i + 2.0))
-    ms = np.arange(m_max + 1)
-    disk = np.exp(0.5 * _disk_coeff_log(ms, two_kp)) * zeta.w ** ms
-    return np.outer(flat, disk)
+    return basis_at(zeta.z, zeta.w, params, trunc.n_max, trunc.m_max)
 
 
 def kernel_series(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams,

@@ -23,14 +23,13 @@ integer 2k makes the radial integrand polynomial and the rule exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidK, JacobiPoint, ModelParams, make_jacobi_point
-from .kernels import BasisIndex, diagonal_F, two_k_prime
+from .core import K_MIN, InvalidK, JacobiPoint, ModelParams, make_jacobi_point, p_at
+from .kernels import BasisIndex, basis_at, disk_coeff_log, potential_at
 
 # Flattening exponent for the radial proposal when 2k - 2 <= 0; the target
 # stays integrable and the weights absorb the mismatch.
@@ -60,33 +59,34 @@ class McEstimate:
     n_samples: int = 0
     seed: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "re": self.value.real, "im": self.value.imag,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples, "seed": self.seed,
-        })
-
 
 def normalization_constant(k: float) -> float:
     """The measure normalization (4k - 3) / (2 pi^2); positive for k > 3/4."""
-    if k <= 0.75:
-        raise ValueError("k must exceed 3/4")
+    if k <= K_MIN:
+        raise ValueError(f"k must exceed 3/4, got {k}")
     return (4.0 * k - 3.0) / (2.0 * math.pi**2)
+
+
+def measure_density_at(p, mu: float):
+    """Density mu / P^3 of the invariant measure, with P = p_at(w) (numbers or arrays)."""
+    return mu / p**3
+
+
+def weight_rho_at(z, w, p, params: ModelParams):
+    """Weight L P^(2k) exp(-mu F) = L exp(-potential) on coordinates, with P = p_at(w)."""
+    return normalization_constant(params.k) * np.exp(-potential_at(z, w, p, params))
 
 
 def invariant_measure_density(zeta: JacobiPoint, mu: float) -> float:
     """Density mu / P^3 of the invariant measure against Lebesgue measure."""
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    return mu / zeta.p**3
+    return measure_density_at(zeta.p, mu)
 
 
 def weight_rho(zeta: JacobiPoint, params: ModelParams) -> float:
     """Scalar-product weight L P^(2k) exp(-mu F(zeta)); equals L / K(zeta, zeta)."""
-    lam = normalization_constant(params.k)
-    return lam * math.exp(2.0 * params.k * math.log(zeta.p)
-                          - params.mu * diagonal_F(zeta))
+    return float(weight_rho_at(zeta.z, zeta.w, zeta.p, params))
 
 
 def _beta_shape(k: float) -> float:
@@ -152,35 +152,8 @@ def sample_point(params: ModelParams,
 def _mc_weights(z: np.ndarray, w: np.ndarray, q: np.ndarray,
                 params: ModelParams) -> np.ndarray:
     """Importance weights rho * (measure density) / proposal, vectorized."""
-    k, mu = params.k, params.mu
-    p = 1.0 - np.abs(w) ** 2
-    f_diag = (np.abs(z) ** 2 + (z**2 * np.conj(w)).real) / p
-    rho = normalization_constant(k) * np.exp(2.0 * k * np.log(p) - mu * f_diag)
-    return rho * mu / p**3 / q
-
-
-def _basis_values(indices: list[tuple[int, int]], z: np.ndarray, w: np.ndarray,
-                  params: ModelParams) -> np.ndarray:
-    """f[n, m] at each sample for each requested index; shape (len(indices), n)."""
-    two_kp = two_k_prime(params.k)
-    n_max = max(n for n, _ in indices)
-    m_max = max(m for _, m in indices)
-    sz = math.sqrt(params.mu) * z
-    flat = np.empty((n_max + 1, len(z)), dtype=complex)
-    prev = np.zeros_like(z)
-    cur = np.ones_like(z)
-    flat[0] = 1.0
-    for i in range(n_max):
-        prev, cur = cur, sz * cur + i * w * prev
-        flat[i + 1] = cur * math.exp(-0.5 * math.lgamma(i + 2.0))
-    wm = np.empty((m_max + 1, len(z)), dtype=complex)
-    wm[0] = 1.0
-    for m in range(m_max):
-        wm[m + 1] = wm[m] * w
-    coeff = np.array([math.exp(0.5 * (math.lgamma(m + two_kp) - math.lgamma(m + 1.0)
-                                      - math.lgamma(two_kp)))
-                      for m in range(m_max + 1)])
-    return np.stack([coeff[m] * wm[m] * flat[n] for n, m in indices])
+    p = p_at(w)
+    return weight_rho_at(z, w, p, params) * measure_density_at(p, params.mu) / q
 
 
 def inner_product_mc(i1: BasisIndex, i2: BasisIndex, params: ModelParams,
@@ -189,8 +162,8 @@ def inner_product_mc(i1: BasisIndex, i2: BasisIndex, params: ModelParams,
     rng = np.random.default_rng(cfg.seed)
     z, w, q = _sample_batch(params, rng, cfg.n_samples)
     weights = _mc_weights(z, w, q, params)
-    values = _basis_values([(i1.n, i1.m), (i2.n, i2.m)], z, w, params)
-    x = np.conj(values[0]) * values[1] * weights
+    f = basis_at(z, w, params, max(i1.n, i2.n), max(i1.m, i2.m))
+    x = np.conj(f[i1.n, i1.m]) * f[i2.n, i2.m] * weights
     mean = complex(np.mean(x))
     var = float(np.mean(np.abs(x) ** 2) - abs(mean) ** 2)
     return McEstimate(value=mean,
@@ -214,8 +187,7 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
     samples; a threefold covariance inflation brings the whole matrix
     comfortably under it.
     """
-    indices = [(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
-    d = len(indices)
+    d = (n_max + 1) * (m_max + 1)
     rng = np.random.default_rng(cfg.seed)
     s1 = np.zeros((d, d), dtype=complex)
     s2 = np.zeros((d, d))
@@ -224,7 +196,7 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
         take = min(chunk, remaining)
         z, w, q = _sample_batch(params, rng, take, z_inflation=z_inflation)
         weights = _mc_weights(z, w, q, params)
-        values = _basis_values(indices, z, w, params)
+        values = basis_at(z, w, params, n_max, m_max).reshape(d, -1)
         weighted = values * weights          # broadcast over samples
         s1 += np.conj(values) @ weighted.T
         c = (np.abs(values) ** 2) * weights
@@ -257,7 +229,8 @@ def parseval_check(c1: dict[tuple[int, int], complex],
     z, w, q = _sample_batch(params, rng, cfg.n_samples)
     weights = _mc_weights(z, w, q, params)
     indices = sorted(set(c1) | set(c2))
-    values = _basis_values(indices, z, w, params)
+    ns, ms = zip(*indices)
+    values = basis_at(z, w, params, max(ns), max(ms))[list(ns), list(ms)]
     a1 = np.array([c1.get(idx, 0.0) for idx in indices], dtype=complex)
     a2 = np.array([c2.get(idx, 0.0) for idx in indices], dtype=complex)
     psi1 = a1 @ values
@@ -284,9 +257,8 @@ def disk_inner_product_gl(k: float, m1: int, m2: int,
     two_k = 2.0 * k
     if abs(two_k - round(two_k)) > 1e-9 or round(two_k) < 2:
         raise InvalidK(f"the disk weight needs 2k in {{2, 3, ...}}; k={k}")
-    coeff = math.exp(0.5 * (math.lgamma(m1 + two_k) - math.lgamma(m1 + 1.0)
-                            + math.lgamma(m2 + two_k) - math.lgamma(m2 + 1.0))
-                     - math.lgamma(two_k))
+    log_c = disk_coeff_log(max(m1, m2), two_k)
+    coeff = math.exp(0.5 * (log_c[m1] + log_c[m2]))
     xr, wr = np.polynomial.legendre.leggauss(n_radial)
     r = 0.5 * (xr + 1.0)            # map [-1, 1] -> [0, 1]
     wr = 0.5 * wr

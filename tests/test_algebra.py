@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from jacobi_cs import ModelParams
@@ -105,9 +103,3 @@ class TestCheckRelations:
         assert not report.passed
         failing = {c.relation for c in report.checks if not c.passed}
         assert "[K-,K+]=2K0" in failing
-
-    def test_json_roundtrip(self):
-        report = check_relations(1, P1)
-        data = json.loads(report.to_json())
-        assert data["passed"] is True
-        assert {"relation", "monomial", "deviation", "pass"} <= set(data["checks"][0])

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from jacobi_cs.cli import main, parse_complex, parse_range
+from jacobi_cs.cli import MAX_GEODESIC_STEPS, main, parse_complex, parse_range
 
 
 def run(capsys, *argv):
@@ -81,7 +81,8 @@ class TestEval:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("quantity", ["berezin", "potential", "diastasis"])
+    @pytest.mark.parametrize("quantity", ["berezin", "potential", "diastasis",
+                                          "metric", "scalar-curvature"])
     def test_non_finite_value_exits_3(self, capsys, quantity):
         code, out, err = run(capsys, "eval", quantity, "--z", "1e200")
         assert code == 3
@@ -119,6 +120,20 @@ class TestGeodesic:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "t_end" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--t-end", "1e300"),                                  # 1e303 steps
+        ("--steps", str(MAX_GEODESIC_STEPS + 1)),
+        ("--t-end", "1e308", "--rk4-step", "1e-300"),          # inf steps
+    ])
+    def test_step_count_over_limit_exits_2(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "geodesic", "--dw", "0.6", *argv,
+                             "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(MAX_GEODESIC_STEPS) in err
         assert not out_file.exists()
 
     def test_boundary_escape_exits_3(self, capsys, tmp_path):
@@ -206,6 +221,14 @@ class TestTable:
         assert code == 0
         assert err == ""
         assert out_file.read_text().splitlines()[1].split(",")[-1] == "nan"
+
+    def test_non_finite_metric_cells_are_written(self, capsys, tmp_path):
+        out_file = tmp_path / "m.csv"
+        code, _, err = run(capsys, "table", "metric", "--re-z=1e200",
+                           "--out", str(out_file))
+        assert (code, err) == (0, "")
+        header, row = out_file.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["h_ww"] == "inf"
 
 
 class TestConfig:

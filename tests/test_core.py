@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from jacobi_cs import (
@@ -11,6 +12,7 @@ from jacobi_cs import (
     fc_forward,
     make_jacobi_point,
 )
+from jacobi_cs.core import p_at
 from conftest import random_points
 
 
@@ -52,6 +54,15 @@ class TestMakeJacobiPoint:
     def test_p_is_cached(self):
         p = make_jacobi_point(2.0, 0.3 + 0.4j)
         assert p.p == pytest.approx(1 - 0.25, abs=1e-15)
+
+
+    def test_p_same_on_arrays_and_numbers(self, rng):
+        # near |w| = 1 a one-rounding difference in |w|^2 is a 1e-14
+        # relative difference in P
+        ws = [0.8844572243758388 + 0.4555340318716j]
+        ws += [p.w for p in random_points(rng, 200, w_radius=0.999)]
+        for got, w in zip(p_at(np.array(ws)).tolist(), ws):
+            assert got == p_at(w)
 
 
 class TestEta:

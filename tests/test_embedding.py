@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -83,10 +82,6 @@ class TestCayleyDistance:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             ProjectiveVector((0.0, 0.0))
-
-    def test_json(self):
-        v = ProjectiveVector((1.0, 1j))
-        assert json.loads(v.to_json()) == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestAngle:

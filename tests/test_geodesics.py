@@ -23,7 +23,7 @@ from jacobi_cs import (
     mu_zero_solution,
     tangent_norm,
 )
-from jacobi_cs.geodesics import christoffel_rhs, shoot_between
+from jacobi_cs.geodesics import acceleration_at, christoffel_rhs, shoot_between
 from jacobi_cs.group import action_pushforward
 from conftest import random_elements, random_points
 
@@ -68,6 +68,23 @@ class TestRightHandSide:
             a1, a2 = geodesic_rhs(s, P1), christoffel_rhs(s, P1)
             assert abs(a1.dz - a2.dz) <= 1e-12 * max(1.0, abs(a1.dz))
             assert abs(a1.dw - a2.dw) <= 1e-12 * max(1.0, abs(a1.dw))
+
+    def test_array_form_matches_points_and_oracle(self, rng):
+        params = ModelParams(1.5, 0.7)
+        pts = random_points(rng, 30, z_scale=2.0, w_radius=0.9)
+        vel = [TangentVector(complex(*rng.uniform(-1, 1, 2)),
+                             complex(*rng.uniform(-0.5, 0.5, 2))) for _ in pts]
+        z, w, p = (np.array([getattr(pt, a) for pt in pts]).reshape(6, 5)
+                   for a in ("z", "w", "p"))
+        dz, dw = (np.array([getattr(v, a) for v in vel]).reshape(6, 5)
+                  for a in ("dz", "dw"))
+        d2z, d2w = acceleration_at(z, w, p, dz, dw, params)
+        for i, (pt, v) in enumerate(zip(pts, vel)):
+            s = GeodesicState(pt, v)
+            for want, tol in ((geodesic_rhs(s, params), 1e-14),
+                              (christoffel_rhs(s, params), 1e-12)):
+                assert abs(d2z.flat[i] - want.dz) <= tol * max(1.0, abs(want.dz))
+                assert abs(d2w.flat[i] - want.dw) <= tol * max(1.0, abs(want.dw))
 
 
 class TestIntegrate:

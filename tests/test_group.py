@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -240,14 +239,3 @@ class TestDiskGeodesicMap:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             t = rng.uniform(0, 3)
             assert abs(disk_geodesic_map(z, t)) < 1.0
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        e = JacobiGroupElement(SU11Element(math.cosh(0.3), math.sinh(0.3) * 1j),
-                               0.5 - 0.25j, 1.5)
-        data = json.loads(e.to_json())
-        assert set(data) == {"a_re", "a_im", "b_re", "b_im",
-                             "alpha_re", "alpha_im", "t"}
-        back = JacobiGroupElement.from_json(e.to_json())
-        assert back == e

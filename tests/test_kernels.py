@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from jacobi_cs import (
@@ -21,7 +22,7 @@ from jacobi_cs import (
     normalized_kernel,
     pn_polynomial,
 )
-from jacobi_cs.kernels import cross_F, two_k_prime
+from jacobi_cs.kernels import basis_at, basis_matrix, cross_F, two_k_prime
 from conftest import random_points
 
 P1 = ModelParams(1.0, 1.0)
@@ -51,6 +52,18 @@ class TestFactorKernels:
     def test_mu_must_be_positive(self):
         with pytest.raises(ValueError):
             heisenberg_kernel(0.0, 0.0, 0.0)
+
+    def test_disk_at_k_bound_matches_jacobi_kernel(self):
+        # k = 3/4 is admitted by ModelParams and disk_kernel alike
+        params = ModelParams(0.75, 1.0)
+        for w in (0.0, 0.5, -0.3 + 0.6j, 0.9j):
+            p = make_jacobi_point(0.0, w)
+            assert disk_kernel(w, w, 0.75) == pytest.approx(
+                jacobi_kernel(p, p, params), rel=1e-14)
+
+    def test_disk_below_k_bound_rejected(self):
+        with pytest.raises(ValueError):
+            disk_kernel(0.5, 0.5, 0.7)
 
 
 class TestCrossExponent:
@@ -237,6 +250,46 @@ class TestBasisFunctions:
             basis_function(BasisIndex(0, 0), p, ModelParams(1.0, 1.0))
         assert two_k_prime(1.25) == 2
         assert two_k_prime(0.75) == 1
+
+    def test_basis_at_on_arrays_matches_points(self, rng):
+        params = ModelParams(1.75, 1.5)
+        pts = random_points(rng, 30, z_scale=2.0, w_radius=0.9)
+        z = np.array([p.z for p in pts]).reshape(5, 6)
+        w = np.array([p.w for p in pts]).reshape(5, 6)
+        got = basis_at(z, w, params, 7, 5)
+        assert got.shape == (8, 6, 5, 6)
+        for i, p in enumerate(pts):
+            want = basis_matrix(p, params, TruncationOrder(7, 5))
+            cell = got[:, :, i // 6, i % 6]
+            assert np.max(np.abs(cell - want)) <= 1e-14 * np.max(np.abs(want))
+            assert basis_function(BasisIndex(7, 5), p, params) == want[7, 5]
+
+
+# (k, mu), z, w, (n, m), f[n, m] at truncation 40x40 as the implementation
+# with separate scalar and array basis evaluators computed them
+PINNED_BASIS = [
+    ((1.25, 1.0), 0.7 - 1.3j, 0.45 + 0.3j, (1, 0), 0.7 - 1.3j),
+    ((1.25, 1.0), 0.7 - 1.3j, 0.45 + 0.3j, (0, 1),
+     0.6363961030678926 + 0.4242640687119284j),
+    ((1.25, 1.0), 0.7 - 1.3j, 0.45 + 0.3j, (3, 2),
+     0.07339238058630472 - 0.2750344858433666j),
+    ((1.25, 1.0), 0.7 - 1.3j, 0.45 + 0.3j, (12, 7),
+     0.0007927958319389595 + 0.0021970621497894994j),
+    ((1.25, 1.0), 0.7 - 1.3j, 0.45 + 0.3j, (39, 39),
+     -7.270500471856283e-15 - 3.806418601601052e-15j),
+    ((1.75, 2.5), -2.1 + 0.4j, -0.2 + 0.85j, (2, 1),
+     0.9338679644360872 + 11.673349555451091j),
+    ((1.75, 2.5), -2.1 + 0.4j, -0.2 + 0.85j, (9, 0),
+     -42.87849774063677 - 73.6166848806769j),
+    ((1.75, 2.5), -2.1 + 0.4j, -0.2 + 0.85j, (25, 30),
+     -278.4807706166018 - 91.03430402864649j),
+]
+
+
+@pytest.mark.parametrize("kmu,z,w,nm,want", PINNED_BASIS)
+def test_pinned_basis_matrix(kmu, z, w, nm, want):
+    f = basis_matrix(make_jacobi_point(z, w), ModelParams(*kmu), TruncationOrder(40, 40))
+    assert complex(f[nm]) == want
 
 
 class TestKernelSeries:

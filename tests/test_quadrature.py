@@ -20,8 +20,10 @@ from jacobi_cs import (
 from jacobi_cs.geometry import real_jacobian
 from jacobi_cs.quadrature import (
     disk_inner_product_gl,
+    measure_density_at,
     normalization_constant,
     orthonormality_matrix_mc,
+    weight_rho_at,
 )
 from conftest import random_elements, random_points
 
@@ -71,6 +73,18 @@ class TestDensities:
         with pytest.raises(ValueError):
             normalization_constant(0.75)
 
+    def test_array_forms_match_points(self, rng):
+        pts = random_points(rng, 40, z_scale=2.0, w_radius=0.9)
+        z = np.array([p.z for p in pts]).reshape(8, 5)
+        w = np.array([p.w for p in pts]).reshape(8, 5)
+        p = np.array([pt.p for pt in pts]).reshape(8, 5)
+        rho = weight_rho_at(z, w, p, PK)
+        density = measure_density_at(p, PK.mu)
+        for i, pt in enumerate(pts):
+            assert rho.flat[i] == pytest.approx(weight_rho(pt, PK), rel=1e-14)
+            assert density.flat[i] == pytest.approx(
+                invariant_measure_density(pt, PK.mu), rel=1e-14)
+
 
 class TestSampler:
     def test_samples_valid_and_deterministic(self):
@@ -118,15 +132,6 @@ class TestInnerProducts:
         with pytest.raises(InvalidK):
             inner_product_mc(BasisIndex(0, 0), BasisIndex(0, 0),
                              ModelParams(1.0, 1.0), McConfig(1000, 0))
-
-    def test_json(self):
-        import json
-
-        est = inner_product_mc(BasisIndex(0, 0), BasisIndex(0, 0), PK,
-                               McConfig(1000, 0))
-        data = json.loads(est.to_json())
-        assert set(data) == {"re", "im", "std_error", "n_samples", "seed"}
-        assert data["n_samples"] == 1000
 
 
 class TestGramMatrix:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jacobi_cs import ModelParams, geodesics, geometry, kernels, make_jacobi_point
@@ -167,6 +167,9 @@ def _axis(ends):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
+@example(quantity="potential",     # |w| near 1: P = 1 - |w|^2 magnifies rounding
+         axis_args=("1.0:0.0:1", "0.0:0.0:1", "0.0:0.8844572243758388:2",
+                    "0.0:0.4555340318716:2"))
 @given(quantity=st.sampled_from(QUANTITIES),
        axis_args=st.tuples(_axis(_axis_ends), _axis(_axis_ends),
                            _axis(_disk_ends), _axis(_disk_ends)))
