@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -33,7 +34,7 @@ from .core import (
     p_at,
     require_finite,
 )
-from .geodesics import GeodesicState
+from .geodesics import MAX_GEODESIC_STEPS, GeodesicState
 from .verify import SUITE_NAMES, VerifyConfig, run_suites
 
 EXIT_OK = 0
@@ -93,6 +94,12 @@ def load_config(path: str | None) -> dict:
         for key, value in data.items():
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
+            kind = type(_DEFAULTS[key])
+            # a float setting takes any JSON number; true/false is no number
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValueError(f"config key {key!r} takes a {kind.__name__}, "
+                                 f"got {value!r}")
             merged[key] = value
     return merged
 
@@ -112,9 +119,6 @@ _EVAL_QUANTITIES = ("kernel", "potential", "metric", "ricci",
                     "christoffel", "volume", "eta")
 _CHRISTOFFEL_KEYS = tuple(f.name for f in dataclasses.fields(geodesics.ChristoffelSet))
 _TABLE_CHUNK_ROWS = 8192
-# A geodesic path keeps every sample, about 512 B each, so 10^6 steps
-# hold about 0.5 GB; longer runs are refused before integrating.
-MAX_GEODESIC_STEPS = 1_000_000
 
 
 def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
@@ -237,30 +241,33 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
     require_finite(args.t_end, "t_end")
     state = GeodesicState(make_jacobi_point(args.z, args.w),
                           TangentVector(args.dz, args.dw))
-    n_steps = args.steps or args.t_end / cfg["rk4_step"]
-    if not n_steps <= MAX_GEODESIC_STEPS:      # also refuses an inf or nan quotient
-        raise ValueError(f"a geodesic run is limited to {MAX_GEODESIC_STEPS} steps "
-                         "(--steps, or --t-end / --rk4-step)")
-    n_steps = max(1, round(n_steps))
+    if args.steps is None:
+        n_steps = geodesics.step_count(args.t_end, cfg["rk4_step"])
+    else:
+        geodesics.check_rk4_step(cfg["rk4_step"])
+        n_steps = args.steps
+        if not 1 <= n_steps <= MAX_GEODESIC_STEPS:
+            raise ValueError(f"--steps must be between 1 and {MAX_GEODESIC_STEPS}, "
+                             f"got {n_steps}")
     try:
         path = geodesics.integrate(state, args.t_end, n_steps, params)
     except BoundaryEscape as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"error": "boundary escape", "t": exc.t}))
         return EXIT_DOMAIN
+    speeds = path.speeds(params)
+    if not np.isfinite(speeds).all():
+        print("error: the speed is not finite along this path", file=sys.stderr)
+        return EXIT_DOMAIN
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        path.write_csv(fh, params)
+        path.write_csv(fh, speeds)
     end = path.endpoint()
-    e0 = geometry.tangent_norm(path.samples[0][1].pos,
-                               path.samples[0][1].vel, params)
-    drift = max(abs(geometry.tangent_norm(s.pos, s.vel, params) - e0)
-                for _, s in path.samples)
     summary = {
         "final": {"t": path.samples[-1][0],
                   "z": [end.pos.z.real, end.pos.z.imag],
                   "w": [end.pos.w.real, end.pos.w.imag]},
-        "length": geodesics.curve_length(path, params),
-        "energy_drift": drift,
+        "length": path.length(speeds),
+        "energy_drift": float(np.max(np.abs(speeds - speeds[0]))),
         "closed_form_residual": _closed_form_residual(path, state, params),
         "csv": args.out,
     }
@@ -377,9 +384,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a value that starts with '-' and then a digit, '.', inf or nan
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Attach a negative value to the flag before it: "--z -0.5,0.2" -> "--z=-0.5,0.2".
+
+    argparse reads "-0.5,0.2" or "-1:1:20" as a flag unless it is written
+    after "=".  Every flag of this CLI but -h/--help takes one value, so a
+    negative-looking argument that follows such a flag is its value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("-") and "=" not in prev and prev not in ("-h", "--help")
+                and not _NEGATIVE_VALUE.match(prev) and _NEGATIVE_VALUE.match(arg)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (BoundaryViolation, NonFinite, InvalidK, ValueError) as exc:

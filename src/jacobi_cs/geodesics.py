@@ -24,10 +24,9 @@ corrupt those conservation tests.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .core import (
     make_jacobi_point,
     p_at,
 )
-from .geometry import tangent_norm
+from .geometry import speed_at
 from .group import disk_geodesic_map
 
 
@@ -83,19 +82,36 @@ class GeodesicPath:
     def endpoint(self) -> GeodesicState:
         return self.samples[-1][1]
 
-    def write_csv(self, stream: IO[str], params: ModelParams) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(["t", "re_z", "im_z", "re_w", "im_w",
-                         "re_dz", "im_dz", "re_dw", "im_dw", "speed"])
-        for t, s in self.samples:
-            writer.writerow([
-                f"{t!r}",
-                f"{s.pos.z.real!r}", f"{s.pos.z.imag!r}",
-                f"{s.pos.w.real!r}", f"{s.pos.w.imag!r}",
-                f"{s.vel.dz.real!r}", f"{s.vel.dz.imag!r}",
-                f"{s.vel.dw.real!r}", f"{s.vel.dw.imag!r}",
-                f"{tangent_norm(s.pos, s.vel, params)!r}",
-            ])
+    def speeds(self, params: ModelParams) -> np.ndarray:
+        """Metric speed at every sample, in one array pass of :func:`speed_at`.
+
+        Raises what :class:`jacobi_cs.core.HermitianMetric2` raises at the
+        first sample whose metric is finite but not positive definite (as
+        at mu = 0); a metric that is not finite gives a speed that is not
+        finite.
+        """
+        z, w, dz, dw = np.array([(s.pos.z, s.pos.w, s.vel.dz, s.vel.dw)
+                                 for _, s in self.samples], dtype=complex).reshape(-1, 4).T
+        with np.errstate(all="ignore"):
+            return speed_at(z, w, p_at(w), dz, dw, params)
+
+    def length(self, speeds: np.ndarray) -> float:
+        """Trapezoidal length of the path from the speed at each sample."""
+        if len(self) < 2:
+            raise ValueError("a path needs at least two samples")
+        t = np.array([t for t, _ in self.samples])
+        terms = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(t)
+        # summed in sample order: np.cumsum adds sequentially, np.sum pairwise
+        return float(np.cumsum(terms)[-1])
+
+    def write_csv(self, stream: IO[str], speeds: np.ndarray) -> None:
+        """Write the samples and their ``speeds`` as CSV rows with CRLF line ends."""
+        stream.write("t,re_z,im_z,re_w,im_w,re_dz,im_dz,re_dw,im_dw,speed\r\n")
+        for (t, s), speed in zip(self.samples, speeds.tolist()):
+            z, w, dz, dw = s.pos.z, s.pos.w, s.vel.dz, s.vel.dw
+            stream.write(",".join(map(repr, (t, z.real, z.imag, w.real, w.imag,
+                                             dz.real, dz.imag, dw.real, dw.imag,
+                                             speed))) + "\r\n")
 
 
 def christoffel_at(z, w, p, params: ModelParams):
@@ -153,6 +169,31 @@ def _stage_acceleration(z: complex, w: complex, dz: complex, dw: complex,
     if p <= EPS_BOUND or abs(w) >= 1.0 - EPS_BOUND:
         raise BoundaryEscape(t)
     return acceleration_at(z, w, p, dz, dw, params)
+
+
+# A path keeps every sample, about 512 B each, so 10^6 steps hold about
+# 0.5 GB; longer runs are refused before integrating.
+MAX_GEODESIC_STEPS = 1_000_000
+
+
+def check_rk4_step(rk4_step: float) -> float:
+    """Return ``rk4_step``, raising ValueError unless it is finite and positive."""
+    if not (math.isfinite(rk4_step) and rk4_step > 0.0):
+        raise ValueError(f"rk4_step must be finite and positive, got {rk4_step!r}")
+    return rk4_step
+
+
+def step_count(t_end: float, rk4_step: float) -> int:
+    """Number of RK4 steps of about ``rk4_step`` over [0, t_end], at least 1.
+
+    Raises ValueError for a step that is not finite and positive, or a
+    count over :data:`MAX_GEODESIC_STEPS` (an inf or nan quotient included).
+    """
+    n_steps = t_end / check_rk4_step(rk4_step)
+    if not n_steps <= MAX_GEODESIC_STEPS:
+        raise ValueError(f"a geodesic run is limited to {MAX_GEODESIC_STEPS} steps, "
+                         f"got t_end / rk4_step = {n_steps:.6g}")
+    return max(1, round(n_steps))
 
 
 def integrate(s0: GeodesicState, t_end: float, n_steps: int,
@@ -232,13 +273,7 @@ def mu_zero_solution(z0dot: complex, z1: complex, b: complex, t: float) -> Geode
 
 def curve_length(path: GeodesicPath, params: ModelParams) -> float:
     """Trapezoidal length of a sampled curve using its recorded velocities."""
-    if len(path) < 2:
-        raise ValueError("a path needs at least two samples")
-    total = 0.0
-    speeds = [(t, tangent_norm(s.pos, s.vel, params)) for t, s in path.samples]
-    for (t1, v1), (t2, v2) in zip(speeds, speeds[1:]):
-        total += 0.5 * (v1 + v2) * (t2 - t1)
-    return total
+    return path.length(path.speeds(params))
 
 
 def interpolation_path(zeta1: JacobiPoint, zeta2: JacobiPoint,
@@ -257,40 +292,3 @@ def interpolation_path(zeta1: JacobiPoint, zeta2: JacobiPoint,
         pos = make_jacobi_point(zeta1.z + t * vel.dz, zeta1.w + t * vel.dw)
         samples.append((t, GeodesicState(pos, vel)))
     return GeodesicPath(samples)
-
-
-def shoot_between(zeta1: JacobiPoint, zeta2: JacobiPoint, params: ModelParams,
-                  t_end: float = 1.0, n_steps: int = 400,
-                  max_iter: int = 12, tol: float = 1e-9) -> GeodesicPath:
-    """Experimental: boundary-value geodesic by Newton shooting on the velocity.
-
-    Convergence is only assured for nearby endpoints; length-based bounds
-    should prefer :func:`interpolation_path`.
-    """
-    guess = [((zeta2.z - zeta1.z) / t_end).real, ((zeta2.z - zeta1.z) / t_end).imag,
-             ((zeta2.w - zeta1.w) / t_end).real, ((zeta2.w - zeta1.w) / t_end).imag]
-
-    def endpoint_gap(vraw: Iterable[float]) -> list[float]:
-        vx = TangentVector(complex(vraw[0], vraw[1]), complex(vraw[2], vraw[3]))
-        path = integrate(GeodesicState(zeta1, vx), t_end, n_steps, params)
-        end = path.endpoint().pos
-        return [end.z.real - zeta2.z.real, end.z.imag - zeta2.z.imag,
-                end.w.real - zeta2.w.real, end.w.imag - zeta2.w.imag]
-
-    for _ in range(max_iter):
-        gap = endpoint_gap(guess)
-        if max(abs(g) for g in gap) < tol:
-            break
-        # numerical Jacobian, one column per velocity component
-        step = 1e-6
-        jac = [[0.0] * 4 for _ in range(4)]
-        for j in range(4):
-            bumped = list(guess)
-            bumped[j] += step
-            gp = endpoint_gap(bumped)
-            for i in range(4):
-                jac[i][j] = (gp[i] - gap[i]) / step
-        delta = np.linalg.solve(np.array(jac), -np.array(gap))
-        guess = [g + d for g, d in zip(guess, delta)]
-    vel = TangentVector(complex(guess[0], guess[1]), complex(guess[2], guess[3]))
-    return integrate(GeodesicState(zeta1, vel), t_end, n_steps, params)

@@ -34,6 +34,7 @@ from .core import (
     JacobiPoint,
     ModelParams,
     TangentVector,
+    check_metric,
     eta_at,
     hermitian_det,
 )
@@ -135,13 +136,31 @@ def volume_density(zeta: JacobiPoint, params: ModelParams) -> float:
     return volume_density_at(zeta.p, params)
 
 
+def speed_at(z, w, p, dz, dw, params: ModelParams):
+    """Metric length of tangent vectors (dz, dw) at coordinates (numbers or arrays).
+
+    ``p`` is P = p_at(w).  The squared moduli and Re(h_zw dz conj(dw)) are
+    formed from real products, as in :func:`jacobi_cs.core.p_at`, which
+    numpy rounds as Python does (its complex products may not; the metric
+    coefficients can still differ in the last digit between numbers and
+    arrays, and the form can magnify that).  The metric is validated with
+    :func:`jacobi_cs.core.check_metric`: a finite metric that is not
+    positive definite raises, one that is not finite gives a speed that is
+    not finite.
+    """
+    h_zz, h_zw, h_ww = metric_at(z, w, p, params)
+    check_metric(h_zz, h_zw, h_ww)
+    cross_re = dz.real * dw.real + dz.imag * dw.imag     # dz conj(dw)
+    cross_im = dz.imag * dw.real - dz.real * dw.imag
+    q = (h_zz * (dz.real * dz.real + dz.imag * dz.imag)
+         + 2.0 * (h_zw.real * cross_re - h_zw.imag * cross_im)
+         + h_ww * (dw.real * dw.real + dw.imag * dw.imag))
+    return np.sqrt(np.maximum(q, 0.0))
+
+
 def tangent_norm(zeta: JacobiPoint, v: TangentVector, params: ModelParams) -> float:
     """Length of a tangent vector in the metric at zeta."""
-    h = metric(zeta, params)
-    q = (h.h_zz * abs(v.dz) ** 2
-         + 2.0 * (h.h_zw * v.dz * v.dw.conjugate()).real
-         + h.h_ww * abs(v.dw) ** 2)
-    return math.sqrt(max(q, 0.0))
+    return float(speed_at(zeta.z, zeta.w, zeta.p, v.dz, v.dw, params))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .kernels import BasisIndex, TruncationOrder
 
 SUITE_NAMES = ("algebra", "bargmann", "embedding", "geodesics",
                "geometry", "group", "kernels", "quadrature")
+_GEODESIC_SPAN = 2.0
 
 
 @dataclass
@@ -33,6 +34,10 @@ class VerifyConfig:
     seed: int = 0
     mc_samples: int = 1_000_000
     tolerances: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the geodesics suite integrates over t in [0, _GEODESIC_SPAN] at most
+        geodesics.step_count(_GEODESIC_SPAN, self.rk4_step)
 
     def tol(self, check: str, default: float) -> float:
         return self.tolerances.get(check, default)
@@ -399,13 +404,13 @@ def suite_geodesics(cfg: VerifyConfig) -> list[dict]:
                            "sum_a h_(a e~) G^a_(bc) = d h_(b e~) / dz_c",
                            dev, 1e-6))
 
-    n_steps = max(1, round(2.0 / cfg.rk4_step))
+    n_steps = geodesics.step_count(_GEODESIC_SPAN, cfg.rk4_step)
     dev = 0.0
     flat = ModelParams(params.k, 0.0)
     for b in (0.7, 0.4 + 0.3j):
         z0dot = 0.5 - 0.2j
         start = geodesics.mu_zero_solution(z0dot, 0.3 + 0.1j, b, 0.0)
-        path = geodesics.integrate(start, 2.0, n_steps, flat)
+        path = geodesics.integrate(start, _GEODESIC_SPAN, n_steps, flat)
         for t, s in path.samples[:: max(1, n_steps // 20)]:
             ref = geodesics.mu_zero_solution(z0dot, 0.3 + 0.1j, b, t)
             dev = max(dev, abs(s.pos.z - ref.pos.z), abs(s.pos.w - ref.pos.w))
@@ -413,14 +418,11 @@ def suite_geodesics(cfg: VerifyConfig) -> list[dict]:
                            "integrated flat-limit paths match the tanh "
                            "solution", dev, 1e-8))
 
-    drift = 0.0
     state = geodesics.GeodesicState(
         pts[0], TangentVector(0.4 + 0.2j, 0.2 - 0.1j))
-    path = geodesics.integrate(state, 2.0, n_steps, params)
-    e0 = geometry.tangent_norm(path.samples[0][1].pos,
-                               path.samples[0][1].vel, params)
-    for _, s in path.samples:
-        drift = max(drift, abs(geometry.tangent_norm(s.pos, s.vel, params) - e0))
+    path = geodesics.integrate(state, _GEODESIC_SPAN, n_steps, params)
+    speeds = path.speeds(params)
+    drift = float(np.max(np.abs(speeds - speeds[0])))
     records.append(_record(cfg, "energy-conservation",
                            "speed is constant along integrated paths",
                            drift, 1e-8))
@@ -440,7 +442,7 @@ def suite_geodesics(cfg: VerifyConfig) -> list[dict]:
 
     e = _random_elements(rng, 1)[0]
     start = geodesics.GeodesicState(pts[1], TangentVector(0.3 + 0.1j, 0.15j))
-    n_cov = max(1, round(1.0 / cfg.rk4_step))
+    n_cov = geodesics.step_count(1.0, cfg.rk4_step)
     path = geodesics.integrate(start, 1.0, n_cov, params)
     mapped_start = geodesics.GeodesicState(
         group.jacobi_action(e, start.pos, params)[0],

@@ -6,6 +6,36 @@ import pytest
 from jacobi_cs.cli import MAX_GEODESIC_STEPS, main, parse_complex, parse_range
 
 
+PINNED_CSV = (
+    b"t,re_z,im_z,re_w,im_w,re_dz,im_dz,re_dw,im_dw,speed\r\n"
+    b"0.0,0.3,-0.2,0.1,0.2,0.4,0.1,-0.2,0.3,0.7031306909993077\r\n"
+    b"0.125,0.3498223441247934,-0.18797865523421659,0.07541201079116688,"
+    b"0.23736884436491962,0.39685618958300367,0.092327841569485,"
+    b"-0.19327725414753288,0.2976345535119824,0.7031306841908525\r\n"
+    b"0.25,0.3991409133757946,-0.17691833371398982,0.051710503409449125,"
+    b"0.2743431472899539,0.39195900073607415,0.0846483890789207,"
+    b"-0.185839309109712,0.2936988896637059,0.7031306746796055\r\n"
+    b"0.375,0.44774458194445,-0.16681081464459335,0.02897613104004302,"
+    b"0.31073163475635046,0.38544302241462536,0.07710634198244473,"
+    b"-0.17782676837905156,0.2882781731143553,0.7031306626217805\r\n"
+    b"0.5,0.49544111109985606,-0.15763041205686162,0.007271835055812109,"
+    b"0.3463555057034995,0.3774747798044063,0.06983578483863837,"
+    b"-0.16938156314016417,0.2814860250493126,0.7031306482432094\r\n"
+    b"0.625,0.5420607174413055,-0.149335526725843,-0.013357011432877035,"
+    b"0.3810516746371421,0.36824583042241493,0.06295676924991585,"
+    b"-0.16064210108260765,0.2734593442080578,0.7031306318382086\r\n"
+    b"0.75,0.587458742303972,-0.14187055450459118,-0.032881896367379364,"
+    b"0.4146753197909932,0.35796536928734174,0.05657304113807573,"
+    b"-0.15173913287536536,0.26435244198776015,0.7031306137656551\r\n"
+    b"0.875,0.631517391599112,-0.13516800573141363,-0.05128999837312395,"
+    b"0.44710167653385063,0.346852827565159,0.05077093074808116,"
+    b"-0.14279249366992677,0.25433089772423273,0.7031305944425024\r\n"
+    b"1.0,0.6741465728176093,-0.12915069439184826,-0.06858266765199374,"
+    b"0.4782270653543982,0.3351308932354901,0.045619326817590594,"
+    b"-0.13390878558774885,0.24356551625599315,0.7031305743351616\r\n"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -30,6 +60,26 @@ class TestParsing:
 
     def test_range_empty(self):
         assert len(parse_range("0:1:0")) == 0
+
+    def test_negative_complex_without_equals(self, capsys):
+        code, out, _ = run(capsys, "eval", "kernel", "--z", "-0.5,0.2", "--w", "-.1")
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        assert (inputs["z"], inputs["w"]) == ([-0.5, 0.2], [-0.1, 0.0])
+
+    def test_negative_range_without_equals(self, capsys, tmp_path):
+        out_file = tmp_path / "k.csv"
+        code, _, _ = run(capsys, "table", "kernel", "--re-z", "-1:1:20",
+                         "--out", str(out_file))
+        assert code == 0
+        rows = out_file.read_text().splitlines()[1:]
+        assert len(rows) == 20
+        assert rows[0].split(",")[0] == "-1.0"
+
+    def test_negative_value_after_value_stays_positional(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "eval", "kernel", "--z", "-1", "-2")
+        assert exc.value.code == 2
 
 
 class TestEval:
@@ -136,6 +186,72 @@ class TestGeodesic:
         assert err.startswith("error:") and str(MAX_GEODESIC_STEPS) in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_steps_below_one_exits_2(self, capsys, tmp_path, steps):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--steps", steps,
+                             "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--steps" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("rk4_step", ["0", "-1", "-1e-3", "nan", "inf"])
+    @pytest.mark.parametrize("steps", [(), ("--steps", "10")])
+    def test_bad_rk4_step_exits_2(self, capsys, tmp_path, rk4_step, steps):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--rk4-step", rk4_step,
+                             *steps, "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "rk4_step" in err
+        assert not out_file.exists()
+
+    def test_bad_rk4_step_from_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rk4_step": 0}))
+        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--config", str(cfg),
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "rk4_step" in err
+
+    def test_non_finite_speed_exits_3(self, capsys, tmp_path):
+        # |eta|^2 overflows in the metric; the path itself stays put
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "geodesic", "--z", "1e200", "--steps", "2",
+                             "--out", str(out_file))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
+        assert not out_file.exists()
+
+    def test_degenerate_metric_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "geodesic", "--dw", "0.1", "--mu", "0",
+                             "--steps", "2", "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: metric coefficients are not positive definite")
+
+    def test_csv_pinned(self, capsys, tmp_path):
+        # written by the per-sample implementation of an earlier release;
+        # t, position and velocity cells must match it byte for byte, the
+        # speed (now computed on arrays) to 4 ulps
+        out_file = tmp_path / "pin.csv"
+        code, out, _ = run(capsys, "geodesic", "--z=0.3,-0.2", "--w=0.1,0.2",
+                           "--dz=0.4,0.1", "--dw=-0.2,0.3", "--k", "1.5", "--mu", "0.5",
+                           "--t-end", "1", "--steps", "8", "--out", str(out_file))
+        assert code == 0
+        got = out_file.read_bytes().split(b"\r\n")
+        want = PINNED_CSV.split(b"\r\n")
+        assert len(got) == len(want) == 11 and got[0] == want[0] and got[-1] == b""
+        for row, pinned in zip(got[1:-1], want[1:-1]):
+            cells, pinned_cells = row.split(b","), pinned.split(b",")
+            assert cells[:9] == pinned_cells[:9]
+            speed, pinned_speed = float(cells[9]), float(pinned_cells[9])
+            assert abs(speed - pinned_speed) <= 4 * math.ulp(pinned_speed)
+        summary = json.loads(out)
+        assert summary["final"] == {"t": 1.0, "z": [0.6741465728176093, -0.12915069439184826],
+                                    "w": [-0.06858266765199374, 0.4782270653543982]}
+        assert summary["length"] == pytest.approx(0.703130642806131, rel=1e-14)
+        assert summary["energy_drift"] == pytest.approx(1.1666414612143683e-07,
+                                                        abs=4 * math.ulp(0.7031306909993077))
+
     def test_boundary_escape_exits_3(self, capsys, tmp_path):
         code, out, err = run(capsys, "geodesic", "--w", "0.9", "--dw", "2.0",
                              "--mu", "0", "--t-end", "2",
@@ -165,6 +281,15 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "geometry", "--fd-step", "0.1")
         assert code == 2
         assert "step" in err
+
+    @pytest.mark.parametrize("argv", [("--rk4-step", "0"), ("--rk4-step", "-1"),
+                                      ("--rk4-step", "1e-7")])
+    def test_bad_rk4_step_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "geodesics", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        if argv[1] == "1e-7":
+            assert str(MAX_GEODESIC_STEPS) in err
 
     def test_quadrature_reproducible(self, capsys):
         code1, out1, _ = run(capsys, "verify", "quadrature", "--seed", "42",
@@ -251,6 +376,16 @@ class TestConfig:
         code, out, _ = run(capsys, "eval", "scalar-curvature")
         assert code == 0
         assert json.loads(out)["value"]["value"] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("entry", [{"k": "1"}, {"rk4_step": "0.001"},
+                                       {"seed": 1.5}, {"mu": True}, {"tolerances": []}])
+    def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--config", str(cfg),
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and next(iter(entry)) in err
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,11 @@
+import cmath
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi_cs import (
     BoundaryEscape,
@@ -23,7 +26,12 @@ from jacobi_cs import (
     mu_zero_solution,
     tangent_norm,
 )
-from jacobi_cs.geodesics import acceleration_at, christoffel_rhs, shoot_between
+from jacobi_cs.geodesics import (
+    MAX_GEODESIC_STEPS,
+    acceleration_at,
+    christoffel_rhs,
+    step_count,
+)
 from jacobi_cs.group import action_pushforward
 from conftest import random_elements, random_points
 
@@ -112,6 +120,19 @@ class TestIntegrate:
         worst = max(abs(s.pos.w - disk_geodesic_map(0.9, t))
                     for t, s in path.samples[::100])
         assert worst <= 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.floats(0.75, 3.0), mu=st.floats(0.1, 3.0),
+           z=st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)),
+           w=st.builds(cmath.rect, st.floats(0.0, 0.6), st.floats(0.0, 2 * math.pi)),
+           dz=st.builds(cmath.rect, st.floats(0.0, 0.5), st.floats(0.0, 2 * math.pi)),
+           dw=st.builds(cmath.rect, st.floats(0.0, 0.5), st.floats(0.0, 2 * math.pi)))
+    def test_speed_conserved_on_random_short_runs(self, k, mu, z, w, dz, dw):
+        params = ModelParams(k, mu)
+        path = integrate(GeodesicState(make_jacobi_point(z, w), TangentVector(dz, dw)),
+                         0.5, 100, params)
+        speeds = path.speeds(params)
+        assert np.max(np.abs(speeds - speeds[0])) <= 1e-8
 
     def test_speed_conserved(self):
         s0 = GeodesicState(make_jacobi_point(0.3 + 0.2j, 0.1 - 0.2j),
@@ -224,6 +245,18 @@ class TestPathsAndLength:
         total = curve_length(first, P1) + curve_length(second, P1)
         assert total == pytest.approx(curve_length(whole, P1), abs=1e-12)
 
+    def test_length_sums_trapezoids_in_sample_order(self):
+        # the order of earlier releases: a pairwise sum moves the length by
+        # up to 6e-14 relative on 2000-step paths
+        s0 = GeodesicState(make_jacobi_point(0.1, 0.05j), TangentVector(0.4, 0.2))
+        path = integrate(s0, 1.0, 1000, P1)
+        speeds = path.speeds(P1)
+        t, v = [t for t, _ in path.samples], speeds.tolist()
+        total = 0.0
+        for t1, t2, v1, v2 in zip(t, t[1:], v, v[1:]):
+            total += 0.5 * (v1 + v2) * (t2 - t1)
+        assert path.length(speeds) == total == curve_length(path, P1)
+
     def test_path_requires_increasing_t(self):
         s = GeodesicState(make_jacobi_point(0, 0), TangentVector(0, 0))
         with pytest.raises(ValueError):
@@ -240,7 +273,7 @@ class TestPathsAndLength:
         s0 = GeodesicState(make_jacobi_point(0, 0), TangentVector(0.0, 0.5))
         path = integrate(s0, 1.0, 4, P1)
         buf = io.StringIO()
-        path.write_csv(buf, P1)
+        path.write_csv(buf, path.speeds(P1))
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == ("t,re_z,im_z,re_w,im_w,re_dz,im_dz,"
                             "re_dw,im_dw,speed")
@@ -250,12 +283,17 @@ class TestPathsAndLength:
         assert first[7] == 0.5   # re_dw
         assert first[9] == pytest.approx(math.sqrt(2) * 0.5)
 
-    def test_shooting_recovers_short_geodesic(self):
-        start = GeodesicState(make_jacobi_point(0, 0),
-                              TangentVector(0.3, 0.2))
-        target = integrate(start, 1.0, 400, P1).endpoint().pos
-        path = shoot_between(make_jacobi_point(0, 0), target, P1,
-                             t_end=1.0, n_steps=400)
-        end = path.endpoint().pos
-        assert abs(end.z - target.z) <= 1e-8
-        assert abs(end.w - target.w) <= 1e-8
+
+class TestStepCount:
+    def test_rounds_and_keeps_one_step(self):
+        assert step_count(2.0, 1e-3) == 2000
+        assert step_count(1e-9, 1e-3) == 1
+
+    @pytest.mark.parametrize("rk4_step", [0.0, -1e-3, math.inf, math.nan])
+    def test_rejects_bad_rk4_step(self, rk4_step):
+        with pytest.raises(ValueError, match="rk4_step"):
+            step_count(1.0, rk4_step)
+
+    def test_rejects_count_over_limit(self):
+        with pytest.raises(ValueError, match=str(MAX_GEODESIC_STEPS)):
+            step_count(2.0, 1.0 / MAX_GEODESIC_STEPS)

@@ -25,6 +25,7 @@ from jacobi_cs.geometry import (
     hermitian_to_real,
     hermitian_to_symplectic,
     real_to_hermitian,
+    speed_at,
     symplectic_to_hermitian,
 )
 from conftest import random_points
@@ -196,6 +197,36 @@ class TestTangentNorm:
                     + 2 * (h.h_zw * v.dz * v.dw.conjugate()).real
                     + h.h_ww * abs(v.dw) ** 2)
             assert tangent_norm(p, v, P1) ** 2 == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [P1, ModelParams(1.75, 2.5)])
+    def test_speed_at_arrays_match_points(self, rng, params):
+        pts = random_points(rng, 400)
+        vel = [TangentVector(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))
+               for _ in pts]
+        z, w, p = (np.array([getattr(pt, a) for pt in pts]).reshape(20, 20)
+                   for a in ("z", "w", "p"))
+        dz, dw = (np.array([getattr(v, a) for v in vel]).reshape(20, 20)
+                  for a in ("dz", "dw"))
+        speeds = speed_at(z, w, p, dz, dw, params)
+        assert speeds.shape == (20, 20)
+        for i, (pt, v) in enumerate(zip(pts, vel)):
+            want = tangent_norm(pt, v, params)
+            h = metric(pt, params)
+            # numpy's complex products round apart from Python's in the
+            # metric; the quadratic form magnifies that by its condition number
+            cond = (h.h_zz * abs(v.dz) ** 2 + 2 * abs(h.h_zw * v.dz * v.dw)
+                    + h.h_ww * abs(v.dw) ** 2) / want ** 2
+            assert abs(speeds.flat[i] - want) <= 4 * cond * math.ulp(want)
+
+    def test_speed_at_degenerate_metric_raises_as_point(self):
+        params = ModelParams(1.0, 0.0)      # h_zz = 0
+        pt = make_jacobi_point(0.5, 0.1)
+        with pytest.raises(ValueError) as scalar:
+            metric(pt, params)
+        with pytest.raises(ValueError) as batched:
+            speed_at(np.array([pt.z]), np.array([pt.w]), np.array([pt.p]),
+                     np.array([1j]), np.array([0j]), params)
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestKahlerCondition:
