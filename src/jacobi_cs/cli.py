@@ -239,6 +239,8 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
     require_finite(args.t_end, "t_end")
+    if args.t_end <= 0.0:
+        raise ValueError(f"--t-end must be positive, got {args.t_end!r}")
     state = GeodesicState(make_jacobi_point(args.z, args.w),
                           TangentVector(args.dz, args.dw))
     if args.steps is None:

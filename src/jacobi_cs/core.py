@@ -241,8 +241,3 @@ def eta_at(z, w, p):
 def eta_of(zeta: JacobiPoint) -> complex:
     """:func:`eta_at` at a point."""
     return eta_at(zeta.z, zeta.w, zeta.p)
-
-
-def principal_power_log(base: complex, exponent: float) -> complex:
-    """log of base**exponent through the principal branch of log(base)."""
-    return exponent * cmath.log(base)

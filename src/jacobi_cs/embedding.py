@@ -15,6 +15,7 @@ truncation error reported, never hidden.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,19 +34,36 @@ from .geodesics import GeodesicPath, curve_length
 
 @dataclass(frozen=True)
 class ProjectiveVector:
-    """Homogeneous coordinates; at least one component must be nonzero."""
+    """Homogeneous coordinates; at least one component must be nonzero.
 
-    components: tuple[complex, ...]
+    Any sequence of numbers is accepted and stored as a read-only 1-D
+    complex array.  Equality compares the components.
+    """
+
+    components: np.ndarray
 
     def __post_init__(self):
-        if not self.components or all(c == 0 for c in self.components):
+        comps = np.array(self.components, dtype=complex)
+        if comps.ndim != 1:
+            raise ValueError("a projective vector needs a 1-D sequence of components")
+        if not comps.any():
             raise ValueError("a projective vector needs a nonzero component")
+        comps.flags.writeable = False
+        object.__setattr__(self, "components", comps)
+
+    def __eq__(self, other):
+        if not isinstance(other, ProjectiveVector):
+            return NotImplemented
+        return bool(np.array_equal(self.components, other.components))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.components.tolist()))
 
     def __len__(self) -> int:
         return len(self.components)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.components))
+        return math.sqrt(np.vdot(self.components, self.components).real)
 
 
 def basis_order(trunc: TruncationOrder) -> list[tuple[int, int]]:
@@ -55,18 +73,25 @@ def basis_order(trunc: TruncationOrder) -> list[tuple[int, int]]:
     return pairs
 
 
+@functools.lru_cache(maxsize=16)
+def _order_index(trunc: TruncationOrder) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`basis_order` as read-only (n, m) index arrays, built once per truncation."""
+    index = np.array(basis_order(trunc)).T
+    index.flags.writeable = False
+    return index[0], index[1]
+
+
 def embed(zeta: JacobiPoint, params: ModelParams,
           trunc: TruncationOrder) -> ProjectiveVector:
     """Truncated homogeneous coordinates of a point."""
-    values = basis_matrix(zeta, params, trunc)
-    return ProjectiveVector(tuple(values[n, m] for n, m in basis_order(trunc)))
+    return ProjectiveVector(basis_matrix(zeta, params, trunc)[_order_index(trunc)])
 
 
 def projective_inner(v1: ProjectiveVector, v2: ProjectiveVector) -> complex:
     """Pairing sum conj(v1_i) v2_i, antilinear in the first argument."""
     if len(v1) != len(v2):
         raise DimensionMismatch(f"lengths {len(v1)} and {len(v2)} differ")
-    return complex(np.vdot(np.asarray(v1.components), np.asarray(v2.components)))
+    return complex(np.vdot(v1.components, v2.components))
 
 
 def cayley_distance(v1: ProjectiveVector, v2: ProjectiveVector) -> float:

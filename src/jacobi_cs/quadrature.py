@@ -35,6 +35,11 @@ from .kernels import BasisIndex, basis_at, disk_coeff_log, potential_at
 # stays integrable and the weights absorb the mismatch.
 _BETA_EPS = 1e-3
 
+# Samples per block of the Gram accumulation.  Each sampled chunk is drawn
+# whole, so the random stream does not depend on this; the basis values and
+# their products are formed block by block, small enough to stay in cache.
+_GRAM_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -178,8 +183,9 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
 
     Returns (estimates, standard errors), both square arrays over the index
     list in row-major (n, m) order.  Shared samples keep the whole matrix
-    affordable at large sample counts; accumulation is chunked and ordered,
-    hence reproducible for a fixed seed.
+    affordable at large sample counts.  Samples are drawn in chunks of
+    ``chunk`` and accumulated in blocks of ``_GRAM_BLOCK``, in order, hence
+    reproducible for a fixed seed.
 
     The z proposal is inflated by default: the flat-index-3 entries carry
     twelfth moments of the conditional Gaussian, and sampling that Gaussian
@@ -196,11 +202,12 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
         take = min(chunk, remaining)
         z, w, q = _sample_batch(params, rng, take, z_inflation=z_inflation)
         weights = _mc_weights(z, w, q, params)
-        values = basis_at(z, w, params, n_max, m_max).reshape(d, -1)
-        weighted = values * weights          # broadcast over samples
-        s1 += np.conj(values) @ weighted.T
-        c = (np.abs(values) ** 2) * weights
-        s2 += c @ c.T
+        for lo in range(0, take, _GRAM_BLOCK):
+            block = slice(lo, lo + _GRAM_BLOCK)
+            values = basis_at(z[block], w[block], params, n_max, m_max).reshape(d, -1)
+            s1 += np.conj(values) @ (values * weights[block]).T
+            c = (values.real**2 + values.imag**2) * weights[block]
+            s2 += c @ c.T
         remaining -= take
     n = cfg.n_samples
     mean = s1 / n

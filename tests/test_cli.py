@@ -172,6 +172,15 @@ class TestGeodesic:
         assert err.startswith("error:") and "t_end" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("t_end", ["0", "-1"])
+    def test_t_end_not_positive_exits_2(self, capsys, tmp_path, t_end):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--t-end", t_end,
+                             "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--t-end" in err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("argv", [
         ("--t-end", "1e300"),                                  # 1e303 steps
         ("--steps", str(MAX_GEODESIC_STEPS + 1)),

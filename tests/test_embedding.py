@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi_cs import (
     DimensionMismatch,
@@ -24,7 +27,8 @@ from jacobi_cs import (
     make_jacobi_point,
 )
 from jacobi_cs.embedding import basis_order, projective_inner
-from conftest import random_elements, random_points
+from jacobi_cs.kernels import basis_matrix
+from conftest import point_strategy, random_elements, random_points
 
 PK = ModelParams(1.25, 1.0)
 TR = TruncationOrder(40, 40)
@@ -53,6 +57,56 @@ class TestEmbed:
             got = embed(p, PK, TR).norm() ** 2
             assert abs(got - target) <= 1e-8 * target
 
+    @pytest.mark.parametrize("trunc", [TruncationOrder(3, 5), TR])
+    def test_components_follow_basis_order(self, trunc):
+        p = make_jacobi_point(0.4 - 0.3j, 0.2 + 0.35j)
+        values = basis_matrix(p, PK, trunc)
+        comps = embed(p, PK, trunc).components
+        order = basis_order(trunc)
+        assert len(comps) == len(order)
+        for i, nm in enumerate(order):
+            assert comps[i] == values[nm]
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1.25, 1.75]), p=point_strategy())
+    def test_squared_norm_below_kernel(self, k, p):
+        # every term of the partial sum of K(zeta, zeta) is positive
+        params = ModelParams(k, 1.0)
+        assert embed(p, params, TR).norm() ** 2 <= (
+            jacobi_kernel(p, p, params).real * (1 + 1e-12))
+
+
+class TestProjectiveVector:
+    def test_tuple_and_array_agree(self):
+        comps = (1.0, 0.5j, -0.25 + 0.1j)
+        other = ProjectiveVector((0.3, 1j, 0.0))
+        from_tuple = ProjectiveVector(comps)
+        from_array = ProjectiveVector(np.array(comps))
+        assert isinstance(from_tuple.components, np.ndarray)
+        assert from_tuple.components.dtype == complex
+        assert from_tuple.norm() == from_array.norm()
+        assert cayley_distance(from_tuple, other) == cayley_distance(from_array, other)
+
+    def test_equality_compares_components(self):
+        v = ProjectiveVector((1.0, 0.5j))
+        assert v == ProjectiveVector(np.array([1.0, 0.5j]))
+        assert v != ProjectiveVector((1.0, 0.5))
+        assert v != ProjectiveVector((1.0, 0.5j, 0.0))
+        assert v != (1.0, 0.5j)
+        assert hash(v) == hash(ProjectiveVector([1.0, 0.5j]))
+
+    def test_components_are_read_only(self):
+        source = np.array([1.0, 2.0])
+        v = ProjectiveVector(source)
+        source[0] = 0.0
+        assert v.components[0] == 1.0
+        with pytest.raises(ValueError):
+            v.components[0] = 0.0
+
+    def test_not_one_dimensional_rejected(self):
+        with pytest.raises(ValueError):
+            ProjectiveVector(np.ones((2, 2)))
+
 
 class TestCayleyDistance:
     def test_self_distance_zero(self):
@@ -74,6 +128,13 @@ class TestCayleyDistance:
             scaled = ProjectiveVector(tuple(lam * c for c in v1.components))
             assert cayley_distance(scaled, v2) == pytest.approx(
                 cayley_distance(v1, v2), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1.25, 1.75]), p1=point_strategy(), p2=point_strategy())
+    def test_embedded_distance_in_range(self, k, p1, p2):
+        params = ModelParams(k, 1.0)
+        d = cayley_distance(embed(p1, params, TR), embed(p2, params, TR))
+        assert 0.0 <= d <= math.pi / 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

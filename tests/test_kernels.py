@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi_cs import (
     BasisIndex,
@@ -23,7 +25,7 @@ from jacobi_cs import (
     pn_polynomial,
 )
 from jacobi_cs.kernels import basis_at, basis_matrix, cross_F, two_k_prime
-from conftest import random_points
+from conftest import point_strategy, random_points
 
 P1 = ModelParams(1.0, 1.0)
 
@@ -199,6 +201,18 @@ class TestDiastasis:
             a = diastasis(p1, p2, P1)
             b = diastasis_split(p1, p2, P1)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+class TestKernelProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.sampled_from([1.25, 1.75]), p1=point_strategy(), p2=point_strategy())
+    def test_normalized_kernel_modulus_at_most_one(self, k, p1, p2):
+        assert abs(normalized_kernel(p1, p2, ModelParams(k, 1.0))) <= 1 + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.sampled_from([1.25, 1.75]), p1=point_strategy(), p2=point_strategy())
+    def test_diastasis_nonnegative(self, k, p1, p2):
+        assert diastasis(p1, p2, ModelParams(k, 1.0)) >= -1e-12
 
 
 class TestBasisPolynomials:

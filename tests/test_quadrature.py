@@ -140,6 +140,24 @@ class TestGramMatrix:
         target = np.eye(4)
         assert np.all(np.abs(gram - target) <= 4 * np.maximum(se, 1e-12))
 
+    # entries of the (3, 3) Gram on 200k samples, as the unblocked
+    # accumulation computed them: two 1e5 chunks, each ending in a partial
+    # block, so a dropped or repeated block tail moves every entry
+    PINNED_GRAM = [
+        ((0, 0), (1.0037963064623316+0j), 0.0026535858797279727),
+        ((5, 5), (1.0001662586708508-3.369510616704763e-20j), 0.002351596586025394),
+        ((15, 15), (0.9991176024082603+6.05470534820185e-19j), 0.004355121758553864),
+        ((13, 14), (0.00467688932962006-0.0032350604658736033j), 0.004328458833744259),
+        ((14, 15), (0.005231913433445407-0.0036544510235987544j), 0.004699929441957837),
+    ]
+
+    def test_pinned_entries(self):
+        gram, se = orthonormality_matrix_mc(3, 3, PK, McConfig(200_000, 3))
+        assert np.argmax(se) == np.ravel_multi_index((14, 15), se.shape)
+        for idx, mean, err in self.PINNED_GRAM:
+            assert gram[idx] == pytest.approx(mean, rel=1e-13)
+            assert se[idx] == pytest.approx(err, rel=1e-13)
+
     def test_hermitian_by_construction(self):
         gram, _ = orthonormality_matrix_mc(1, 1, PK, McConfig(10_000, 1))
         assert np.allclose(gram, gram.conj().T)
