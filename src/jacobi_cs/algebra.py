@@ -11,6 +11,9 @@ The generators act on polynomials in (z, w) as monomial rewrite rules:
 Polynomials are closed under all five, so commutators can be evaluated
 exactly and compared coefficient-wise against the structure constants of
 the algebra (a Heisenberg pair extended by the su(1,1) triple).
+``check_relations`` writes each generator once as a real matrix on the
+monomials, built from the same rewrite rules, and checks a relation on all
+monomials at once with two matrix products.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import ModelParams
 
@@ -115,7 +120,7 @@ def _apply_monomial(g: Generator, i: int, j: int, params: ModelParams,
             out.append((i - 1, j + 1, i / rmu))
         return out
     if g is Generator.K_MINUS:
-        return [(i, j - 1, complex(j))] if j > 0 else []
+        return [(i, j - 1, float(j))] if j > 0 else []
     if g is Generator.K_ZERO:
         return [(i, j, k + 0.5 * i + j)]
     if g is Generator.K_PLUS:
@@ -125,16 +130,11 @@ def _apply_monomial(g: Generator, i: int, j: int, params: ModelParams,
 
 def apply_generator(g: Generator, p: BiPolynomial, params: ModelParams) -> BiPolynomial:
     """Exact polynomial image of p under one generator."""
-    return _apply(g, p, params, 2.0 * params.k)
-
-
-def _apply(g: Generator, p: BiPolynomial, params: ModelParams,
-           kplus_weight: float) -> BiPolynomial:
     if params.mu <= 0.0:
         raise ValueError("the operator realization needs mu > 0")
     out = BiPolynomial()
     for (i, j), c in p.coeffs.items():
-        for di, dj, factor in _apply_monomial(g, i, j, params, kplus_weight):
+        for di, dj, factor in _apply_monomial(g, i, j, params, 2.0 * params.k):
             out.add_term(di, dj, c * factor)
     return out
 
@@ -142,39 +142,50 @@ def _apply(g: Generator, p: BiPolynomial, params: ModelParams,
 def commutator(g1: Generator, g2: Generator, p: BiPolynomial,
                params: ModelParams) -> BiPolynomial:
     """(g1 g2 - g2 g1) applied to p, exactly."""
-    return _commutator(g1, g2, p, params, 2.0 * params.k)
-
-
-def _commutator(g1, g2, p, params, kplus_weight) -> BiPolynomial:
-    forward = _apply(g1, _apply(g2, p, params, kplus_weight), params, kplus_weight)
-    backward = _apply(g2, _apply(g1, p, params, kplus_weight), params, kplus_weight)
+    forward = apply_generator(g1, apply_generator(g2, p, params), params)
+    backward = apply_generator(g2, apply_generator(g1, p, params), params)
     return forward - backward
 
 
-# The ten structure relations: name, (g1, g2), and the claimed right-hand
-# side as a map p -> polynomial.
-_RELATIONS: list[tuple[str, Generator, Generator, "callable"]] = [
-    ("[a,a+]=1", Generator.A, Generator.ADAG,
-     lambda p, pr: p),
-    ("[K0,K+]=K+", Generator.K_ZERO, Generator.K_PLUS,
-     lambda p, pr: apply_generator(Generator.K_PLUS, p, pr)),
-    ("[K0,K-]=-K-", Generator.K_ZERO, Generator.K_MINUS,
-     lambda p, pr: apply_generator(Generator.K_MINUS, p, pr).scaled(-1.0)),
-    ("[K-,K+]=2K0", Generator.K_MINUS, Generator.K_PLUS,
-     lambda p, pr: apply_generator(Generator.K_ZERO, p, pr).scaled(2.0)),
-    ("[a,K+]=a+", Generator.A, Generator.K_PLUS,
-     lambda p, pr: apply_generator(Generator.ADAG, p, pr)),
-    ("[K-,a+]=a", Generator.K_MINUS, Generator.ADAG,
-     lambda p, pr: apply_generator(Generator.A, p, pr)),
-    ("[K+,a+]=0", Generator.K_PLUS, Generator.ADAG,
-     lambda p, pr: BiPolynomial.zero()),
-    ("[K-,a]=0", Generator.K_MINUS, Generator.A,
-     lambda p, pr: BiPolynomial.zero()),
-    ("[K0,a+]=a+/2", Generator.K_ZERO, Generator.ADAG,
-     lambda p, pr: apply_generator(Generator.ADAG, p, pr).scaled(0.5)),
-    ("[K0,a]=-a/2", Generator.K_ZERO, Generator.A,
-     lambda p, pr: apply_generator(Generator.A, p, pr).scaled(-0.5)),
+# The ten structure relations [g1, g2] = coeff * rhs: name, g1, g2, coeff,
+# and rhs as a generator, or None for the identity.
+_RELATIONS: list[tuple[str, Generator, Generator, float, Generator | None]] = [
+    ("[a,a+]=1", Generator.A, Generator.ADAG, 1.0, None),
+    ("[K0,K+]=K+", Generator.K_ZERO, Generator.K_PLUS, 1.0, Generator.K_PLUS),
+    ("[K0,K-]=-K-", Generator.K_ZERO, Generator.K_MINUS, -1.0, Generator.K_MINUS),
+    ("[K-,K+]=2K0", Generator.K_MINUS, Generator.K_PLUS, 2.0, Generator.K_ZERO),
+    ("[a,K+]=a+", Generator.A, Generator.K_PLUS, 1.0, Generator.ADAG),
+    ("[K-,a+]=a", Generator.K_MINUS, Generator.ADAG, 1.0, Generator.A),
+    ("[K+,a+]=0", Generator.K_PLUS, Generator.ADAG, 0.0, None),
+    ("[K-,a]=0", Generator.K_MINUS, Generator.A, 0.0, None),
+    ("[K0,a+]=a+/2", Generator.K_ZERO, Generator.ADAG, 0.5, Generator.ADAG),
+    ("[K0,a]=-a/2", Generator.K_ZERO, Generator.A, -0.5, Generator.A),
 ]
+
+
+def _monomials(max_degree: int, extra: int) -> list[tuple[int, int]]:
+    """(i, j) with i + j <= max_degree in report order, then degrees up to max_degree + extra."""
+    low = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
+    high = [(i, d - i) for d in range(max_degree + 1, max_degree + extra + 1)
+            for i in range(d + 1)]
+    return low + high
+
+
+def _generator_matrix(g: Generator, monomials: list[tuple[int, int]],
+                      params: ModelParams, kplus_weight: float) -> np.ndarray:
+    """Real matrix of one generator on the span of ``monomials``, column per monomial.
+
+    Terms that leave the span are dropped, so only columns whose images stay
+    inside it are exact.
+    """
+    row_of = {mono: r for r, mono in enumerate(monomials)}
+    out = np.zeros((len(monomials), len(monomials)))
+    for col, (i, j) in enumerate(monomials):
+        for di, dj, factor in _apply_monomial(g, i, j, params, kplus_weight):
+            row = row_of.get((di, dj))
+            if row is not None:
+                out[row, col] += factor
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,21 +228,31 @@ def check_relations(max_degree: int, params: ModelParams,
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    kplus_weight = 2.0 * params.k + kplus_perturbation
+    if params.mu <= 0.0:
+        raise ValueError("the operator realization needs mu > 0")
+    # a product of two generators raises the degree by at most 4, so every
+    # matrix below is exact on the columns it is applied to
+    monomials = _monomials(max_degree, 4)
+    n_checked = (max_degree + 1) * (max_degree + 2) // 2
+    exact = {g: _generator_matrix(g, monomials, params, 2.0 * params.k)
+             for g in Generator}
+    ops = dict(exact)
+    if kplus_perturbation:
+        ops[Generator.K_PLUS] = _generator_matrix(Generator.K_PLUS, monomials, params,
+                                                  2.0 * params.k + kplus_perturbation)
+    identity = np.eye(len(monomials))
+    labels = [f"z^{i} w^{j}" for i, j in monomials[:n_checked]]
     report = RelationReport(max_degree=max_degree, k=params.k, mu=params.mu,
                             tolerance=tolerance)
-    for name, g1, g2, rhs_of in _RELATIONS:
-        for i in range(max_degree + 1):
-            for j in range(max_degree + 1 - i):
-                p = BiPolynomial.monomial(i, j)
-                lhs = _commutator(g1, g2, p, params, kplus_weight)
-                rhs = rhs_of(p, params)
-                dev = max_coeff_deviation(lhs, rhs)
-                scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-                report.checks.append(RelationCheck(
-                    relation=name,
-                    monomial=f"z^{i} w^{j}",
-                    deviation=dev,
-                    passed=dev <= tolerance * scale,
-                ))
+    for name, g1, g2, coeff, rhs_gen in _RELATIONS:
+        # column c holds the coefficients of the image of monomial c
+        lhs = ops[g1] @ ops[g2][:, :n_checked] - ops[g2] @ ops[g1][:, :n_checked]
+        rhs = coeff * (identity if rhs_gen is None else exact[rhs_gen])[:, :n_checked]
+        devs = np.abs(lhs - rhs).max(axis=0)
+        scales = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=0),
+                                            np.abs(rhs).max(axis=0)))
+        report.checks.extend(
+            RelationCheck(relation=name, monomial=label, deviation=dev,
+                          passed=dev <= tolerance * scale)
+            for label, dev, scale in zip(labels, devs.tolist(), scales.tolist()))
     return report

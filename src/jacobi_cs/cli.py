@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -41,6 +42,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
+
+# Largest table grid, in nodes: the whole grid and its value columns are
+# held in memory before the first row is written.
+MAX_TABLE_NODES = 10**7
 
 _DEFAULTS = {
     "k": 1.0,
@@ -78,6 +83,9 @@ def parse_range(text: str) -> np.ndarray:
             count = int(parts[2])
             if count < 0:
                 raise ValueError
+            if count > MAX_TABLE_NODES:
+                raise argparse.ArgumentTypeError(
+                    f"{count} samples exceed the table limit of {MAX_TABLE_NODES} nodes")
             return np.linspace(float(parts[0]), float(parts[1]), count)
     except ValueError:
         pass
@@ -296,6 +304,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
     axes = (args.re_z, args.im_z, args.re_w, args.im_w)
+    nodes = math.prod(axis.size for axis in axes)
+    if nodes > MAX_TABLE_NODES:
+        raise ValueError(f"the grid has {nodes} nodes, more than the limit of "
+                         f"{MAX_TABLE_NODES}")
     # ij indexing and itertools.product both put the rows in the order of
     # nested loops over re_z, im_z, re_w, im_w
     re_z, im_z, re_w, im_w = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))

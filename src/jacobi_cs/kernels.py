@@ -226,13 +226,15 @@ def disk_coeff_log(m_max: int, two_kp: float) -> np.ndarray:
                       for m in range(m_max + 1)]) - math.lgamma(two_kp))
 
 
-def basis_at(z, w, params: ModelParams, n_max: int, m_max: int) -> np.ndarray:
-    """All f[n, m] for n <= n_max, m <= m_max on coordinates (numbers or arrays).
+def basis_factors_at(z, w, params: ModelParams, n_max: int,
+                     m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat and disk factors of the basis, f[n, m] = flat[n] * disk[m].
 
-    Returns shape (n_max + 1, m_max + 1) + the broadcast shape of z and w.
-    The flat factor P_n(sqrt(mu) z, w) / sqrt(n!) comes from the
-    three-term recurrence, the disk factor c[m] w^m from log-gamma weights;
-    Python numbers stay Python numbers through the recurrence.
+    flat[n] = P_n(sqrt(mu) z, w) / sqrt(n!) for n <= n_max, from the
+    three-term recurrence, with shape (n_max + 1,) + the broadcast shape of
+    z and w; disk[m] = c[m] w^m for m <= m_max, from log-gamma weights,
+    broadcastable to (m_max + 1,) + that shape.  Python numbers stay Python
+    numbers through the recurrence.
     """
     two_kp = two_k_prime(params.k)
     shape = np.broadcast(z, w).shape
@@ -241,6 +243,16 @@ def basis_at(z, w, params: ModelParams, n_max: int, m_max: int) -> np.ndarray:
         flat[n] = pn * math.exp(-0.5 * math.lgamma(n + 1.0))
     ms = np.arange(m_max + 1).reshape((-1,) + (1,) * len(shape))
     disk = np.exp(0.5 * disk_coeff_log(m_max, two_kp)).reshape(ms.shape) * w ** ms
+    return flat, disk
+
+
+def basis_at(z, w, params: ModelParams, n_max: int, m_max: int) -> np.ndarray:
+    """All f[n, m] for n <= n_max, m <= m_max on coordinates (numbers or arrays).
+
+    Returns shape (n_max + 1, m_max + 1) + the broadcast shape of z and w,
+    the outer product of :func:`basis_factors_at`.
+    """
+    flat, disk = basis_factors_at(z, w, params, n_max, m_max)
     return flat[:, None] * disk[None]
 
 

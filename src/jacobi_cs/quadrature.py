@@ -23,22 +23,27 @@ integer 2k makes the radial integrand polynomial and the rule exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import K_MIN, InvalidK, JacobiPoint, ModelParams, make_jacobi_point, p_at
-from .kernels import BasisIndex, basis_at, disk_coeff_log, potential_at
+from .kernels import BasisIndex, basis_factors_at, disk_coeff_log, potential_at
 
 # Flattening exponent for the radial proposal when 2k - 2 <= 0; the target
 # stays integrable and the weights absorb the mismatch.
 _BETA_EPS = 1e-3
 
-# Samples per block of the Gram accumulation.  Each sampled chunk is drawn
+# Samples per block of the Monte Carlo accumulation.  Each draw is made
 # whole, so the random stream does not depend on this; the basis values and
 # their products are formed block by block, small enough to stay in cache.
 _GRAM_BLOCK = 8192
+
+# Largest number of drawn samples mapped to points in one go; bounds the
+# memory of single-draw estimators without touching their stream.
+_TRANSFORM_CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,17 +107,10 @@ def _beta_shape(k: float) -> float:
     return max(raw, _BETA_EPS) + 1.0
 
 
-def _sample_batch(params: ModelParams, rng: np.random.Generator, n: int,
-                  z_inflation: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw n points; returns (z, w, proposal density against Lebesgue).
-
-    ``z_inflation`` scales the covariance of the z proposal; 1 is the exact
-    conditional of the target weight.  Values above 1 thicken the proposal
-    tails, which tames the variance of high-moment integrands at the cost
-    of a z-dependent importance weight.
-    """
-    mu = params.mu
-    if mu <= 0.0:
+def _draw(params: ModelParams, rng: np.random.Generator,
+          n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random variates of n points, in stream order: s = |w|^2, arg w, xi."""
+    if params.mu <= 0.0:
         raise ValueError("sampling needs mu > 0")
     b = _beta_shape(params.k)
     s = rng.beta(1.0, b, size=n)
@@ -123,34 +121,54 @@ def _sample_batch(params: ModelParams, rng: np.random.Generator, n: int,
             break
         s[bad] = rng.beta(1.0, b, size=int(bad.sum()))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    r = np.sqrt(s)
-    w = r * np.exp(1j * theta)
-    u, v = w.real, w.imag
-    p = 1.0 - s
-
-    # conditional Gaussian for z: covariance gamma [[1-u,-v],[-v,1+u]]/(2 mu)
-    gamma = z_inflation
-    sig_xx = gamma * (1.0 - u) / (2.0 * mu)
-    sig_xy = gamma * -v / (2.0 * mu)
-    sig_yy = gamma * (1.0 + u) / (2.0 * mu)
-    l11 = np.sqrt(sig_xx)
-    l21 = sig_xy / l11
-    l22 = np.sqrt(sig_yy - l21**2)
     xi = rng.standard_normal(size=(2, n))
-    x = l11 * xi[0]
-    y = l21 * xi[0] + l22 * xi[1]
-    z = x + 1j * y
+    return s, theta, xi
 
-    quad_form = (1.0 + u) * x**2 + (1.0 - u) * y**2 + 2.0 * v * x * y
-    q_w = b * (1.0 - s) ** (b - 1.0) / math.pi
-    q_z = mu / (gamma * math.pi * np.sqrt(p)) * np.exp(-(mu / (gamma * p)) * quad_form)
-    return z, w, q_w * q_z
+
+def _transform(params: ModelParams, s: np.ndarray, theta: np.ndarray, xi: np.ndarray,
+               z_inflation: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map drawn variates to (z, w, proposal density against Lebesgue).
+
+    w = sqrt(s) e^(i theta) = u + i v.  The z proposal has covariance
+    gamma [[1-u, -v], [-v, 1+u]] / (2 mu), whose Cholesky factor is
+    sqrt(gamma / (2 mu)) [[t, 0], [-v / t, sqrt(P) / t]] with t = sqrt(1 - u),
+    and (x, y) = L xi.  The quadratic form of the density is then
+    (mu / (gamma P)) (x, y) [[1+u, v], [v, 1-u]] (x, y)^T = |xi|^2 / 2, so
+    the joint proposal is b mu / (gamma pi^2) P^(b - 3/2) exp(-|xi|^2 / 2).
+
+    ``z_inflation`` = gamma scales the covariance of the z proposal; 1 is
+    the exact conditional of the target weight.  Values above 1 thicken the
+    proposal tails, which tames the variance of high-moment integrands at
+    the cost of a z-dependent importance weight.
+    """
+    mu, b, gamma = params.mu, _beta_shape(params.k), z_inflation
+    r = np.sqrt(s)
+    w = np.empty(s.shape, dtype=complex)
+    u = np.cos(theta, out=w.real)
+    u *= r
+    v = np.sin(theta, out=w.imag)
+    v *= r
+    p = 1.0 - s
+    t = np.sqrt(1.0 - u)
+    scale = math.sqrt(gamma / (2.0 * mu))
+    z = np.empty(s.shape, dtype=complex)
+    x = np.multiply(t, xi[0], out=z.real)
+    x *= scale
+    y = np.sqrt(p)
+    y *= xi[1]
+    y -= v * xi[0]
+    y *= scale / t
+    z.imag = y
+    q = np.exp(-0.5 * (xi[0] ** 2 + xi[1] ** 2))
+    q *= p ** (b - 1.5)
+    q *= b * mu / (gamma * math.pi**2)
+    return z, w, q
 
 
 def sample_point(params: ModelParams,
                  rng: np.random.Generator) -> tuple[JacobiPoint, float]:
     """One importance-sampled point and its proposal density."""
-    z, w, q = _sample_batch(params, rng, 1)
+    z, w, q = _transform(params, *_draw(params, rng, 1), 1.0)
     return make_jacobi_point(complex(z[0]), complex(w[0])), float(q[0])
 
 
@@ -161,19 +179,55 @@ def _mc_weights(z: np.ndarray, w: np.ndarray, q: np.ndarray,
     return weight_rho_at(z, w, p, params) * measure_density_at(p, params.mu) / q
 
 
-def inner_product_mc(i1: BasisIndex, i2: BasisIndex, params: ModelParams,
-                     cfg: McConfig) -> McEstimate:
-    """Monte Carlo estimate of the weighted pairing of two basis functions."""
+def _mc_blocks(params: ModelParams, cfg: McConfig, n_max: int, m_max: int,
+               draw: int, z_inflation: float = 1.0):
+    """Yield (flat, disk, weights) of :func:`basis_factors_at` block by block.
+
+    The cfg.n_samples samples are drawn ``draw`` at a time from one stream
+    seeded by cfg.seed; the samples depend on ``draw`` only, not on how
+    they are processed: each draw is transformed in pieces of at most
+    ``_TRANSFORM_CHUNK`` and its basis factors are evaluated in blocks of
+    ``_GRAM_BLOCK``.
+    """
     rng = np.random.default_rng(cfg.seed)
-    z, w, q = _sample_batch(params, rng, cfg.n_samples)
-    weights = _mc_weights(z, w, q, params)
-    f = basis_at(z, w, params, max(i1.n, i2.n), max(i1.m, i2.m))
-    x = np.conj(f[i1.n, i1.m]) * f[i2.n, i2.m] * weights
-    mean = complex(np.mean(x))
-    var = float(np.mean(np.abs(x) ** 2) - abs(mean) ** 2)
+    remaining = cfg.n_samples
+    while remaining > 0:
+        take = min(draw, remaining)
+        s, theta, xi = _draw(params, rng, take)
+        for lo in range(0, take, _TRANSFORM_CHUNK):
+            piece = slice(lo, lo + _TRANSFORM_CHUNK)
+            z, w, q = _transform(params, s[piece], theta[piece], xi[:, piece],
+                                 z_inflation)
+            weights = _mc_weights(z, w, q, params)
+            for b in range(0, z.size, _GRAM_BLOCK):
+                block = slice(b, b + _GRAM_BLOCK)
+                flat, disk = basis_factors_at(z[block], w[block], params, n_max, m_max)
+                yield flat, disk, weights[block]
+        remaining -= take
+
+
+def _estimate(total: complex, total_sq: float, cfg: McConfig) -> McEstimate:
+    """Mean and its standard error from the sums of x and |x|^2."""
+    mean = total / cfg.n_samples
+    var = total_sq / cfg.n_samples - abs(mean) ** 2
     return McEstimate(value=mean,
                       std_error=math.sqrt(max(var, 0.0) / cfg.n_samples),
                       n_samples=cfg.n_samples, seed=cfg.seed)
+
+
+def inner_product_mc(i1: BasisIndex, i2: BasisIndex, params: ModelParams,
+                     cfg: McConfig) -> McEstimate:
+    """Monte Carlo estimate of the weighted pairing of two basis functions.
+
+    All cfg.n_samples samples come from one draw.
+    """
+    total, total_sq = 0j, 0.0
+    for flat, disk, weights in _mc_blocks(params, cfg, max(i1.n, i2.n),
+                                          max(i1.m, i2.m), cfg.n_samples):
+        x = (np.conj(flat[i1.n] * disk[i1.m]) * (flat[i2.n] * disk[i2.m])) * weights
+        total += complex(np.sum(x))
+        total_sq += float(np.sum(x.real**2 + x.imag**2))
+    return _estimate(total, total_sq, cfg)
 
 
 def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
@@ -187,32 +241,71 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
     ``chunk`` and accumulated in blocks of ``_GRAM_BLOCK``, in order, hence
     reproducible for a fixed seed.
 
+    The accumulation follows the factorisation f[n, m] = A[n] B[m] of
+    :func:`basis_factors_at`: the weighted sum of conj(f[n, m]) f[n', m'] is
+    the product of the weighted flat pairs conj(A[n]) A[n'] (n <= n' only)
+    with the disk pairs conj(B[m]) B[m'], one matmul per block; the second
+    moments come from the pairs of |A|^2 and |B|^2 (both symmetric) the same
+    way.  The full matrices are filled in by symmetry once, at the end.
+
     The z proposal is inflated by default: the flat-index-3 entries carry
     twelfth moments of the conditional Gaussian, and sampling that Gaussian
     exactly leaves them a standard error a shade above 1e-2 at a million
     samples; a threefold covariance inflation brings the whole matrix
     comfortably under it.
     """
-    d = (n_max + 1) * (m_max + 1)
-    rng = np.random.default_rng(cfg.seed)
-    s1 = np.zeros((d, d), dtype=complex)
-    s2 = np.zeros((d, d))
-    remaining = cfg.n_samples
-    while remaining > 0:
-        take = min(chunk, remaining)
-        z, w, q = _sample_batch(params, rng, take, z_inflation=z_inflation)
-        weights = _mc_weights(z, w, q, params)
-        for lo in range(0, take, _GRAM_BLOCK):
-            block = slice(lo, lo + _GRAM_BLOCK)
-            values = basis_at(z[block], w[block], params, n_max, m_max).reshape(d, -1)
-            s1 += np.conj(values) @ (values * weights[block]).T
-            c = (values.real**2 + values.imag**2) * weights[block]
-            s2 += c @ c.T
-        remaining -= take
-    n = cfg.n_samples
-    mean = s1 / n
-    var = s2 / n - np.abs(mean) ** 2
-    return mean, np.sqrt(np.maximum(var, 0.0) / n)
+    n1, m1 = n_max + 1, m_max + 1
+    n_pairs, m_pairs = n1 * (n1 + 1) // 2, m1 * (m1 + 1) // 2
+    s1 = np.zeros((n_pairs, m1 * m1), dtype=complex)
+    s2 = np.zeros((n_pairs, m_pairs))
+    flat_pairs = np.empty((n_pairs, _GRAM_BLOCK), dtype=complex)
+    disk_pairs = np.empty((m1 * m1, _GRAM_BLOCK), dtype=complex)
+    flat_sq_pairs = np.empty((n_pairs, _GRAM_BLOCK))
+    disk_sq_pairs = np.empty((m_pairs, _GRAM_BLOCK))
+    for flat, disk, weights in _mc_blocks(params, cfg, n_max, m_max, chunk, z_inflation):
+        size = weights.size
+        weighted = np.conj(flat)
+        weighted *= weights
+        u = _pair_products(weighted, flat, flat_pairs[:, :size])
+        v = disk_pairs[:, :size]
+        np.multiply(np.conj(disk)[:, None], disk[None], out=v.reshape(m1, m1, size))
+        s1 += u @ v.T
+        flat_sq = flat.real**2 + flat.imag**2
+        flat_sq *= weights
+        disk_sq = disk.real**2 + disk.imag**2
+        s2 += (_pair_products(flat_sq, flat_sq, flat_sq_pairs[:, :size])
+               @ _pair_products(disk_sq, disk_sq, disk_sq_pairs[:, :size]).T)
+    # entry [(n, m), (n', m')] sits at flat pair (n, n') and disk pair
+    # (m, m') when n <= n'; otherwise it is the conjugate of the entry at
+    # flat pair (n', n) and disk pair (m', m)
+    n, m = np.divmod(np.arange(n1 * m1), m1)
+    n, n_ = n[:, None], n[None, :]
+    m, m_ = m[:, None], m[None, :]
+    lower = n > n_
+    rows = _pair_index(n1)[n, n_]
+    s1 = s1[rows, np.where(lower, m_ * m1 + m, m * m1 + m_)]
+    s1[lower] = np.conj(s1[lower])
+    s2 = s2[rows, _pair_index(m1)[m, m_]]
+    mean = s1 / cfg.n_samples
+    var = s2 / cfg.n_samples - np.abs(mean) ** 2
+    return mean, np.sqrt(np.maximum(var, 0.0) / cfg.n_samples)
+
+
+def _pair_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows left[a] * right[b] for all a <= b, in row-major order, written to out."""
+    row = 0
+    for a in range(len(left)):
+        np.multiply(left[a], right[a:], out=out[row:row + len(left) - a])
+        row += len(left) - a
+    return out
+
+
+def _pair_index(n: int) -> np.ndarray:
+    """Symmetric n x n map from (a, b) to the row of pair (min, max) in _pair_products."""
+    lo, hi = np.triu_indices(n)
+    index = np.empty((n, n), dtype=int)
+    index[lo, hi] = index[hi, lo] = np.arange(lo.size)
+    return index
 
 
 @dataclass(frozen=True)
@@ -229,28 +322,32 @@ def parseval_check(c1: dict[tuple[int, int], complex],
 
     Estimates the weighted pairing of psi1 = sum c1 f and psi2 = sum c2 f
     and compares with the exact value sum conj(c1) c2 over shared indices.
+    All cfg.n_samples samples come from one draw.
     """
     if not c1 or not c2:
         raise ValueError("coefficient maps must be nonempty")
-    rng = np.random.default_rng(cfg.seed)
-    z, w, q = _sample_batch(params, rng, cfg.n_samples)
-    weights = _mc_weights(z, w, q, params)
     indices = sorted(set(c1) | set(c2))
-    ns, ms = zip(*indices)
-    values = basis_at(z, w, params, max(ns), max(ms))[list(ns), list(ms)]
+    ns, ms = (list(a) for a in zip(*indices))
     a1 = np.array([c1.get(idx, 0.0) for idx in indices], dtype=complex)
     a2 = np.array([c2.get(idx, 0.0) for idx in indices], dtype=complex)
-    psi1 = a1 @ values
-    psi2 = a2 @ values
-    x = np.conj(psi1) * psi2 * weights
-    mean = complex(np.mean(x))
-    var = float(np.mean(np.abs(x) ** 2) - abs(mean) ** 2)
-    estimate = McEstimate(value=mean,
-                          std_error=math.sqrt(max(var, 0.0) / cfg.n_samples),
-                          n_samples=cfg.n_samples, seed=cfg.seed)
+    total, total_sq = 0j, 0.0
+    for flat, disk, weights in _mc_blocks(params, cfg, max(ns), max(ms), cfg.n_samples):
+        values = flat[ns] * disk[ms]
+        x = np.conj(a1 @ values) * (a2 @ values) * weights
+        total += complex(np.sum(x))
+        total_sq += float(np.sum(x.real**2 + x.imag**2))
+    estimate = _estimate(total, total_sq, cfg)
     exact = complex(np.vdot(a1, a2))
     return ParsevalResult(estimate=estimate, exact=exact,
-                          deviation=abs(mean - exact))
+                          deviation=abs(estimate.value - exact))
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule, computed once, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def disk_inner_product_gl(k: float, m1: int, m2: int,
@@ -266,10 +363,10 @@ def disk_inner_product_gl(k: float, m1: int, m2: int,
         raise InvalidK(f"the disk weight needs 2k in {{2, 3, ...}}; k={k}")
     log_c = disk_coeff_log(max(m1, m2), two_k)
     coeff = math.exp(0.5 * (log_c[m1] + log_c[m2]))
-    xr, wr = np.polynomial.legendre.leggauss(n_radial)
+    xr, wr = _gauss_legendre(n_radial)
     r = 0.5 * (xr + 1.0)            # map [-1, 1] -> [0, 1]
     wr = 0.5 * wr
-    xt, wt = np.polynomial.legendre.leggauss(n_angular)
+    xt, wt = _gauss_legendre(n_angular)
     theta = math.pi * (xt + 1.0)    # map [-1, 1] -> [0, 2 pi]
     wt = math.pi * wt
     radial = r ** (m1 + m2 + 1) * (1.0 - r**2) ** (two_k - 2.0)

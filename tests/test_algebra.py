@@ -103,3 +103,48 @@ class TestCheckRelations:
         assert not report.passed
         failing = {c.relation for c in report.checks if not c.passed}
         assert "[K-,K+]=2K0" in failing
+
+
+# The ten structure relations with their right-hand sides as BiPolynomial
+# maps, written out here independently of the generator matrices that
+# check_relations builds.
+ORACLE_RELATIONS = {
+    "[a,a+]=1": (Generator.A, Generator.ADAG, lambda p, pr: p),
+    "[K0,K+]=K+": (Generator.K_ZERO, Generator.K_PLUS,
+                   lambda p, pr: apply_generator(Generator.K_PLUS, p, pr)),
+    "[K0,K-]=-K-": (Generator.K_ZERO, Generator.K_MINUS,
+                    lambda p, pr: apply_generator(Generator.K_MINUS, p, pr).scaled(-1.0)),
+    "[K-,K+]=2K0": (Generator.K_MINUS, Generator.K_PLUS,
+                    lambda p, pr: apply_generator(Generator.K_ZERO, p, pr).scaled(2.0)),
+    "[a,K+]=a+": (Generator.A, Generator.K_PLUS,
+                  lambda p, pr: apply_generator(Generator.ADAG, p, pr)),
+    "[K-,a+]=a": (Generator.K_MINUS, Generator.ADAG,
+                  lambda p, pr: apply_generator(Generator.A, p, pr)),
+    "[K+,a+]=0": (Generator.K_PLUS, Generator.ADAG, lambda p, pr: BiPolynomial.zero()),
+    "[K-,a]=0": (Generator.K_MINUS, Generator.A, lambda p, pr: BiPolynomial.zero()),
+    "[K0,a+]=a+/2": (Generator.K_ZERO, Generator.ADAG,
+                     lambda p, pr: apply_generator(Generator.ADAG, p, pr).scaled(0.5)),
+    "[K0,a]=-a/2": (Generator.K_ZERO, Generator.A,
+                    lambda p, pr: apply_generator(Generator.A, p, pr).scaled(-0.5)),
+}
+
+
+@pytest.mark.parametrize("k,mu", [(1.0, 1.0), (1.75, 0.6)])
+def test_relation_matrices_match_polynomial_commutators(k, mu):
+    params = ModelParams(k, mu)
+    report = check_relations(5, params)
+    monomials = [(i, j) for i in range(6) for j in range(6 - i)]
+    assert [(c.relation, c.monomial) for c in report.checks] == [
+        (name, f"z^{i} w^{j}") for name in ORACLE_RELATIONS for i, j in monomials]
+    for check, (i, j) in zip(report.checks, monomials * len(ORACLE_RELATIONS)):
+        g1, g2, rhs_of = ORACLE_RELATIONS[check.relation]
+        p = BiPolynomial.monomial(i, j)
+        lhs, rhs = commutator(g1, g2, p, params), rhs_of(p, params)
+        # the two evaluations round the products g1 g2 p and g2 g1 p in
+        # different orders, so they agree to the size of those terms, not
+        # of their (possibly cancelled) difference
+        terms = (apply_generator(g1, apply_generator(g2, p, params), params),
+                 apply_generator(g2, apply_generator(g1, p, params), params), rhs)
+        scale = max(1.0, *(t.max_abs() for t in terms))
+        assert abs(check.deviation - max_coeff_deviation(lhs, rhs)) <= 1e-15 * scale
+        assert check.passed

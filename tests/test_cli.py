@@ -1,8 +1,11 @@
+import argparse
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from jacobi_cs import cli
 from jacobi_cs.cli import MAX_GEODESIC_STEPS, main, parse_complex, parse_range
 
 
@@ -340,6 +343,33 @@ class TestTable:
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == 1
+
+    def test_oversized_grid_refused_before_allocation(self, capsys):
+        # 1e10 nodes would need about 75 GiB for one coordinate grid; the
+        # refusal must come before any grid array is built
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "table", "kernel", "--re-z=0:1:100000",
+                                 "--im-z=0:1:100000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "10000000000 nodes" in err
+        assert peak < 16e6
+
+    def test_node_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_NODES", 12)
+        code, _, _ = run(capsys, "table", "potential", "--re-z", "0:1:3",
+                         "--im-z", "0:1:4", "--out", str(tmp_path / "t.csv"))
+        assert code == 0
+        code, _, err = run(capsys, "table", "potential", "--re-z", "0:1:3",
+                           "--im-z", "0:1:5")
+        assert code == 2 and "15 nodes" in err
+
+    def test_oversized_axis_refused_while_parsing(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="table limit"):
+            parse_range(f"0:1:{10**12}")
 
     def test_disk_violation_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", "volume", "--re-w", "0:1:5",

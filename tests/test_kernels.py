@@ -214,6 +214,20 @@ class TestKernelProperties:
     def test_diastasis_nonnegative(self, k, p1, p2):
         assert diastasis(p1, p2, ModelParams(k, 1.0)) >= -1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.sampled_from([1.25, 1.75]), p1=point_strategy(), p2=point_strategy())
+    def test_kernel_hermitian(self, k, p1, p2):
+        params = ModelParams(k, 1.0)
+        forward = jacobi_kernel(p1, p2, params)
+        assert abs(forward - jacobi_kernel(p2, p1, params).conjugate()) <= 1e-12 * abs(forward)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.sampled_from([1.25, 1.75]), p1=point_strategy(), p2=point_strategy())
+    def test_diastasis_symmetric(self, k, p1, p2):
+        params = ModelParams(k, 1.0)
+        forward = diastasis(p1, p2, params)
+        assert abs(forward - diastasis(p2, p1, params)) <= 1e-12 * max(1.0, forward)
+
 
 class TestBasisPolynomials:
     def test_p0(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from jacobi_cs import (
     sample_point,
     weight_rho,
 )
+from jacobi_cs import quadrature
 from jacobi_cs.geometry import real_jacobian
 from jacobi_cs.quadrature import (
     disk_inner_product_gl,
@@ -195,6 +197,47 @@ class TestParseval:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             parseval_check({}, {(0, 0): 1.0}, PK, McConfig(1000, 0))
+
+
+class TestSinglePassEstimators:
+    # value and standard error as the unblocked estimators computed them,
+    # from one draw of all samples evaluated at once; the draw is unchanged,
+    # so only rounding may move them
+    def test_pinned_inner_product(self):
+        est = inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1), PK,
+                               McConfig(200_000, 3))
+        assert est.value == pytest.approx(0.9962663529454873 - 1.000724201059714e-19j,
+                                          rel=1e-13, abs=0)
+        assert est.std_error == pytest.approx(0.0033500115529911537, rel=1e-13, abs=0)
+
+    def test_pinned_parseval(self):
+        res = parseval_check({(0, 0): 1.0, (1, 2): 0.5j}, {(0, 0): 1.0, (2, 1): -0.25},
+                             PK, McConfig(200_000, 12))
+        assert res.estimate.value == pytest.approx(
+            1.0004430607416277 - 0.0011872114790391374j, rel=1e-13, abs=0)
+        assert res.estimate.std_error == pytest.approx(0.001889188823092084,
+                                                       rel=1e-13, abs=0)
+
+    def test_blocking_does_not_change_the_estimate(self, monkeypatch):
+        cfg = McConfig(50_000, 4)
+        want = inner_product_mc(BasisIndex(2, 1), BasisIndex(0, 3), PK, cfg)
+        monkeypatch.setattr(quadrature, "_TRANSFORM_CHUNK", 7_000)
+        monkeypatch.setattr(quadrature, "_GRAM_BLOCK", 1_000)
+        got = inner_product_mc(BasisIndex(2, 1), BasisIndex(0, 3), PK, cfg)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-15)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
+
+    def test_peak_memory_at_a_million_samples(self):
+        # one draw of 1e6 samples holds 32 MB of variates; evaluating every
+        # sample at once used to peak at about 184 MiB
+        tracemalloc.start()
+        try:
+            inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1), PK,
+                             McConfig(1_000_000, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestDiskMarginal:
