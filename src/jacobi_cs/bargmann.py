@@ -67,11 +67,24 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+def _reduced_exponent(z, q, hbar: float):
+    """(sqrt2 q z - z^2/2) / hbar: the exponent of B(z, q) without its -q^2/(2 hbar).
+
+    The Gaussian remainder of every integrand is the quadrature weight
+    after q = u sqrt(hbar), so the checks below need only this part.
+    """
+    return (math.sqrt(2.0) * q * z - 0.5 * z * z) / hbar
+
+
+def _scaled_nodes(rule: QuadratureRule, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes q = u sqrt(hbar) and weights of ``rule``."""
+    return np.asarray(rule.nodes) * math.sqrt(hbar), np.asarray(rule.weights)
+
+
 def bargmann_kernel(z: complex, q: float, p: HBarParams) -> complex:
     """Transform kernel B(z, q)."""
     h = p.hbar
-    return (math.pi * h) ** -0.25 * cmath.exp(
-        (math.sqrt(2.0) * q * z - 0.5 * (z * z + q * q)) / h)
+    return (math.pi * h) ** -0.25 * cmath.exp(_reduced_exponent(z, q, h) - 0.5 * q * q / h)
 
 
 def reproducing_check(z: complex, w: complex, p: HBarParams,
@@ -80,14 +93,9 @@ def reproducing_check(z: complex, w: complex, p: HBarParams,
     if len(rule) < 32:
         raise ValueError("rule needs at least 32 nodes")
     h = p.hbar
-    u = np.asarray(rule.nodes)
-    wts = np.asarray(rule.weights)
-    q = u * math.sqrt(h)
-    # combined exponent of B(z,q) B(conj(w),q) is
-    # (sqrt2 q (z + conj(w)) - (z^2 + conj(w)^2)/2 - q^2) / hbar;
-    # the -q^2/hbar term is the quadrature weight after q = u sqrt(hbar).
-    s = z + w.conjugate()
-    residual = np.exp((math.sqrt(2.0) * q * s - 0.5 * (z * z + w.conjugate() ** 2)) / h)
+    q, wts = _scaled_nodes(rule, h)
+    # the two -q^2/(2 hbar) terms make the weight exp(-u^2)
+    residual = np.exp(_reduced_exponent(z, q, h) + _reduced_exponent(w.conjugate(), q, h))
     integral = math.sqrt(h) / math.sqrt(math.pi * h) * np.sum(wts * residual)
     return abs(integral - cmath.exp(z * w.conjugate() / h))
 
@@ -111,23 +119,24 @@ def _state_poly_coeffs(n: int, hbar: float) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
+def _state_poly(n: int, q, hbar: float):
+    """poly_n(q), the n-th state without its Gaussian factor (numbers or arrays)."""
+    return np.polynomial.polynomial.polyval(q, _state_poly_coeffs(n, hbar))
+
+
 def hermite_state(n: int, q: float, p: HBarParams) -> float:
     """Value of the unit-norm n-th oscillator state at q."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    poly = np.polynomial.polynomial.polyval(q, _state_poly_coeffs(n, p.hbar))
-    return float(poly) * math.exp(-q * q / (2.0 * p.hbar))
+    return float(_state_poly(n, q, p.hbar)) * math.exp(-q * q / (2.0 * p.hbar))
 
 
 def hermite_overlap(n: int, m: int, p: HBarParams, rule: QuadratureRule) -> float:
     """Quadrature value of the L2 pairing of states n and m."""
     h = p.hbar
-    u = np.asarray(rule.nodes)
-    q = u * math.sqrt(h)
-    pn = np.polynomial.polynomial.polyval(q, _state_poly_coeffs(n, h))
-    pm = np.polynomial.polynomial.polyval(q, _state_poly_coeffs(m, h))
+    q, wts = _scaled_nodes(rule, h)
     # the two exp(-q^2/(2 hbar)) factors combine to exactly the weight
-    return float(math.sqrt(h) * np.sum(np.asarray(rule.weights) * pn * pm))
+    return float(math.sqrt(h) * np.sum(wts * _state_poly(n, q, h) * _state_poly(m, q, h)))
 
 
 def bargmann_image_check(n: int, z: complex, p: HBarParams,
@@ -136,13 +145,9 @@ def bargmann_image_check(n: int, z: complex, p: HBarParams,
     if n > 20:
         raise ValueError("images above n = 20 lose too much precision")
     h = p.hbar
-    u = np.asarray(rule.nodes)
-    wts = np.asarray(rule.weights)
-    q = u * math.sqrt(h)
-    pn = np.polynomial.polynomial.polyval(q, _state_poly_coeffs(n, h))
-    # exponent of B is (sqrt2 q z - z^2/2)/hbar - q^2/(2 hbar); the state
-    # contributes the other half Gaussian, absorbed by the weight.
-    residual = np.exp((math.sqrt(2.0) * q * z - 0.5 * z * z) / h) * pn
+    q, wts = _scaled_nodes(rule, h)
+    # B and the state each contribute half of the Gaussian weight
+    residual = np.exp(_reduced_exponent(z, q, h)) * _state_poly(n, q, h)
     integral = (math.pi * h) ** -0.25 * math.sqrt(h) * np.sum(wts * residual)
     expected = (z / math.sqrt(h)) ** n / math.sqrt(math.gamma(n + 1.0))
     return abs(integral - expected)

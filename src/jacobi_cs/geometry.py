@@ -231,16 +231,23 @@ def symplectic_to_hermitian(omega: np.ndarray) -> tuple[float, complex, float, f
     return h_zz, complex(cr, ci), h_ww, abs(complex(beta_re, beta_im))
 
 
-def real_jacobian(map_fn: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-                  step: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a map R^4 -> R^4."""
-    n = len(x0)
-    jac = np.zeros((n, n))
-    for j in range(n):
+def real_jacobian(map_fn: Callable[[complex, complex], tuple[complex, complex]],
+                  a: complex, b: complex, step: float = 1e-5) -> np.ndarray:
+    """Central-difference real Jacobian at (a, b) of a map of two complex coordinates.
+
+    Rows and columns are ordered (Re a, Im a, Re b, Im b).
+    """
+    def real_map(x: np.ndarray) -> np.ndarray:
+        a1, b1 = map_fn(complex(x[0], x[1]), complex(x[2], x[3]))
+        return np.array([a1.real, a1.imag, b1.real, b1.imag])
+
+    x0 = np.array([a.real, a.imag, b.real, b.imag])
+    jac = np.zeros((4, 4))
+    for j in range(4):
         xp, xm = x0.copy(), x0.copy()
         xp[j] += step
         xm[j] -= step
-        jac[:, j] = (map_fn(xp) - map_fn(xm)) / (2.0 * step)
+        jac[:, j] = (real_map(xp) - real_map(xm)) / (2.0 * step)
     return jac
 
 
@@ -336,7 +343,10 @@ def ricci_fd(zeta: JacobiPoint, params: ModelParams,
 
 def _wirtinger_grad(g: Callable[[JacobiPoint], complex], zeta: JacobiPoint,
                     step: float) -> tuple[complex, complex]:
-    """(d/dz, d/dw) of a complex-valued field by central differences."""
+    """(d/dz, d/dw) of a complex-valued field by central differences.
+
+    The field may also return an array; each entry is differenced.
+    """
     x0 = _coords(zeta)
 
     def at(idx: int, delta: float) -> complex:
@@ -351,6 +361,11 @@ def _wirtinger_grad(g: Callable[[JacobiPoint], complex], zeta: JacobiPoint,
     return 0.5 * (d_x - 1j * d_y), 0.5 * (d_u - 1j * d_v)
 
 
+def metric_matrix(h: HermitianMetric2) -> np.ndarray:
+    """The 2x2 Hermitian matrix of metric coefficients, entry [a, b] = h_(a b~)."""
+    return np.array([[h.h_zz, h.h_zw], [h.h_zw.conjugate(), h.h_ww]])
+
+
 def kahler_condition_check(zeta: JacobiPoint, params: ModelParams,
                            stencil: WirtingerStencil = WirtingerStencil(),
                            metric_fn: Callable[[JacobiPoint, ModelParams],
@@ -362,16 +377,6 @@ def kahler_condition_check(zeta: JacobiPoint, params: ModelParams,
     corrupted field (negative control).
     """
     fn = metric_fn or metric
-    step = resolve_step(zeta, stencil)
-
-    def coeff(pt: JacobiPoint, which: str) -> complex:
-        h = fn(pt, params)
-        return {"zz": complex(h.h_zz), "zw": h.h_zw,
-                "wz": h.h_zw.conjugate(), "ww": complex(h.h_ww)}[which]
-
-    worst = 0.0
-    for bar in ("z", "w"):
-        dz_of_w, _ = _wirtinger_grad(lambda pt: coeff(pt, "w" + bar), zeta, step)
-        _, dw_of_z = _wirtinger_grad(lambda pt: coeff(pt, "z" + bar), zeta, step)
-        worst = max(worst, abs(dw_of_z - dz_of_w))
-    return worst
+    d_z, d_w = _wirtinger_grad(lambda pt: metric_matrix(fn(pt, params)), zeta,
+                               resolve_step(zeta, stencil))
+    return float(np.max(np.abs(d_w[0] - d_z[1])))

@@ -1,10 +1,15 @@
 """Named verification suites behind the command-line `verify` command.
 
-Each suite exercises the standing identities of one module and returns a
-list of records {check, identity, deviation, tolerance, pass}; a report
-aggregates suites in name order.  Tolerances can be overridden per check
-name through the configuration, which is how the sensitivity of the
-finite-difference gates can be demonstrated from the command line.
+Each identity is measured by one check function: it takes explicit inputs
+(points, group elements, parameters, a truncation, path settings) and
+returns the worst deviation.  A suite draws its inputs from the configured
+seed with :func:`random_points` and :func:`random_elements`, runs the checks
+and returns a list of records {check, identity, deviation, tolerance, pass};
+a report aggregates suites in name order.  The acceptance tests call the
+same check functions on their own seeds and domains.  Tolerances can be
+overridden per check name through the configuration, which is how the
+sensitivity of the finite-difference gates can be demonstrated from the
+command line.
 """
 
 from __future__ import annotations
@@ -15,13 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, bargmann, embedding, geodesics, geometry, group, kernels, quadrature
-from .core import JacobiPoint, ModelParams, TangentVector, make_jacobi_point
+from .core import JacobiPoint, ModelParams, TangentVector, hermitian_det, make_jacobi_point, p_at
 from .geometry import WirtingerStencil
 from .kernels import BasisIndex, TruncationOrder
 
 SUITE_NAMES = ("algebra", "bargmann", "embedding", "geodesics",
                "geometry", "group", "kernels", "quadrature")
 _GEODESIC_SPAN = 2.0
+# the embedding and quadrature suites need a basis, so they run at this k
+# whatever the configuration says
+_BASIS_K = 1.25
 
 
 @dataclass
@@ -57,18 +65,22 @@ def _record(cfg: VerifyConfig, check: str, identity: str, deviation: float,
             "pass": bool(deviation <= tol)}
 
 
-def _random_points(rng: np.random.Generator, n: int, z_scale: float = 1.0,
-                   w_radius: float = 0.6) -> list[JacobiPoint]:
-    z_radii = z_scale * np.sqrt(rng.uniform(0, 1, n))
-    z_angles = rng.uniform(0, 2 * math.pi, n)
-    radii = w_radius * np.sqrt(rng.uniform(0, 1, n))
-    angles = rng.uniform(0, 2 * math.pi, n)
-    return [make_jacobi_point(zr * np.exp(1j * za), r * np.exp(1j * a))
-            for zr, za, r, a in zip(z_radii, z_angles, radii, angles)]
+def random_points(rng: np.random.Generator, n: int, z_scale: float = 1.0,
+                  w_radius: float = 0.6) -> list[JacobiPoint]:
+    """Points with |z| <= z_scale and |w| <= w_radius, area-uniform.
+
+    Each point takes four uniform draws in turn: the radii of z and w,
+    then their angles.
+    """
+    u = rng.uniform(size=(n, 4))
+    z = z_scale * np.sqrt(u[:, 0]) * np.exp(1j * (2 * math.pi * u[:, 2]))
+    w = w_radius * np.sqrt(u[:, 1]) * np.exp(1j * (2 * math.pi * u[:, 3]))
+    return [make_jacobi_point(a, b) for a, b in zip(z.tolist(), w.tolist())]
 
 
-def _random_elements(rng: np.random.Generator, n: int,
-                     rho_max: float = 0.8) -> list[group.JacobiGroupElement]:
+def random_elements(rng: np.random.Generator, n: int,
+                    rho_max: float = 0.8) -> list[group.JacobiGroupElement]:
+    """Group elements with disk boost rho <= rho_max, Re and Im alpha and t in [-1, 1]."""
     out = []
     for _ in range(n):
         rho = rng.uniform(0, rho_max)
@@ -80,7 +92,281 @@ def _random_elements(rng: np.random.Generator, n: int,
     return out
 
 
-_PARAM_GRID = [(k, mu) for k in (1.0, 1.5, 2.0) for mu in (0.5, 1.0, 2.0)]
+_PARAM_GRID = [ModelParams(k, mu) for k in (1.0, 1.5, 2.0) for mu in (0.5, 1.0, 2.0)]
+
+
+def _zw(points) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate arrays (z, w) of a sequence of points."""
+    return np.array([pt.z for pt in points]), np.array([pt.w for pt in points])
+
+
+# ---------------------------------------------------------------------------
+# checks: each returns the worst deviation over its inputs
+# ---------------------------------------------------------------------------
+
+def commutation_deviation(grid) -> float:
+    """Worst structure-constant deviation on monomials of degree <= 8 over a grid of params."""
+    return max(algebra.check_relations(8, params).max_deviation for params in grid)
+
+
+def kernel_series_deviation(cases, trunc: TruncationOrder) -> float:
+    """Worst relative gap of the truncated basis series from the closed kernel.
+
+    Each case is (params, points), the first half of the points paired with the second.
+    """
+    dev = 0.0
+    for params, pts in cases:
+        half = len(pts) // 2
+        closed = kernels.kernel_at(*_zw(pts[:half]), *_zw(pts[half:]), params)
+        series = np.array([kernels.kernel_series(a, b, params, trunc)
+                           for a, b in zip(pts[:half], pts[half:])])
+        dev = max(dev, float(np.max(np.abs(closed - series) / np.abs(closed))))
+    return dev
+
+
+def metric_hessian_deviation(cases, stencil: WirtingerStencil) -> float:
+    """Worst gap of the potential Hessian from the closed metric, relative to the
+    largest coefficient at each point; each case is (params, points)."""
+    dev = 0.0
+    for params, pts in cases:
+        z, w = _zw(pts)
+        closed = np.array(geometry.metric_at(z, w, p_at(w), params))
+        fd = np.array([(h.h_zz, h.h_zw, h.h_ww) for h in
+                       (geometry.metric_fd(pt, params, stencil) for pt in pts)]).T
+        dev = max(dev, float(np.max(np.max(np.abs(closed - fd), axis=0)
+                                    / np.max(np.abs(closed), axis=0))))
+    return dev
+
+
+def scalar_curvature_deviation(cases) -> float:
+    """Worst gap between the scalar curvature and -3/(2k); each case is (params, points)."""
+    dev = 0.0
+    for params, pts in cases:
+        z, w = _zw(pts)
+        p = p_at(w)
+        s = geometry.scalar_curvature_at(*geometry.metric_at(z, w, p, params),
+                                         geometry.ricci_at(p)[2])
+        dev = max(dev, float(np.max(np.abs(s + 3.0 / (2.0 * params.k)))))
+    return dev
+
+
+def non_einstein_deviation(points, params: ModelParams) -> float:
+    """Worst violation of Ric_zz = 0, h_zz > 0 and Ric_ww < 0; zero when all hold."""
+    z, w = _zw(points)
+    p = p_at(w)
+    h_zz = geometry.metric_at(z, w, p, params)[0]
+    r_zz, _, r_ww = geometry.ricci_at(p)
+    return float(max(abs(r_zz), np.max(-h_zz, initial=0.0), np.max(r_ww, initial=0.0)))
+
+
+def connection_deviation(points, params: ModelParams, stencil: WirtingerStencil) -> float:
+    """Worst residual of sum_a h_(a e~) G^a_(bc) = d h_(b e~) / dz_c, differencing the metric.
+
+    Only first derivatives enter, so a tenth of the Hessian step is both
+    safe against roundoff and an order of magnitude more accurate.
+    """
+    dev = 0.0
+    for pt in points:
+        step = max(geometry.resolve_step(pt, stencil) * 0.1, 1e-6)
+        d_z, d_w = geometry._wirtinger_grad(
+            lambda q: geometry.metric_matrix(geometry.metric(q, params)), pt, step)
+        g = geodesics.christoffel(pt, params)
+        gamma = np.array([[[g.g_zzz, g.g_zzw], [g.g_zzw, g.g_zww]],
+                          [[g.g_wzz, g.g_wwz], [g.g_wwz, g.g_www]]])    # G^a_(bc)
+        lhs = np.einsum("ae,abc->bce",
+                        geometry.metric_matrix(geometry.metric(pt, params)), gamma)
+        gap = np.abs(lhs - np.stack([d_z, d_w], axis=1))
+        # (b, c) in (z, z), (z, w), (w, w); G is symmetric in b and c
+        dev = max(dev, float(np.max(gap[[0, 0, 1], [0, 1, 1]])))
+    return dev
+
+
+def flat_limit_deviation(starts, flat: ModelParams, t_end: float, n_steps: int,
+                         stride: int) -> float:
+    """Worst gap of every ``stride``-th sample of integrated flat-limit paths from
+    the tanh closed form; each start is (z0dot, z1, b) of ``mu_zero_solution``."""
+    dev = 0.0
+    for z0dot, z1, b in starts:
+        path = geodesics.integrate(geodesics.mu_zero_solution(z0dot, z1, b, 0.0),
+                                   t_end, n_steps, flat)
+        for t, s in path.samples[::stride]:
+            ref = geodesics.mu_zero_solution(z0dot, z1, b, t)
+            dev = max(dev, abs(s.pos.z - ref.pos.z), abs(s.pos.w - ref.pos.w))
+    return dev
+
+
+def constant_eta_deviation(params: ModelParams) -> float:
+    """Worst geodesic-system residual of the constant-eta family eta = 1 + i, b = 0.7."""
+    dev = 0.0
+    speed = 0.7
+    for t in np.arange(0.1, 2.0, 0.2):
+        accel = geodesics.geodesic_rhs(
+            geodesics.fc_particular_solution(1 + 1j, 0.7, float(t)), params)
+        dw2 = -2.0 * speed * 0.7 * math.tanh(t * speed) / math.cosh(t * speed) ** 2
+        dev = max(dev, abs(accel.dz - (-(1 - 1j) * dw2)), abs(accel.dw - dw2))
+    return dev
+
+
+def energy_drift(start: geodesics.GeodesicState, params: ModelParams, t_end: float,
+                 n_steps: int) -> float:
+    """Largest change of the metric speed along an integrated path."""
+    speeds = geodesics.integrate(start, t_end, n_steps, params).speeds(params)
+    return float(np.max(np.abs(speeds - speeds[0])))
+
+
+def action_covariance_deviation(element: group.JacobiGroupElement,
+                                start: geodesics.GeodesicState, params: ModelParams,
+                                t_end: float, n_steps: int, stride: int) -> float:
+    """Worst gap of the image of an integrated path from the path integrated from
+    the image of its start, at every ``stride``-th sample."""
+    path = geodesics.integrate(start, t_end, n_steps, params)
+    mapped_start = geodesics.GeodesicState(
+        group.jacobi_action(element, start.pos, params)[0],
+        group.action_pushforward(element, start.pos, start.vel))
+    mapped_path = geodesics.integrate(mapped_start, t_end, n_steps, params)
+    dev = 0.0
+    for (_, s), (_, sm) in zip(path.samples[::stride], mapped_path.samples[::stride]):
+        img, _ = group.jacobi_action(element, s.pos, params)
+        dev = max(dev, abs(img.z - sm.pos.z), abs(img.w - sm.pos.w))
+    return dev
+
+
+def group_invariance_deviation(elements, points1, points2,
+                               params: ModelParams) -> tuple[float, float, float]:
+    """Worst deviations of kernel equivariance (relative), Berezin and diastasis
+    invariance, element i acting on the pair (points1[i], points2[i]) at its own t
+    (the central phase cancels between lam(a) and conj(lam(b)))."""
+    img1, lam1 = zip(*(group.jacobi_action(e, a, params) for e, a in zip(elements, points1)))
+    img2, lam2 = zip(*(group.jacobi_action(e, b, params) for e, b in zip(elements, points2)))
+    before = _zw(points1) + _zw(points2)
+    after = _zw(img1) + _zw(img2)
+    rhs = kernels.kernel_at(*before, params)
+    lhs = kernels.kernel_at(*after, params) * np.array(lam1) * np.conj(lam2)
+    berezin = kernels.berezin_at(*after, params) - kernels.berezin_at(*before, params)
+    diastasis = kernels.diastasis_at(*after, params) - kernels.diastasis_at(*before, params)
+    return (float(np.max(np.abs(lhs - rhs) / np.abs(rhs))),
+            float(np.max(np.abs(berezin))), float(np.max(np.abs(diastasis))))
+
+
+def metric_invariance_deviation(elements, points, params: ModelParams) -> float:
+    """Worst entry of the pullback of the metric under element i at points[i],
+    through the differenced real Jacobian, minus the metric."""
+    dev = 0.0
+    for e, p in zip(elements, points):
+        def mapped(z: complex, w: complex) -> tuple[complex, complex]:
+            pt, _ = group.jacobi_action(e, make_jacobi_point(z, w), params)
+            return pt.z, pt.w
+
+        target, _ = group.jacobi_action(e, p, params)
+        jac = geometry.real_jacobian(mapped, p.z, p.w)
+        pulled = geometry.pullback_real(
+            geometry.hermitian_to_real(geometry.metric(target, params)), jac)
+        source = geometry.hermitian_to_real(geometry.metric(p, params))
+        dev = max(dev, float(np.max(np.abs(pulled - source))))
+    return dev
+
+
+def _split_forward(eta: complex, w: complex) -> tuple[complex, complex]:
+    pt = group.fc_forward(eta, w)
+    return pt.z, pt.w
+
+
+def split_coordinates_deviation(points, params: ModelParams) -> tuple[float, float]:
+    """Worst mixed term and worst relative gap from the blocks (mu, 2k/P^2) of the
+    two-form pulled back through z = eta - w conj(eta) with the full real Jacobian."""
+    cross = blocks = 0.0
+    for pt in points:
+        jac = geometry.real_jacobian(_split_forward, *group.fc_inverse(pt))
+        pulled = geometry.pullback_real(
+            geometry.hermitian_to_symplectic(geometry.metric(pt, params)), jac)
+        h_ee, h_ew, h_ww, defect = geometry.symplectic_to_hermitian(pulled)
+        disk = 2.0 * params.k / pt.p**2
+        cross = max(cross, abs(h_ew), defect)
+        blocks = max(blocks, abs(h_ee - params.mu) / params.mu, abs(h_ww - disk) / disk)
+    return cross, blocks
+
+
+def split_roundtrip_deviation(points) -> float:
+    """Worst coordinate gap after the inverse and then the forward coordinate change."""
+    dev = 0.0
+    for pt in points:
+        back = group.fc_forward(*group.fc_inverse(pt))
+        dev = max(dev, abs(back.z - pt.z), abs(back.w - pt.w))
+    return dev
+
+
+def reproducing_deviation(zs, ws, hbars, rule: bargmann.QuadratureRule) -> float:
+    """Worst quadrature gap of the reproducing identity over z in zs, w in ws, hbar in hbars."""
+    return max(bargmann.reproducing_check(z, w, bargmann.HBarParams(hbar), rule)
+               for hbar in hbars for z in zs for w in ws)
+
+
+def state_orthonormality_deviation(n_max: int, hbar: float,
+                                   rule: bargmann.QuadratureRule) -> float:
+    """Worst quadrature gap of the pairings of states n, m <= n_max from the Kronecker delta."""
+    p = bargmann.HBarParams(hbar)
+    return max(abs(bargmann.hermite_overlap(n, m, p, rule) - (n == m))
+               for n in range(n_max + 1) for m in range(n, n_max + 1))
+
+
+def monomial_image_deviation(ns, zs, hbar: float, rule: bargmann.QuadratureRule) -> float:
+    """Worst quadrature gap of the image identity for states n in ns at z in zs."""
+    p = bargmann.HBarParams(hbar)
+    return max(bargmann.bargmann_image_check(n, z, p, rule) for n in ns for z in zs)
+
+
+def pairing_deviation(points1, points2, params: ModelParams,
+                      trunc: TruncationOrder) -> tuple[float, float]:
+    """Worst gaps of the projective pairing formula and of the kernel angle
+    against the projective distance, over the pairs (points1[i], points2[i])."""
+    cauchy = angle = 0.0
+    for a, b in zip(points1, points2):
+        cauchy = max(cauchy, embedding.cauchy_check(a, b, params, trunc))
+        projective = embedding.cayley_distance(embedding.embed(a, params, trunc),
+                                               embedding.embed(b, params, trunc))
+        angle = max(angle, abs(embedding.cs_angle(a, b, params) - projective))
+    return cauchy, angle
+
+
+def embedding_norm_deviation(points, params: ModelParams, trunc: TruncationOrder) -> float:
+    """Worst relative gap between the squared embedding norm and the diagonal kernel."""
+    z, w = _zw(points)
+    target = kernels.kernel_at(z, w, z, w, params).real
+    norm_sq = np.array([embedding.embed(pt, params, trunc).norm() ** 2 for pt in points])
+    return float(np.max(np.abs(norm_sq - target) / target))
+
+
+def pullback_deviation(points, params: ModelParams, trunc: TruncationOrder,
+                       stencil: WirtingerStencil) -> float:
+    """Worst gap between the metric and the Hessian of ln |embedding|^2."""
+    return max(embedding.fubini_study_pullback_check(pt, params, trunc, stencil)
+               for pt in points)
+
+
+def angle_bound_violation(points1, points2, params: ModelParams) -> float:
+    """How far the length of the straight path from points1[i] to points2[i]
+    falls below their projective angle; zero when it never does."""
+    margin = min(embedding.distance_angle_inequality_check(
+        a, b, params, geodesics.interpolation_path(a, b)).margin
+        for a, b in zip(points1, points2))
+    return max(0.0, -margin)
+
+
+def gram_deviation(params: ModelParams, mc: quadrature.McConfig) -> tuple[float, float]:
+    """Largest gap of the Monte Carlo Gram matrix (levels <= 3) from the
+    identity in standard errors, and the largest standard error."""
+    gram, se = quadrature.orthonormality_matrix_mc(3, 3, params, mc)
+    sigmas = np.abs(gram - np.eye(gram.shape[0])) / np.maximum(se, 1e-300)
+    return float(np.max(sigmas)), float(np.max(se))
+
+
+_DISK_PAIRS = [(m, m) for m in range(6)] + [(0, 1), (0, 2), (1, 3), (0, 5)]
+
+
+def disk_marginal_deviation() -> float:
+    """Worst gap of the pure-disk pairings at k = 1 from the Kronecker delta."""
+    return max(abs(quadrature.disk_inner_product_gl(1.0, m1, m2) - (m1 == m2))
+               for m1, m2 in _DISK_PAIRS)
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +374,9 @@ _PARAM_GRID = [(k, mu) for k in (1.0, 1.5, 2.0) for mu in (0.5, 1.0, 2.0)]
 # ---------------------------------------------------------------------------
 
 def suite_algebra(cfg: VerifyConfig) -> list[dict]:
-    worst = 0.0
-    for k, mu in _PARAM_GRID:
-        report = algebra.check_relations(8, ModelParams(k, mu))
-        worst = max(worst, report.max_deviation)
     records = [_record(cfg, "commutation-relations",
                        "structure constants on monomials of degree <= 8",
-                       worst, 1e-12)]
+                       commutation_deviation(_PARAM_GRID), 1e-12)]
     params = cfg.params()
     one = algebra.BiPolynomial.one()
     lowest = max(
@@ -113,45 +395,36 @@ def suite_kernels(cfg: VerifyConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     records = []
     params = cfg.params()
-    pts = _random_points(rng, 60)
+    pts = random_points(rng, 60)
+    z, w = _zw(pts)
+    pairs = _zw(pts[::2]) + _zw(pts[1::2])
+    swapped = pairs[2:] + pairs[:2]
 
-    dev = 0.0
-    for z1, z2 in zip(pts[::2], pts[1::2]):
-        k12 = kernels.jacobi_kernel(z1, z2, params)
-        k21 = kernels.jacobi_kernel(z2, z1, params)
-        dev = max(dev, abs(k12 - k21.conjugate()) / max(1.0, abs(k12)))
+    k12 = kernels.kernel_at(*pairs, params)
+    k21 = kernels.kernel_at(*swapped, params)
+    dev = np.max(np.abs(k12 - k21.conjugate()) / np.maximum(1.0, np.abs(k12)))
     records.append(_record(cfg, "hermitian-symmetry",
                            "K(a, conj(b)) = conj(K(b, conj(a)))", dev, 1e-12))
 
-    min_diag = min(kernels.jacobi_kernel(p, p, params).real for p in pts)
+    min_diag = float(np.min(kernels.kernel_at(z, w, z, w, params).real))
     records.append(_record(cfg, "diagonal-positivity",
                            "K(a, conj(a)) > 0", max(0.0, -min_diag), 1e-12))
 
     # tail decay goes like (|w1||w2|)^(n/2) with an exp(mu |z|^2)-sized
     # prefactor: the default truncation carries 1e-8 on |w| <= 0.4 at
     # mu = 1; the wider grid needs the deeper expansion
-    pts_inner = _random_points(rng, 16, w_radius=0.4)
-    dev = 0.0
-    for two_kp in (1, 2, 3, 4):
-        pr = ModelParams(two_kp / 2.0 + 0.25, 1.0)
-        for z1, z2 in zip(pts_inner[:8], pts_inner[8:]):
-            closed = kernels.jacobi_kernel(z1, z2, pr)
-            series = kernels.kernel_series(z1, z2, pr, cfg.truncation)
-            dev = max(dev, abs(closed - series) / abs(closed))
+    pts_inner = random_points(rng, 16, w_radius=0.4)
+    dev = kernel_series_deviation(
+        [(ModelParams(two_kp / 2.0 + 0.25, 1.0), pts_inner) for two_kp in (1, 2, 3, 4)],
+        cfg.truncation)
     records.append(_record(cfg, "series-vs-closed-form",
                            "basis expansion matches the closed kernel "
                            "(quarter-shifted index)", dev, 1e-8))
 
-    deep = TruncationOrder(80, 80)
-    pts_wide = _random_points(rng, 12, w_radius=0.45)
-    dev = 0.0
-    for two_kp in (1, 4):
-        for mu in (0.5, 2.0):
-            pr = ModelParams(two_kp / 2.0 + 0.25, mu)
-            for z1, z2 in zip(pts_wide[:6], pts_wide[6:]):
-                closed = kernels.jacobi_kernel(z1, z2, pr)
-                series = kernels.kernel_series(z1, z2, pr, deep)
-                dev = max(dev, abs(closed - series) / abs(closed))
+    pts_wide = random_points(rng, 12, w_radius=0.45)
+    dev = kernel_series_deviation(
+        [(ModelParams(two_kp / 2.0 + 0.25, mu), pts_wide)
+         for two_kp in (1, 4) for mu in (0.5, 2.0)], TruncationOrder(80, 80))
     records.append(_record(cfg, "series-vs-closed-form-wide-mu",
                            "deeper expansion covers the wider flat-scale "
                            "grid", dev, 1e-8))
@@ -168,15 +441,12 @@ def suite_kernels(cfg: VerifyConfig) -> list[dict]:
                            "kernel reduces to flat / disk factors on the axes",
                            dev, 1e-12))
 
-    over = 0.0
-    for z1, z2 in zip(pts[::2], pts[1::2]):
-        over = max(over, abs(kernels.normalized_kernel(z1, z2, params)) - 1.0)
+    over = np.max(np.abs(kernels.normalized_kernel_at(*pairs, params))) - 1.0
     records.append(_record(cfg, "normalized-kernel-bound",
                            "|normalized kernel| <= 1", max(0.0, over), 1e-12))
 
-    dev = max(abs(kernels.diastasis(z1, z2, params)
-                  - kernels.diastasis_split(z1, z2, params))
-              for z1, z2 in zip(pts[::2], pts[1::2]))
+    split = [kernels.diastasis_split(a, b, params) for a, b in zip(pts[::2], pts[1::2])]
+    dev = np.max(np.abs(kernels.diastasis_at(*pairs, params) - split))
     records.append(_record(cfg, "diastasis-two-routes",
                            "-ln b equals the split disk + flat form", dev, 1e-10))
     return records
@@ -184,136 +454,72 @@ def suite_kernels(cfg: VerifyConfig) -> list[dict]:
 
 def suite_geometry(cfg: VerifyConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
-    records = []
     stencil = cfg.stencil()
 
-    dev = 0.0
-    for k, mu in _PARAM_GRID:
-        pr = ModelParams(k, mu)
-        for p in _random_points(rng, 20):
-            h = geometry.metric(p, pr)
-            hf = geometry.metric_fd(p, pr, stencil)
-            scale = max(abs(h.h_zz), abs(h.h_zw), abs(h.h_ww))
-            dev = max(dev,
-                      max(abs(h.h_zz - hf.h_zz), abs(h.h_zw - hf.h_zw),
-                          abs(h.h_ww - hf.h_ww)) / scale)
-    records.append(_record(cfg, "metric-vs-potential",
-                           "closed metric equals the potential Hessian", dev, 1e-6))
+    dev = metric_hessian_deviation([(pr, random_points(rng, 20)) for pr in _PARAM_GRID],
+                                   stencil)
+    records = [_record(cfg, "metric-vs-potential",
+                       "closed metric equals the potential Hessian", dev, 1e-6)]
 
     params = cfg.params()
-    pts = _random_points(rng, 100)
-    dev = max(abs(geometry.metric_det(p, params)
-                  - 2.0 * params.k * params.mu / p.p**3)
-              / (2.0 * params.k * params.mu / p.p**3) for p in pts)
+    pts = random_points(rng, 100)
+    z, w = _zw(pts)
+    p = p_at(w)
+    det = hermitian_det(*geometry.metric_at(z, w, p, params))
+    target = 2.0 * params.k * params.mu / p**3
     records.append(_record(cfg, "determinant-closed-form",
-                           "det h = 2 k mu / P^3", dev, 1e-12))
+                           "det h = 2 k mu / P^3",
+                           np.max(np.abs(det - target) / target), 1e-12))
 
-    dev = 0.0
-    for k, mu in _PARAM_GRID:
-        pr = ModelParams(k, mu)
-        target = -3.0 / (2.0 * k)
-        dev = max(dev, max(abs(geometry.scalar_curvature(p, pr) - target)
-                           for p in pts[:25]))
+    dev = scalar_curvature_deviation([(pr, pts[:25]) for pr in _PARAM_GRID])
     records.append(_record(cfg, "scalar-curvature-constant",
                            "s = -3/(2k) everywhere", dev, 1e-10))
 
     dev = 0.0
-    for p in pts[:10]:
-        rc = geometry.ricci(p, params)
-        rf = geometry.ricci_fd(p, params, stencil)
+    for pt in pts[:10]:
+        rc = geometry.ricci(pt, params)
+        rf = geometry.ricci_fd(pt, params, stencil)
         dev = max(dev, abs(rc.r_zz - rf.r_zz), abs(rc.r_zw - rf.r_zw),
                   abs(rc.r_ww - rf.r_ww))
     records.append(_record(cfg, "ricci-closed-vs-fd",
                            "Ricci equals minus the Hessian of ln det h", dev, 1e-6))
 
-    dev = max(geometry.kahler_condition_check(p, params, stencil)
-              for p in pts[:10])
+    dev = max(geometry.kahler_condition_check(pt, params, stencil)
+              for pt in pts[:10])
     records.append(_record(cfg, "kahler-condition",
                            "d h_(a b~)/dz_c symmetric in (a, c)", dev, 1e-6))
 
-    dev = 0.0
-    for p in pts[:25]:
-        h = geometry.metric(p, params)
-        r = geometry.ricci(p, params)
-        dev = max(dev, abs(r.r_zz), max(0.0, -h.h_zz), max(0.0, r.r_ww))
     records.append(_record(cfg, "non-einstein-witness",
-                           "Ric_zz = 0 while h_zz > 0 and Ric_ww < 0", dev, 1e-12))
+                           "Ric_zz = 0 while h_zz > 0 and Ric_ww < 0",
+                           non_einstein_deviation(pts[:25], params), 1e-12))
 
-    dev = max(abs(geometry.volume_density(p, params)
-                  / geometry.metric_det(p, params) - 2.0) for p in pts[:25])
+    ratio = geometry.volume_density_at(p[:25], params) / det[:25]
     records.append(_record(cfg, "volume-density-ratio",
-                           "volume density = 2 det h", dev, 1e-12))
+                           "volume density = 2 det h", np.max(np.abs(ratio - 2.0)), 1e-12))
     return records
 
 
 def suite_group(cfg: VerifyConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     params = cfg.params()
-    pts = _random_points(rng, 40, z_scale=1.0, w_radius=0.5)
-    elements = _random_elements(rng, 20)
-    records = []
+    pts = random_points(rng, 40, z_scale=1.0, w_radius=0.5)
+    elements = random_elements(rng, 20)
 
-    dev = 0.0
-    for e, (z1, z2) in zip(elements, zip(pts[::2], pts[1::2])):
-        e0 = group.JacobiGroupElement(e.g, e.alpha, 0.0)
-        p1, lam1 = group.jacobi_action(e0, z1, params)
-        p2, lam2 = group.jacobi_action(e0, z2, params)
-        lhs = kernels.jacobi_kernel(p1, p2, params) * lam1 * lam2.conjugate()
-        rhs = kernels.jacobi_kernel(z1, z2, params)
-        dev = max(dev, abs(lhs - rhs) / abs(rhs))
-    records.append(_record(cfg, "kernel-equivariance",
-                           "K(act a, conj(act b)) lam(a) conj(lam(b)) = K(a, conj(b))",
-                           dev, 1e-10))
-
-    dev_b = dev_d = 0.0
-    for e, (z1, z2) in zip(elements, zip(pts[::2], pts[1::2])):
-        p1, _ = group.jacobi_action(e, z1, params)
-        p2, _ = group.jacobi_action(e, z2, params)
-        dev_b = max(dev_b, abs(kernels.berezin_kernel(p1, p2, params)
-                               - kernels.berezin_kernel(z1, z2, params)))
-        dev_d = max(dev_d, abs(kernels.diastasis(p1, p2, params)
-                               - kernels.diastasis(z1, z2, params)))
+    dev_eq, dev_b, dev_d = group_invariance_deviation(elements, pts[::2], pts[1::2], params)
+    records = [_record(cfg, "kernel-equivariance",
+                       "K(act a, conj(act b)) lam(a) conj(lam(b)) = K(a, conj(b))",
+                       dev_eq, 1e-10)]
     records.append(_record(cfg, "berezin-invariance",
                            "b(act a, act b) = b(a, b)", dev_b, 1e-10))
     records.append(_record(cfg, "diastasis-invariance",
                            "D(act a, act b) = D(a, b)", dev_d, 1e-10))
 
-    dev = 0.0
-    for e, p in zip(elements[:10], pts[:10]):
-        target, _ = group.jacobi_action(e, p, params)
-
-        def mapped(x: np.ndarray) -> np.ndarray:
-            pt, _ = group.jacobi_action(
-                e, make_jacobi_point(complex(x[0], x[1]), complex(x[2], x[3])),
-                params)
-            return np.array([pt.z.real, pt.z.imag, pt.w.real, pt.w.imag])
-
-        x0 = np.array([p.z.real, p.z.imag, p.w.real, p.w.imag])
-        jac = geometry.real_jacobian(mapped, x0)
-        pulled = geometry.pullback_real(
-            geometry.hermitian_to_real(geometry.metric(target, params)), jac)
-        source = geometry.hermitian_to_real(geometry.metric(p, params))
-        dev = max(dev, float(np.max(np.abs(pulled - source))))
     records.append(_record(cfg, "metric-invariance",
                            "pullback of the metric under the action is the metric",
-                           dev, 1e-5))
+                           metric_invariance_deviation(elements[:10], pts[:10], params),
+                           1e-5))
 
-    dev_cross = dev_diag = 0.0
-    for p in pts[:20]:
-        eta, w = group.fc_inverse(p)
-
-        def fwd(x: np.ndarray) -> np.ndarray:
-            pt = group.fc_forward(complex(x[0], x[1]), complex(x[2], x[3]))
-            return np.array([pt.z.real, pt.z.imag, pt.w.real, pt.w.imag])
-
-        x0 = np.array([eta.real, eta.imag, w.real, w.imag])
-        jac = geometry.real_jacobian(fwd, x0)
-        pulled = geometry.pullback_real(
-            geometry.hermitian_to_symplectic(geometry.metric(p, params)), jac)
-        h_ee, h_ew, h_ww, defect = geometry.symplectic_to_hermitian(pulled)
-        dev_cross = max(dev_cross, abs(h_ew), defect)
-        dev_diag = max(dev_diag, abs(h_ee - params.mu),
-                       abs(h_ww - 2.0 * params.k / p.p**2))
+    dev_cross, dev_diag = split_coordinates_deviation(pts[:20], params)
     records.append(_record(cfg, "split-coordinates-cross-term",
                            "two-form pullback through z = eta - w conj(eta) "
                            "has no mixed term", dev_cross, 1e-10))
@@ -329,48 +535,33 @@ def suite_group(cfg: VerifyConfig) -> list[dict]:
     dev = 0.0
     for e, p in zip(elements[:10], pts[:10]):
         eta, w = group.fc_inverse(p)
-
-        def eta_map(x: np.ndarray) -> np.ndarray:
-            e1, w1 = group.action_eta_coords(
-                e, complex(x[0], x[1]), complex(x[2], x[3]))
-            return np.array([e1.real, e1.imag, w1.real, w1.imag])
-
-        x0 = np.array([eta.real, eta.imag, w.real, w.imag])
         _, w1 = group.action_eta_coords(e, eta, w)
-        jac = geometry.real_jacobian(eta_map, x0)
+        jac = geometry.real_jacobian(
+            lambda eta_x, w_x: group.action_eta_coords(e, eta_x, w_x), eta, w)
         pulled = geometry.pullback_real(split_form(w1), jac)
         dev = max(dev, float(np.max(np.abs(pulled - split_form(w)))))
     records.append(_record(cfg, "split-form-invariance",
                            "the split form is preserved by the action in "
                            "split coordinates", dev, 1e-5))
 
-    dev = 0.0
-    for p in pts:
-        eta, w = group.fc_inverse(p)
-        back = group.fc_forward(eta, w)
-        dev = max(dev, abs(back.z - p.z), abs(back.w - p.w))
     records.append(_record(cfg, "split-roundtrip",
                            "forward and inverse coordinate change compose to "
-                           "the identity", dev, 1e-12))
+                           "the identity", split_roundtrip_deviation(pts), 1e-12))
 
     dev = 0.0
     for e1, e2, p in zip(elements[::2], elements[1::2], pts[:10]):
-        w = p.w
-        composed = group.mobius(e1.g.compose(e2.g), w)
-        stepwise = group.mobius(e1.g, group.mobius(e2.g, w))
-        dev = max(dev, abs(composed - stepwise))
         g12 = e1.g.compose(e2.g)
-        dev = max(dev, abs(abs(g12.a) ** 2 - abs(g12.b) ** 2 - 1.0))
+        stepwise = group.mobius(e1.g, group.mobius(e2.g, p.w))
+        dev = max(dev, abs(group.mobius(g12, p.w) - stepwise),
+                  abs(abs(g12.a) ** 2 - abs(g12.b) ** 2 - 1.0))
     records.append(_record(cfg, "mobius-composition",
                            "fractional action composes with the matrix product",
                            dev, 1e-12))
 
     dev = 0.0
     for e, p in zip(elements[:10], pts[:10]):
-        eta, w = group.fc_inverse(p)
-        eta1, w1 = group.action_eta_coords(e, eta, w)
         direct, _ = group.jacobi_action(e, p, params)
-        via_split = group.fc_forward(eta1, w1)
+        via_split = group.fc_forward(*group.action_eta_coords(e, *group.fc_inverse(p)))
         dev = max(dev, abs(direct.z - via_split.z), abs(direct.w - via_split.w))
     records.append(_record(cfg, "split-action-consistency",
                            "the action commutes with the coordinate change",
@@ -382,7 +573,7 @@ def suite_geodesics(cfg: VerifyConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     params = cfg.params()
     records = []
-    pts = _random_points(rng, 20, w_radius=0.5)
+    pts = random_points(rng, 20, w_radius=0.5)
 
     dev = 0.0
     for p in pts:
@@ -396,134 +587,53 @@ def suite_geodesics(cfg: VerifyConfig) -> list[dict]:
                            "direct accelerations equal the connection "
                            "contraction", dev, 1e-12))
 
-    stencil = cfg.stencil()
-    dev = 0.0
-    for p in pts[:10]:
-        dev = max(dev, _christoffel_defining_deviation(p, params, stencil))
     records.append(_record(cfg, "connection-defining-relation",
                            "sum_a h_(a e~) G^a_(bc) = d h_(b e~) / dz_c",
-                           dev, 1e-6))
+                           connection_deviation(pts[:10], params, cfg.stencil()), 1e-6))
 
     n_steps = geodesics.step_count(_GEODESIC_SPAN, cfg.rk4_step)
-    dev = 0.0
-    flat = ModelParams(params.k, 0.0)
-    for b in (0.7, 0.4 + 0.3j):
-        z0dot = 0.5 - 0.2j
-        start = geodesics.mu_zero_solution(z0dot, 0.3 + 0.1j, b, 0.0)
-        path = geodesics.integrate(start, _GEODESIC_SPAN, n_steps, flat)
-        for t, s in path.samples[:: max(1, n_steps // 20)]:
-            ref = geodesics.mu_zero_solution(z0dot, 0.3 + 0.1j, b, t)
-            dev = max(dev, abs(s.pos.z - ref.pos.z), abs(s.pos.w - ref.pos.w))
+    dev = flat_limit_deviation(
+        [(0.5 - 0.2j, 0.3 + 0.1j, b) for b in (0.7, 0.4 + 0.3j)],
+        ModelParams(params.k, 0.0), _GEODESIC_SPAN, n_steps, max(1, n_steps // 20))
     records.append(_record(cfg, "flat-limit-closed-form",
                            "integrated flat-limit paths match the tanh "
                            "solution", dev, 1e-8))
 
     state = geodesics.GeodesicState(
         pts[0], TangentVector(0.4 + 0.2j, 0.2 - 0.1j))
-    path = geodesics.integrate(state, _GEODESIC_SPAN, n_steps, params)
-    speeds = path.speeds(params)
-    drift = float(np.max(np.abs(speeds - speeds[0])))
     records.append(_record(cfg, "energy-conservation",
                            "speed is constant along integrated paths",
-                           drift, 1e-8))
+                           energy_drift(state, params, _GEODESIC_SPAN, n_steps), 1e-8))
 
-    dev = 0.0
-    for t in np.arange(0.1, 2.0, 0.2):
-        s = geodesics.fc_particular_solution(1 + 1j, 0.7, float(t))
-        accel = geodesics.geodesic_rhs(s, params)
-        speed = abs(0.7)
-        wt = math.tanh(t * speed)
-        dw2 = -2.0 * speed * 0.7 * wt / math.cosh(t * speed) ** 2
-        dz2 = -(1 - 1j) * dw2
-        dev = max(dev, abs(accel.dz - dz2), abs(accel.dw - dw2))
     records.append(_record(cfg, "constant-eta-residual",
                            "the constant-eta family solves the geodesic "
-                           "system", dev, 1e-9))
+                           "system", constant_eta_deviation(params), 1e-9))
 
-    e = _random_elements(rng, 1)[0]
+    e = random_elements(rng, 1)[0]
     start = geodesics.GeodesicState(pts[1], TangentVector(0.3 + 0.1j, 0.15j))
     n_cov = geodesics.step_count(1.0, cfg.rk4_step)
-    path = geodesics.integrate(start, 1.0, n_cov, params)
-    mapped_start = geodesics.GeodesicState(
-        group.jacobi_action(e, start.pos, params)[0],
-        group.action_pushforward(e, start.pos, start.vel))
-    mapped_path = geodesics.integrate(mapped_start, 1.0, n_cov, params)
-    dev = 0.0
-    stride = max(1, n_cov // 10)
-    for (_, s), (_, sm) in zip(path.samples[::stride],
-                               mapped_path.samples[::stride]):
-        img, _ = group.jacobi_action(e, s.pos, params)
-        dev = max(dev, abs(img.z - sm.pos.z), abs(img.w - sm.pos.w))
+    dev = action_covariance_deviation(e, start, params, 1.0, n_cov, max(1, n_cov // 10))
     records.append(_record(cfg, "action-covariance",
                            "the action maps integrated paths to integrated "
                            "paths", dev, 1e-6))
     return records
 
 
-def _christoffel_defining_deviation(p: JacobiPoint, params: ModelParams,
-                                    stencil: WirtingerStencil) -> float:
-    """Residual of the linear system that defines the connection.
-
-    Only first derivatives of the metric enter, so a tenth of the Hessian
-    step is both safe against roundoff and an order of magnitude more
-    accurate.
-    """
-    step = max(geometry.resolve_step(p, stencil) * 0.1, 1e-6)
-    gam = geodesics.christoffel(p, params)
-
-    def coeff(pt: JacobiPoint, which: str) -> complex:
-        h = geometry.metric(pt, params)
-        return {"zz": complex(h.h_zz), "zw": h.h_zw,
-                "wz": h.h_zw.conjugate(), "ww": complex(h.h_ww)}[which]
-
-    h = geometry.metric(p, params)
-    hm = {"zz": complex(h.h_zz), "zw": h.h_zw,
-          "wz": h.h_zw.conjugate(), "ww": complex(h.h_ww)}
-    gamma = {("z", "z", "z"): gam.g_zzz, ("w", "z", "z"): gam.g_wzz,
-             ("z", "z", "w"): gam.g_zzw, ("w", "z", "w"): gam.g_wwz,
-             ("z", "w", "w"): gam.g_zww, ("w", "w", "w"): gam.g_www}
-    dev = 0.0
-    for beta, gam_idx in (("z", "z"), ("z", "w"), ("w", "w")):
-        for eps in ("z", "w"):
-            d_z, d_w = geometry._wirtinger_grad(
-                lambda pt: coeff(pt, beta + eps), p, step)
-            rhs = d_z if gam_idx == "z" else d_w
-            lhs = sum(hm[alpha + eps] * gamma[(alpha, beta, gam_idx)]
-                      for alpha in ("z", "w"))
-            dev = max(dev, abs(lhs - rhs))
-    return dev
-
-
 def suite_bargmann(cfg: VerifyConfig) -> list[dict]:
-    records = []
     rule = bargmann.QuadratureRule.gauss_hermite(96)
     grid = [complex(a, b) for a in (-1.5, -0.5, 0.5, 1.5)
             for b in (-1.0, 0.0, 1.0)]
+    records = [_record(cfg, "reproducing-identity",
+                       "pairing the kernel with itself gives the flat kernel",
+                       reproducing_deviation(grid[:6], grid[6:], (0.5, 1.0, 2.0), rule),
+                       1e-9)]
 
-    dev = 0.0
-    for hbar in (0.5, 1.0, 2.0):
-        p = bargmann.HBarParams(hbar)
-        for z in grid[:6]:
-            for w in grid[6:]:
-                dev = max(dev, bargmann.reproducing_check(z, w, p, rule))
-    records.append(_record(cfg, "reproducing-identity",
-                           "pairing the kernel with itself gives the flat "
-                           "kernel", dev, 1e-9))
-
-    p = bargmann.HBarParams(1.0)
-    dev = 0.0
-    for n in range(11):
-        for m in range(n, 11):
-            got = bargmann.hermite_overlap(n, m, p, rule)
-            dev = max(dev, abs(got - (1.0 if n == m else 0.0)))
     records.append(_record(cfg, "state-orthonormality",
                            "oscillator states are orthonormal under "
-                           "quadrature", dev, 1e-10))
+                           "quadrature", state_orthonormality_deviation(10, 1.0, rule),
+                           1e-10))
 
-    dev = 0.0
-    for n in range(11):
-        for z in (0.5, 1.5, 1j, 1 + 1j, -0.7 + 0.9j):
-            dev = max(dev, bargmann.bargmann_image_check(n, z, p, rule))
+    dev = monomial_image_deviation(range(11), (0.5, 1.5, 1j, 1 + 1j, -0.7 + 0.9j), 1.0, rule)
     records.append(_record(cfg, "monomial-images",
                            "states map to normalized monomials", dev, 1e-8))
     return records
@@ -531,98 +641,74 @@ def suite_bargmann(cfg: VerifyConfig) -> list[dict]:
 
 def suite_embedding(cfg: VerifyConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
-    params = ModelParams(1.25, cfg.mu)
+    params = ModelParams(_BASIS_K, cfg.mu)
     trunc = cfg.truncation
-    pts = _random_points(rng, 30, z_scale=1.0, w_radius=0.5)
-    records = []
+    pts = random_points(rng, 30, z_scale=1.0, w_radius=0.5)
+    at_k = f" (k = {_BASIS_K})"
 
-    dev = max(embedding.cauchy_check(z1, z2, params, trunc)
-              for z1, z2 in zip(pts[::2], pts[1::2]))
-    records.append(_record(cfg, "projective-pairing",
-                           "normalized kernel equals the embedded pairing",
-                           dev, 1e-8))
-
-    dev = 0.0
-    for z1, z2 in zip(pts[::2], pts[1::2]):
-        v1 = embedding.embed(z1, params, trunc)
-        v2 = embedding.embed(z2, params, trunc)
-        dev = max(dev, abs(embedding.cs_angle(z1, z2, params)
-                           - embedding.cayley_distance(v1, v2)))
+    dev_pair, dev_angle = pairing_deviation(pts[::2], pts[1::2], params, trunc)
+    records = [_record(cfg, "projective-pairing",
+                       "normalized kernel equals the embedded pairing" + at_k,
+                       dev_pair, 1e-8)]
     records.append(_record(cfg, "angle-vs-projective-distance",
-                           "kernel angle equals the projective distance",
-                           dev, 1e-8))
+                           "kernel angle equals the projective distance" + at_k,
+                           dev_angle, 1e-8))
 
-    dev = max(embedding.fubini_study_pullback_check(p, params, trunc,
-                                                    cfg.stencil())
-              for p in pts[:4])
     records.append(_record(cfg, "projective-metric-pullback",
-                           "metric equals the Hessian of ln |embedding|^2",
-                           dev, 1e-5))
+                           "metric equals the Hessian of ln |embedding|^2" + at_k,
+                           pullback_deviation(pts[:4], params, trunc, cfg.stencil()),
+                           1e-5))
 
-    dev = 0.0
-    for p in pts[:10]:
-        v = embedding.embed(p, params, trunc)
-        target = kernels.jacobi_kernel(p, p, params).real
-        dev = max(dev, abs(v.norm() ** 2 - target) / target)
     records.append(_record(cfg, "embedding-norm-convergence",
                            "squared embedding norm converges to the diagonal "
-                           "kernel", dev, 1e-8))
+                           "kernel" + at_k,
+                           embedding_norm_deviation(pts[:10], params, trunc), 1e-8))
 
-    worst_margin = 0.0
-    for z1, z2 in zip(pts[::2], pts[1::2]):
-        path = geodesics.interpolation_path(z1, z2)
-        rep = embedding.distance_angle_inequality_check(z1, z2, params, path)
-        worst_margin = min(worst_margin, rep.margin)
     records.append(_record(cfg, "length-dominates-angle",
                            "admissible curve length bounds the projective "
-                           "angle", max(0.0, -worst_margin), 1e-9))
+                           "angle" + at_k,
+                           angle_bound_violation(pts[::2], pts[1::2], params), 1e-9))
     return records
 
 
 def suite_quadrature(cfg: VerifyConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
-    params = ModelParams(1.25, cfg.mu)
-    records = []
+    params = ModelParams(_BASIS_K, cfg.mu)
+    at_k = f" (k = {_BASIS_K})"
 
-    pts = _random_points(rng, 25)
+    z, w = _zw(random_points(rng, 25))
+    p = p_at(w)
     lam = quadrature.normalization_constant(params.k)
-    dev = max(abs(quadrature.weight_rho(p, params)
-                  * kernels.jacobi_kernel(p, p, params).real - lam) / lam
-              for p in pts)
-    records.append(_record(cfg, "weight-kernel-product",
-                           "rho * K is the normalization constant", dev, 1e-12))
+    product = (quadrature.weight_rho_at(z, w, p, params)
+               * kernels.kernel_at(z, w, z, w, params).real)
+    records = [_record(cfg, "weight-kernel-product",
+                       "rho * K is the normalization constant" + at_k,
+                       np.max(np.abs(product - lam) / lam), 1e-12)]
 
     cfg_small = quadrature.McConfig(max(1000, cfg.mc_samples // 10), cfg.seed)
     est = quadrature.inner_product_mc(BasisIndex(0, 0), BasisIndex(0, 0),
                                       params, cfg_small)
     records.append(_record(cfg, "unit-normalization",
-                           "mean importance weight is 1",
+                           "mean importance weight is 1" + at_k,
                            abs(est.value - 1.0), 3.0 * est.std_error))
 
-    mc = quadrature.McConfig(cfg.mc_samples, cfg.seed)
-    gram, se = quadrature.orthonormality_matrix_mc(3, 3, params, mc)
-    target = np.eye(gram.shape[0])
-    sigmas = np.abs(gram - target) / np.maximum(se, 1e-300)
+    sigmas, se = gram_deviation(params, quadrature.McConfig(cfg.mc_samples, cfg.seed))
     records.append(_record(cfg, "orthonormality-matrix",
                            "basis Gram matrix is the identity (units of "
-                           "standard error)", float(np.max(sigmas)), 3.0))
+                           "standard error)" + at_k, sigmas, 3.0))
     records.append(_record(cfg, "orthonormality-precision",
-                           "standard errors below 1e-2", float(np.max(se)), 1e-2))
+                           "standard errors below 1e-2" + at_k, se, 1e-2))
 
-    dev = 0.0
-    for m in range(6):
-        dev = max(dev, abs(quadrature.disk_inner_product_gl(1.0, m, m) - 1.0))
-    dev = max(dev, abs(quadrature.disk_inner_product_gl(1.0, 0, 2)))
     records.append(_record(cfg, "disk-marginal",
                            "pure-disk pairings are orthonormal under exact "
-                           "quadrature", dev, 1e-6))
+                           "quadrature (k = 1)", disk_marginal_deviation(), 1e-6))
 
     rep1 = quadrature.inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1),
                                        params, cfg_small)
     rep2 = quadrature.inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1),
                                        params, cfg_small)
     records.append(_record(cfg, "determinism",
-                           "same seed reproduces the same estimate",
+                           "same seed reproduces the same estimate" + at_k,
                            abs(rep1.value - rep2.value), 0.0))
     return records
 

@@ -8,16 +8,6 @@ from hypothesis import strategies as st
 from jacobi_cs import JacobiGroupElement, SU11Element, make_jacobi_point
 
 
-def random_points(rng, n, z_scale=1.0, w_radius=0.6):
-    """Points with |z| <= z_scale and |w| <= w_radius, area-uniform."""
-    out = []
-    for _ in range(n):
-        zr, wr = z_scale * math.sqrt(rng.uniform()), w_radius * math.sqrt(rng.uniform())
-        za, wa = rng.uniform(0, 2 * math.pi, 2)
-        out.append(make_jacobi_point(zr * np.exp(1j * za), wr * np.exp(1j * wa)))
-    return out
-
-
 def point_strategy(z_max=1.0, w_max=0.6):
     """Hypothesis strategy for points with |z| <= z_max and |w| <= w_max."""
     def polar(r_max):
@@ -25,16 +15,15 @@ def point_strategy(z_max=1.0, w_max=0.6):
     return st.builds(make_jacobi_point, polar(z_max), polar(w_max))
 
 
-def random_elements(rng, n, rho_max=0.8, alpha_max=1.0):
-    out = []
-    for _ in range(n):
-        rho = rng.uniform(0, rho_max)
-        phi, psi = rng.uniform(0, 2 * math.pi, 2)
-        g = SU11Element(math.cosh(rho) * np.exp(1j * phi),
-                        math.sinh(rho) * np.exp(1j * psi))
-        alpha = alpha_max * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        out.append(JacobiGroupElement(g, alpha, rng.uniform(-1, 1)))
-    return out
+def element_strategy(rho_max=0.8):
+    """Hypothesis strategy for group elements on the domain of `verify.random_elements`:
+    disk boost rho <= rho_max, Re and Im alpha and t in [-1, 1]."""
+    angle, unit = st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0)
+
+    def build(rho, phi, psi, re_alpha, im_alpha, t):
+        g = SU11Element(cmath.rect(math.cosh(rho), phi), cmath.rect(math.sinh(rho), psi))
+        return JacobiGroupElement(g, complex(re_alpha, im_alpha), t)
+    return st.builds(build, st.floats(0.0, rho_max), angle, angle, unit, unit, unit)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from jacobi_cs import (
     make_jacobi_point,
 )
 from jacobi_cs.core import p_at
-from conftest import random_points
+from jacobi_cs.verify import random_points
 
 
 class TestMakeJacobiPoint:

@@ -28,7 +28,9 @@ from jacobi_cs import (
 )
 from jacobi_cs.embedding import basis_order, projective_inner
 from jacobi_cs.kernels import basis_matrix
-from conftest import point_strategy, random_elements, random_points
+from jacobi_cs import verify
+from jacobi_cs.verify import random_elements, random_points
+from conftest import point_strategy
 
 PK = ModelParams(1.25, 1.0)
 TR = TruncationOrder(40, 40)
@@ -52,10 +54,8 @@ class TestEmbed:
         assert order.index((0, 1)) < order.index((1, 0))
 
     def test_norm_converges_to_kernel(self, rng):
-        for p in random_points(rng, 10, z_scale=1.0, w_radius=0.5):
-            target = jacobi_kernel(p, p, PK).real
-            got = embed(p, PK, TR).norm() ** 2
-            assert abs(got - target) <= 1e-8 * target
+        pts = random_points(rng, 10, z_scale=1.0, w_radius=0.5)
+        assert verify.embedding_norm_deviation(pts, PK, TR) <= 1e-8
 
     @pytest.mark.parametrize("trunc", [TruncationOrder(3, 5), TR])
     def test_components_follow_basis_order(self, trunc):
@@ -159,10 +159,8 @@ class TestAngle:
 
     def test_matches_projective_distance_random(self, rng):
         pts = random_points(rng, 20, z_scale=1.0, w_radius=0.5)
-        for p1, p2 in zip(pts[::2], pts[1::2]):
-            got = cs_angle(p1, p2, PK)
-            want = cayley_distance(embed(p1, PK, TR), embed(p2, PK, TR))
-            assert abs(got - want) <= 1e-8
+        _, worst = verify.pairing_deviation(pts[::2], pts[1::2], PK, TR)
+        assert worst <= 1e-8
 
     def test_range_and_symmetry(self, rng):
         pts = random_points(rng, 40, z_scale=1.5, w_radius=0.8)
@@ -194,8 +192,8 @@ class TestCauchyFormula:
 
     def test_random_pairs(self, rng):
         pts = random_points(rng, 20, z_scale=1.0, w_radius=0.5)
-        for p1, p2 in zip(pts[::2], pts[1::2]):
-            assert cauchy_check(p1, p2, PK, TR) < 1e-8
+        worst, _ = verify.pairing_deviation(pts[::2], pts[1::2], PK, TR)
+        assert worst < 1e-8
 
     def test_diagonal_deviation_is_exact(self):
         # both sides normalize to exactly 1 on the diagonal at any order
@@ -255,10 +253,7 @@ class TestLengthAngleInequality:
 
     def test_random_interpolation_paths(self, rng):
         pts = random_points(rng, 40, z_scale=1.0, w_radius=0.5)
-        for p1, p2 in zip(pts[::2], pts[1::2]):
-            path = interpolation_path(p1, p2, 200)
-            rep = distance_angle_inequality_check(p1, p2, PK, path)
-            assert rep.passed
+        assert verify.angle_bound_violation(pts[::2], pts[1::2], PK) <= 1e-9
 
     def test_endpoint_mismatch(self):
         p1 = make_jacobi_point(0, 0)

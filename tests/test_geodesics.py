@@ -21,10 +21,8 @@ from jacobi_cs import (
     geodesic_rhs,
     integrate,
     interpolation_path,
-    jacobi_action,
     make_jacobi_point,
     mu_zero_solution,
-    tangent_norm,
 )
 from jacobi_cs.geodesics import (
     MAX_GEODESIC_STEPS,
@@ -32,8 +30,8 @@ from jacobi_cs.geodesics import (
     christoffel_rhs,
     step_count,
 )
-from jacobi_cs.group import action_pushforward
-from conftest import random_elements, random_points
+from jacobi_cs import verify
+from jacobi_cs.verify import random_elements, random_points
 
 P1 = ModelParams(1.0, 1.0)
 
@@ -104,14 +102,8 @@ class TestIntegrate:
         assert curve_length(path, P1) == 0.0
 
     def test_flat_limit_matches_tanh_form(self):
-        flat = ModelParams(1.0, 0.0)
-        b, z0dot, z1 = 0.8, 0.4 - 0.3j, 0.2 + 0.1j
-        start = mu_zero_solution(z0dot, z1, b, 0.0)
-        path = integrate(start, 2.0, 2000, flat)
-        worst = 0.0
-        for t, s in path.samples[::100]:
-            ref = mu_zero_solution(z0dot, z1, b, t)
-            worst = max(worst, abs(s.pos.z - ref.pos.z), abs(s.pos.w - ref.pos.w))
+        worst = verify.flat_limit_deviation([(0.4 - 0.3j, 0.2 + 0.1j, 0.8)],
+                                            ModelParams(1.0, 0.0), 2.0, 2000, 100)
         assert worst <= 1e-8
 
     def test_pure_disk_start_matches_map_for_any_mu(self):
@@ -128,20 +120,13 @@ class TestIntegrate:
            dz=st.builds(cmath.rect, st.floats(0.0, 0.5), st.floats(0.0, 2 * math.pi)),
            dw=st.builds(cmath.rect, st.floats(0.0, 0.5), st.floats(0.0, 2 * math.pi)))
     def test_speed_conserved_on_random_short_runs(self, k, mu, z, w, dz, dw):
-        params = ModelParams(k, mu)
-        path = integrate(GeodesicState(make_jacobi_point(z, w), TangentVector(dz, dw)),
-                         0.5, 100, params)
-        speeds = path.speeds(params)
-        assert np.max(np.abs(speeds - speeds[0])) <= 1e-8
+        start = GeodesicState(make_jacobi_point(z, w), TangentVector(dz, dw))
+        assert verify.energy_drift(start, ModelParams(k, mu), 0.5, 100) <= 1e-8
 
     def test_speed_conserved(self):
         s0 = GeodesicState(make_jacobi_point(0.3 + 0.2j, 0.1 - 0.2j),
                            TangentVector(0.5 - 0.1j, 0.25j))
-        path = integrate(s0, 2.0, 2000, P1)
-        e0 = tangent_norm(s0.pos, s0.vel, P1)
-        drift = max(abs(tangent_norm(s.pos, s.vel, P1) - e0)
-                    for _, s in path.samples)
-        assert drift < 1e-8
+        assert verify.energy_drift(s0, P1, 2.0, 2000) < 1e-8
 
     def test_boundary_escape(self):
         s0 = GeodesicState(make_jacobi_point(0.0, 0.9), TangentVector(0.0, 2.0))
@@ -153,14 +138,7 @@ class TestIntegrate:
         e = random_elements(rng, 1)[0]
         s0 = GeodesicState(make_jacobi_point(0.2 - 0.1j, 0.15 + 0.1j),
                            TangentVector(0.3 + 0.1j, 0.15j))
-        path = integrate(s0, 1.0, 1000, P1)
-        mapped0 = GeodesicState(jacobi_action(e, s0.pos, P1)[0],
-                                action_pushforward(e, s0.pos, s0.vel))
-        mapped_path = integrate(mapped0, 1.0, 1000, P1)
-        for (_, s), (_, sm) in zip(path.samples[::100], mapped_path.samples[::100]):
-            img, _ = jacobi_action(e, s.pos, P1)
-            assert abs(img.z - sm.pos.z) <= 1e-6
-            assert abs(img.w - sm.pos.w) <= 1e-6
+        assert verify.action_covariance_deviation(e, s0, P1, 1.0, 1000, 100) <= 1e-6
 
 
 class TestClosedFormSolutions:
@@ -176,15 +154,7 @@ class TestClosedFormSolutions:
 
     def test_constant_eta_residual_small(self):
         # substitute the closed form into the system numerically
-        eta0, b = 1 + 1j, 0.7
-        for t in np.arange(0.1, 2.0, 0.2):
-            s = fc_particular_solution(eta0, b, float(t))
-            acc = geodesic_rhs(s, P1)
-            speed = abs(b)
-            ddw = -2 * speed * b * math.tanh(t * speed) / math.cosh(t * speed) ** 2
-            ddz = -eta0.conjugate() * ddw
-            assert abs(acc.dz - ddz) < 1e-9
-            assert abs(acc.dw - ddw) < 1e-9
+        assert verify.constant_eta_deviation(P1) < 1e-9
 
     def test_flat_limit_start_state(self):
         s = mu_zero_solution(0.4j, 1.5, 0.6, 0.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from jacobi_cs import (
     JacobiGroupElement,
@@ -9,27 +10,19 @@ from jacobi_cs import (
     SU11Element,
     TangentVector,
     action_eta_coords,
-    berezin_kernel,
-    diastasis,
     disk_geodesic_map,
     fc_forward,
     fc_inverse,
     heisenberg_phase,
     jacobi_action,
-    jacobi_kernel,
     make_jacobi_point,
-    metric,
     mobius,
 )
-from jacobi_cs.geometry import (
-    hermitian_to_real,
-    hermitian_to_symplectic,
-    pullback_real,
-    real_jacobian,
-    symplectic_to_hermitian,
-)
+from jacobi_cs.geometry import real_jacobian
 from jacobi_cs.group import action_pushforward
-from conftest import random_elements, random_points
+from jacobi_cs import verify
+from jacobi_cs.verify import random_elements, random_points
+from conftest import element_strategy, point_strategy
 
 P1 = ModelParams(1.0, 1.0)
 
@@ -108,14 +101,9 @@ class TestJacobiAction:
 
     def test_kernel_equivariance(self, rng):
         pts = random_points(rng, 40, z_scale=1.0, w_radius=0.5)
-        for e, (q1, q2) in zip(random_elements(rng, 20),
-                               zip(pts[::2], pts[1::2])):
-            e0 = JacobiGroupElement(e.g, e.alpha, 0.0)
-            p1, lam1 = jacobi_action(e0, q1, P1)
-            p2, lam2 = jacobi_action(e0, q2, P1)
-            lhs = jacobi_kernel(p1, p2, P1) * lam1 * lam2.conjugate()
-            rhs = jacobi_kernel(q1, q2, P1)
-            assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+        worst, _, _ = verify.group_invariance_deviation(
+            random_elements(rng, 20), pts[::2], pts[1::2], P1)
+        assert worst <= 1e-10
 
     def test_central_phase_only_rotates(self, rng):
         p = make_jacobi_point(0.5, 0.2)
@@ -129,45 +117,40 @@ class TestJacobiAction:
 
     def test_berezin_and_diastasis_invariance(self, rng):
         pts = random_points(rng, 40, z_scale=1.0, w_radius=0.5)
-        for e, (q1, q2) in zip(random_elements(rng, 20),
-                               zip(pts[::2], pts[1::2])):
-            p1, _ = jacobi_action(e, q1, P1)
-            p2, _ = jacobi_action(e, q2, P1)
-            assert abs(berezin_kernel(p1, p2, P1)
-                       - berezin_kernel(q1, q2, P1)) <= 1e-10
-            assert abs(diastasis(p1, p2, P1)
-                       - diastasis(q1, q2, P1)) <= 1e-10
+        _, worst_b, worst_d = verify.group_invariance_deviation(
+            random_elements(rng, 20), pts[::2], pts[1::2], P1)
+        assert worst_b <= 1e-10 and worst_d <= 1e-10
 
     def test_metric_invariance_numerical_pullback(self, rng):
-        for e, p in zip(random_elements(rng, 10), random_points(rng, 10, w_radius=0.5)):
-            target, _ = jacobi_action(e, p, P1)
-
-            def mapped(x):
-                pt, _ = jacobi_action(
-                    e, make_jacobi_point(complex(x[0], x[1]), complex(x[2], x[3])), P1)
-                return np.array([pt.z.real, pt.z.imag, pt.w.real, pt.w.imag])
-
-            x0 = np.array([p.z.real, p.z.imag, p.w.real, p.w.imag])
-            jac = real_jacobian(mapped, x0)
-            pulled = pullback_real(hermitian_to_real(metric(target, P1)), jac)
-            source = hermitian_to_real(metric(p, P1))
-            assert np.max(np.abs(pulled - source)) <= 1e-5
+        assert verify.metric_invariance_deviation(
+            random_elements(rng, 10), random_points(rng, 10, w_radius=0.5), P1) <= 1e-5
 
     def test_pushforward_matches_numerical_jacobian(self, rng):
         for e, p in zip(random_elements(rng, 5), random_points(rng, 5, w_radius=0.5)):
             v = TangentVector(0.3 - 0.2j, 0.1 + 0.05j)
 
-            def mapped(x):
-                pt, _ = jacobi_action(
-                    e, make_jacobi_point(complex(x[0], x[1]), complex(x[2], x[3])), P1)
-                return np.array([pt.z.real, pt.z.imag, pt.w.real, pt.w.imag])
+            def mapped(z, w):
+                pt, _ = jacobi_action(e, make_jacobi_point(z, w), P1)
+                return pt.z, pt.w
 
-            x0 = np.array([p.z.real, p.z.imag, p.w.real, p.w.imag])
-            jac = real_jacobian(mapped, x0)
+            jac = real_jacobian(mapped, p.z, p.w)
             vr = jac @ np.array([v.dz.real, v.dz.imag, v.dw.real, v.dw.imag])
             got = action_pushforward(e, p, v)
             assert got.dz == pytest.approx(complex(vr[0], vr[1]), abs=1e-8)
             assert got.dw == pytest.approx(complex(vr[2], vr[3]), abs=1e-8)
+
+
+class TestInvarianceProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(e=element_strategy(), p1=point_strategy(), p2=point_strategy())
+    def test_berezin_and_diastasis_invariant(self, e, p1, p2):
+        _, worst_b, worst_d = verify.group_invariance_deviation([e], [p1], [p2], P1)
+        assert worst_b <= 1e-10 and worst_d <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=point_strategy())
+    def test_split_roundtrip(self, p):
+        assert verify.split_roundtrip_deviation([p]) <= 1e-12
 
 
 class TestCoordinateChange:
@@ -210,21 +193,10 @@ class TestCoordinateChange:
     def test_two_form_pullback_splits(self, rng):
         # the change is not holomorphic, so the pullback uses the full real
         # Jacobian; the two-form splits into exactly (mu, 0, 2k / P^2)
-        for p in random_points(rng, 20, z_scale=1.2, w_radius=0.7):
-            eta, w = fc_inverse(p)
-
-            def fwd(x):
-                pt = fc_forward(complex(x[0], x[1]), complex(x[2], x[3]))
-                return np.array([pt.z.real, pt.z.imag, pt.w.real, pt.w.imag])
-
-            x0 = np.array([eta.real, eta.imag, w.real, w.imag])
-            jac = real_jacobian(fwd, x0)
-            pulled = pullback_real(hermitian_to_symplectic(metric(p, P1)), jac)
-            h_ee, h_ew, h_ww, defect = symplectic_to_hermitian(pulled)
-            assert abs(h_ew) <= 1e-10
-            assert defect <= 1e-10
-            assert h_ee == pytest.approx(P1.mu, abs=1e-8)
-            assert h_ww == pytest.approx(2 * P1.k / p.p**2, rel=1e-8)
+        cross, blocks = verify.split_coordinates_deviation(
+            random_points(rng, 20, z_scale=1.2, w_radius=0.7), P1)
+        assert cross <= 1e-10
+        assert blocks <= 1e-8
 
 
 class TestDiskGeodesicMap:

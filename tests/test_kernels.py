@@ -25,7 +25,9 @@ from jacobi_cs import (
     pn_polynomial,
 )
 from jacobi_cs.kernels import basis_at, basis_matrix, cross_F, two_k_prime
-from conftest import point_strategy, random_points
+from jacobi_cs import verify
+from jacobi_cs.verify import random_points
+from conftest import point_strategy
 
 P1 = ModelParams(1.0, 1.0)
 
@@ -345,13 +347,8 @@ class TestKernelSeries:
         # the shifted index k = k' + 1/4 is what makes the expansion match;
         # |w| <= 0.4 keeps the (40, 40) truncation tail below the tolerance
         pts = random_points(rng, 20, z_scale=1.0, w_radius=0.4)
-        trunc = TruncationOrder(40, 40)
-        for two_kp in (1, 2, 3, 4):
-            pr = ModelParams(two_kp / 2 + 0.25, 1.0)
-            for p1, p2 in zip(pts[:10], pts[10:]):
-                closed = jacobi_kernel(p1, p2, pr)
-                series = kernel_series(p1, p2, pr, trunc)
-                assert abs(series - closed) <= 1e-8 * abs(closed)
+        cases = [(ModelParams(two_kp / 2 + 0.25, 1.0), pts) for two_kp in (1, 2, 3, 4)]
+        assert verify.kernel_series_deviation(cases, TruncationOrder(40, 40)) <= 1e-8
 
     def test_unshifted_index_fails(self):
         # negative control: without the quarter shift the disk exponent

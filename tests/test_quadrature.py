@@ -27,7 +27,7 @@ from jacobi_cs.quadrature import (
     orthonormality_matrix_mc,
     weight_rho_at,
 )
-from conftest import random_elements, random_points
+from jacobi_cs.verify import random_elements, random_points
 
 PK = ModelParams(1.25, 1.0)
 
@@ -46,13 +46,11 @@ class TestDensities:
                         random_points(rng, 10, w_radius=0.5)):
             img, _ = jacobi_action(e, p, PK)
 
-            def mapped(x):
-                pt, _ = jacobi_action(
-                    e, make_jacobi_point(complex(x[0], x[1]), complex(x[2], x[3])), PK)
-                return np.array([pt.z.real, pt.z.imag, pt.w.real, pt.w.imag])
+            def mapped(z, w):
+                pt, _ = jacobi_action(e, make_jacobi_point(z, w), PK)
+                return pt.z, pt.w
 
-            x0 = np.array([p.z.real, p.z.imag, p.w.real, p.w.imag])
-            det = abs(np.linalg.det(real_jacobian(mapped, x0)))
+            det = abs(np.linalg.det(real_jacobian(mapped, p.z, p.w)))
             lhs = invariant_measure_density(img, PK.mu) * det
             rhs = invariant_measure_density(p, PK.mu)
             assert lhs == pytest.approx(rhs, rel=1e-6)
