@@ -235,11 +235,10 @@ def _closed_form_residual(path: geodesics.GeodesicPath, s0: GeodesicState,
     if reference is None:
         return None
     residual = 0.0
-    stride = max(1, len(path.samples) // 50)
-    for t, s in path.samples[::stride]:
+    stride = max(1, len(path) // 50)
+    for t, (z, w) in zip(path.t[::stride].tolist(), path.y[::stride, :2].tolist()):
         ref = reference(t)
-        residual = max(residual, abs(s.pos.z - ref.pos.z),
-                       abs(s.pos.w - ref.pos.w))
+        residual = max(residual, abs(z - ref.pos.z), abs(w - ref.pos.w))
     return residual
 
 
@@ -271,15 +270,14 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
         return EXIT_DOMAIN
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         path.write_csv(fh, speeds)
-    end = path.endpoint()
+    z, w = path.y[-1, :2].tolist()
     summary = {
-        "final": {"t": path.samples[-1][0],
-                  "z": [end.pos.z.real, end.pos.z.imag],
-                  "w": [end.pos.w.real, end.pos.w.imag]},
+        "final": {"t": path.t[-1].item(), "z": [z.real, z.imag], "w": [w.real, w.imag]},
         "length": path.length(speeds),
         "energy_drift": float(np.max(np.abs(speeds - speeds[0]))),
         "closed_form_residual": _closed_form_residual(path, state, params),
         "csv": args.out,
+        "min_p": float(np.min(p_at(path.y[:, 1]))),
     }
     print(json.dumps(summary))
     return EXIT_OK

@@ -158,10 +158,9 @@ def distance_angle_inequality_check(zeta1: JacobiPoint, zeta2: JacobiPoint,
     dominates the projective angle; the path must actually connect the two
     points (endpoints within 1e-6).
     """
-    start = path.samples[0][1].pos
-    end = path.samples[-1][1].pos
-    if (abs(start.z - zeta1.z) > 1e-6 or abs(start.w - zeta1.w) > 1e-6
-            or abs(end.z - zeta2.z) > 1e-6 or abs(end.w - zeta2.w) > 1e-6):
+    (z1, w1), (z2, w2) = path.y[[0, -1], :2].tolist()
+    if (abs(z1 - zeta1.z) > 1e-6 or abs(w1 - zeta1.w) > 1e-6
+            or abs(z2 - zeta2.z) > 1e-6 or abs(w2 - zeta2.w) > 1e-6):
         raise EndpointMismatch("path endpoints do not match the given points")
     length = curve_length(path, params)
     angle = cs_angle(zeta1, zeta2, params)

@@ -24,6 +24,7 @@ corrupt those conservation tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import IO
@@ -39,6 +40,7 @@ from .core import (
     NonFinite,
     TangentVector,
     ZeroDirection,
+    check_points,
     eta_at,
     make_jacobi_point,
     p_at,
@@ -67,20 +69,30 @@ class GeodesicState:
 
 @dataclass
 class GeodesicPath:
-    """Samples (t, state) with strictly increasing parameter values."""
+    """Samples of a path as columns, at strictly increasing parameter values.
 
-    samples: list[tuple[float, GeodesicState]]
+    ``t`` is a float array of shape (n,) and ``y`` a complex array of shape
+    (n, 4) whose columns are z, w, dz and dw.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        ts = [t for t, _ in self.samples]
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+        self.t = np.asarray(self.t, dtype=float)
+        self.y = np.ascontiguousarray(self.y, dtype=complex)
+        if self.t.ndim != 1 or self.y.shape != (len(self.t), 4):
+            raise ValueError(f"need t of shape (n,) and y of shape (n, 4), "
+                             f"got {self.t.shape} and {self.y.shape}")
+        if not (np.diff(self.t) > 0.0).all():
             raise ValueError("sample parameters must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
 
     def endpoint(self) -> GeodesicState:
-        return self.samples[-1][1]
+        z, w, dz, dw = self.y[-1].tolist()
+        return GeodesicState(make_jacobi_point(z, w), TangentVector(dz, dw))
 
     def speeds(self, params: ModelParams) -> np.ndarray:
         """Metric speed at every sample, in one array pass of :func:`speed_at`.
@@ -90,8 +102,7 @@ class GeodesicPath:
         at mu = 0); a metric that is not finite gives a speed that is not
         finite.
         """
-        z, w, dz, dw = np.array([(s.pos.z, s.pos.w, s.vel.dz, s.vel.dw)
-                                 for _, s in self.samples], dtype=complex).reshape(-1, 4).T
+        z, w, dz, dw = self.y.T
         with np.errstate(all="ignore"):
             return speed_at(z, w, p_at(w), dz, dw, params)
 
@@ -99,19 +110,19 @@ class GeodesicPath:
         """Trapezoidal length of the path from the speed at each sample."""
         if len(self) < 2:
             raise ValueError("a path needs at least two samples")
-        t = np.array([t for t, _ in self.samples])
-        terms = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(t)
+        terms = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(self.t)
         # summed in sample order: np.cumsum adds sequentially, np.sum pairwise
         return float(np.cumsum(terms)[-1])
 
     def write_csv(self, stream: IO[str], speeds: np.ndarray) -> None:
         """Write the samples and their ``speeds`` as CSV rows with CRLF line ends."""
         stream.write("t,re_z,im_z,re_w,im_w,re_dz,im_dz,re_dw,im_dw,speed\r\n")
-        for (t, s), speed in zip(self.samples, speeds.tolist()):
-            z, w, dz, dw = s.pos.z, s.pos.w, s.vel.dz, s.vel.dw
-            stream.write(",".join(map(repr, (t, z.real, z.imag, w.real, w.imag,
-                                             dz.real, dz.imag, dw.real, dw.imag,
-                                             speed))) + "\r\n")
+        table = np.empty((len(self), 10))
+        table[:, 0] = self.t
+        table[:, 1:9] = self.y.view(float)
+        table[:, 9] = speeds
+        for row in table.tolist():
+            stream.write(",".join(map(repr, row)) + "\r\n")
 
 
 def christoffel_at(z, w, p, params: ModelParams):
@@ -162,17 +173,9 @@ def christoffel_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:
     )
 
 
-def _stage_acceleration(z: complex, w: complex, dz: complex, dw: complex,
-                        params: ModelParams, t: float) -> tuple[complex, complex]:
-    """:func:`acceleration_at` at an RK4 stage, guarding the disk (hot loop)."""
-    p = p_at(w)
-    if p <= EPS_BOUND or abs(w) >= 1.0 - EPS_BOUND:
-        raise BoundaryEscape(t)
-    return acceleration_at(z, w, p, dz, dw, params)
-
-
-# A path keeps every sample, about 512 B each, so 10^6 steps hold about
-# 0.5 GB; longer runs are refused before integrating.
+# A path holds t and four complex columns, 72 B per sample.  Building it
+# peaks at 274 B per sample (tracemalloc, 10^5 steps), so 10^6 steps need
+# about 0.3 GB and keep 72 MB; longer runs are refused before integrating.
 MAX_GEODESIC_STEPS = 1_000_000
 
 
@@ -201,39 +204,52 @@ def integrate(s0: GeodesicState, t_end: float, n_steps: int,
     """Classical fixed-step Runge-Kutta integration of the geodesic system.
 
     Aborts with BoundaryEscape (carrying the offending parameter value) if
-    any stage evaluation leaves the guarded disk.
+    any stage evaluation or accepted step leaves the guarded disk, and with
+    NonFinite if a step's velocity is not finite.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h = t_end / n_steps
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    edge = 1.0 - EPS_BOUND
+    isfinite = cmath.isfinite
+    t = 0.0
+
+    def accel(z, w, dz, dw):
+        # acceleration_at at one stage, guarding the disk; P as in p_at
+        p = 1.0 - (w.real * w.real + w.imag * w.imag)
+        if p <= EPS_BOUND or abs(w) >= edge:
+            raise BoundaryEscape(t)
+        return acceleration_at(z, w, p, dz, dw, params)
+
     z, w = s0.pos.z, s0.pos.w
     dz, dw = s0.vel.dz, s0.vel.dw
-    samples = [(0.0, s0)]
-    t = 0.0
+    ts, ys = [t], [z, w, dz, dw]
     for _ in range(n_steps):
-        # y = (z, w, dz, dw); stages k1..k4 of y' = (dz, dw, accel)
-        a1 = _stage_acceleration(z, w, dz, dw, params, t)
-        k1 = (dz, dw, a1[0], a1[1])
-        a2 = _stage_acceleration(z + 0.5 * h * k1[0], w + 0.5 * h * k1[1],
-                                 dz + 0.5 * h * k1[2], dw + 0.5 * h * k1[3], params, t)
-        k2 = (dz + 0.5 * h * k1[2], dw + 0.5 * h * k1[3], a2[0], a2[1])
-        a3 = _stage_acceleration(z + 0.5 * h * k2[0], w + 0.5 * h * k2[1],
-                                 dz + 0.5 * h * k2[2], dw + 0.5 * h * k2[3], params, t)
-        k3 = (dz + 0.5 * h * k2[2], dw + 0.5 * h * k2[3], a3[0], a3[1])
-        a4 = _stage_acceleration(z + h * k3[0], w + h * k3[1],
-                                 dz + h * k3[2], dw + h * k3[3], params, t)
-        k4 = (dz + h * k3[2], dw + h * k3[3], a4[0], a4[1])
-        z += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        w += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        dz += h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        dw += h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        # stage i evaluates y' = (dz_i, dw_i, accel) of y = (z, w, dz, dw)
+        az1, aw1 = accel(z, w, dz, dw)
+        dz2, dw2 = dz + half_h * az1, dw + half_h * aw1
+        az2, aw2 = accel(z + half_h * dz, w + half_h * dw, dz2, dw2)
+        dz3, dw3 = dz + half_h * az2, dw + half_h * aw2
+        az3, aw3 = accel(z + half_h * dz2, w + half_h * dw2, dz3, dw3)
+        dz4, dw4 = dz + h * az3, dw + h * aw3
+        az4, aw4 = accel(z + h * dz3, w + h * dw3, dz4, dw4)
+        z += sixth_h * (dz + 2.0 * dz2 + 2.0 * dz3 + dz4)
+        w += sixth_h * (dw + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        dz += sixth_h * (az1 + 2.0 * az2 + 2.0 * az3 + az4)
+        dw += sixth_h * (aw1 + 2.0 * aw2 + 2.0 * aw3 + aw4)
         t += h
-        try:
-            pos = make_jacobi_point(z, w)
-        except (BoundaryViolation, NonFinite) as exc:
-            raise BoundaryEscape(t, f"step left the disk at t={t:.6g}") from exc
-        samples.append((t, GeodesicState(pos, TangentVector(dz, dw))))
-    return GeodesicPath(samples)
+        if not (isfinite(z) and isfinite(w) and abs(w) < edge
+                and isfinite(dz) and isfinite(dw)):
+            # the validated constructors name the fault
+            try:
+                make_jacobi_point(z, w)
+            except (BoundaryViolation, NonFinite) as exc:
+                raise BoundaryEscape(t, f"step left the disk at t={t:.6g}") from exc
+            TangentVector(dz, dw)
+        ts.append(t)
+        ys += (z, w, dz, dw)
+    return GeodesicPath(np.array(ts), np.array(ys, dtype=complex).reshape(-1, 4))
 
 
 def fc_particular_solution(eta0: complex, b: complex, t: float) -> GeodesicState:
@@ -286,9 +302,8 @@ def interpolation_path(zeta1: JacobiPoint, zeta2: JacobiPoint,
     if n_samples < 2:
         raise ValueError("need at least two samples")
     vel = TangentVector(zeta2.z - zeta1.z, zeta2.w - zeta1.w)
-    samples = []
-    for i in range(n_samples):
-        t = i / (n_samples - 1)
-        pos = make_jacobi_point(zeta1.z + t * vel.dz, zeta1.w + t * vel.dw)
-        samples.append((t, GeodesicState(pos, vel)))
-    return GeodesicPath(samples)
+    t = [i / (n_samples - 1) for i in range(n_samples)]
+    y = np.array([(zeta1.z + ti * vel.dz, zeta1.w + ti * vel.dw, vel.dz, vel.dw)
+                  for ti in t])
+    check_points(y[:, 0], y[:, 1])
+    return GeodesicPath(np.array(t), y)

@@ -189,9 +189,9 @@ def flat_limit_deviation(starts, flat: ModelParams, t_end: float, n_steps: int,
     for z0dot, z1, b in starts:
         path = geodesics.integrate(geodesics.mu_zero_solution(z0dot, z1, b, 0.0),
                                    t_end, n_steps, flat)
-        for t, s in path.samples[::stride]:
+        for t, (z, w) in zip(path.t[::stride].tolist(), path.y[::stride, :2].tolist()):
             ref = geodesics.mu_zero_solution(z0dot, z1, b, t)
-            dev = max(dev, abs(s.pos.z - ref.pos.z), abs(s.pos.w - ref.pos.w))
+            dev = max(dev, abs(z - ref.pos.z), abs(w - ref.pos.w))
     return dev
 
 
@@ -225,9 +225,10 @@ def action_covariance_deviation(element: group.JacobiGroupElement,
         group.action_pushforward(element, start.pos, start.vel))
     mapped_path = geodesics.integrate(mapped_start, t_end, n_steps, params)
     dev = 0.0
-    for (_, s), (_, sm) in zip(path.samples[::stride], mapped_path.samples[::stride]):
-        img, _ = group.jacobi_action(element, s.pos, params)
-        dev = max(dev, abs(img.z - sm.pos.z), abs(img.w - sm.pos.w))
+    for (z, w), (zm, wm) in zip(path.y[::stride, :2].tolist(),
+                                mapped_path.y[::stride, :2].tolist()):
+        img, _ = group.jacobi_action(element, JacobiPoint(z, w), params)
+        dev = max(dev, abs(img.z - zm), abs(img.w - wm))
     return dev
 
 

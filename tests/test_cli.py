@@ -1,9 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi_cs import cli
 from jacobi_cs.cli import MAX_GEODESIC_STEPS, main, parse_complex, parse_range
@@ -272,6 +277,43 @@ class TestGeodesic:
         assert "boundary" in out or "escape" in out
         assert err
 
+    @pytest.mark.parametrize("argv, t, message", [
+        # a Runge-Kutta stage leaves the disk
+        (("--w", "0.9", "--dw", "2.0", "--mu", "0", "--t-end", "2"),
+         0.8770000000000007, "trajectory left the disk at t=0.877"),
+        # every stage stays inside, the accepted third step does not
+        (("--w", "0.7", "--dw", "0.8,-0.8", "--t-end", "1.2", "--steps", "3"),
+         0.39999999999999997, "step left the disk at t=0.4"),
+    ])
+    def test_boundary_escape_pinned(self, capsys, tmp_path, argv, t, message):
+        code, out, err = run(capsys, "geodesic", *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert out == json.dumps({"error": "boundary escape", "t": t}) + "\n"
+        assert err == f"error: {message}\n"
+
+    def test_velocity_overflow_exits_2(self, capsys, tmp_path):
+        # four d2w stages of about -8.5e307 sum to -inf in one tiny step
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "geodesic", "--dz", "1.3e154", "--t-end", "1e-300",
+                             "--steps", "1", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == "error: dw must be finite, got (-inf+nanj)\n"
+        assert not out_file.exists()
+
+    def test_summary_min_p(self, capsys, tmp_path):
+        out_file = tmp_path / "p.csv"
+        code, out, _ = run(capsys, "geodesic", "--z=0.3,-0.2", "--w=0.1,0.2",
+                           "--dz=0.4,0.1", "--dw=-0.2,0.3", "--t-end", "1",
+                           "--steps", "20", "--out", str(out_file))
+        assert code == 0
+        summary = json.loads(out)
+        assert list(summary) == ["final", "length", "energy_drift",
+                                 "closed_form_residual", "csv", "min_p"]
+        rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+        p = [1.0 - (float(r[3]) * float(r[3]) + float(r[4]) * float(r[4])) for r in rows]
+        assert summary["min_p"] == min(p)
+        assert 0.0 < summary["min_p"] < p[0]   # this path moves outward
+
 
 class TestVerifyCommand:
     def test_geometry_suite_passes(self, capsys):
@@ -432,3 +474,59 @@ class TestConfig:
         code, _, err = run(capsys, "eval", "potential", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# finite, huge, and not finite; negative values are often passed without "="
+_REAL = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(1e150, 1.7e308).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_VALUE = st.one_of(_REAL.map(repr),
+                   st.tuples(_REAL, _REAL).map(lambda v: f"{v[0]!r},{v[1]!r}"))
+
+
+def _flags(names):
+    """Strategy for argv pieces setting a subset of ``names`` to fuzzed values."""
+    def pieces(values, joined):
+        argv = []
+        for name, value, join in zip(names, values, joined):
+            if value is not None:
+                argv += [f"{name}={value}"] if join else [name, value]
+        return argv
+    n = len(names)
+    return st.builds(pieces, st.lists(st.none() | _VALUE, min_size=n, max_size=n),
+                     st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+class TestFuzz:
+    """Any input exits 0, 2 or 3 with strict JSON on stdout and no traceback."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:     # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0 or out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    @settings(max_examples=150, deadline=None)
+    @given(quantity=st.sampled_from(cli._EVAL_QUANTITIES),
+           flags=_flags(["--z", "--w", "--z2", "--w2", "--k", "--mu"]))
+    def test_eval(self, quantity, flags):
+        self.check(["eval", quantity, *flags])
+
+    @settings(max_examples=150, deadline=None)
+    @given(flags=_flags(["--z", "--w", "--dz", "--dw", "--t-end", "--k", "--mu"]),
+           steps=st.integers(1, 50))
+    def test_short_geodesic(self, flags, steps):
+        self.check(["geodesic", *flags, "--steps", str(steps), "--out", os.devnull])

@@ -1,6 +1,7 @@
 import cmath
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from jacobi_cs import (
     BoundaryEscape,
+    BoundaryViolation,
     GeodesicPath,
     GeodesicState,
     ModelParams,
+    NonFinite,
     TangentVector,
     ZeroDirection,
     christoffel,
@@ -109,8 +112,8 @@ class TestIntegrate:
     def test_pure_disk_start_matches_map_for_any_mu(self):
         start = GeodesicState(make_jacobi_point(0, 0), TangentVector(0.0, 0.9))
         path = integrate(start, 2.0, 2000, P1)
-        worst = max(abs(s.pos.w - disk_geodesic_map(0.9, t))
-                    for t, s in path.samples[::100])
+        worst = max(abs(w - disk_geodesic_map(0.9, t))
+                    for t, w in zip(path.t[::100].tolist(), path.y[::100, 1].tolist()))
         assert worst <= 1e-8
 
     @settings(max_examples=40, deadline=None)
@@ -133,6 +136,53 @@ class TestIntegrate:
         with pytest.raises(BoundaryEscape) as err:
             integrate(s0, 2.0, 2000, ModelParams(1.0, 0.0))
         assert 0.0 < err.value.t <= 2.0
+        # a stage leaves the disk: the escape carries the start of that step
+        assert err.value.t == 0.8770000000000007
+        assert str(err.value) == "trajectory left the disk at t=0.877"
+        assert err.value.__cause__ is None
+
+    def test_step_leaving_disk_escapes(self):
+        # every stage stays inside, the accepted third step does not; t is
+        # the sum of three steps of 0.4, not 3 * 0.4
+        s0 = GeodesicState(make_jacobi_point(0.0, 0.7), TangentVector(0.0, 0.8 - 0.8j))
+        with pytest.raises(BoundaryEscape) as err:
+            integrate(s0, 1.2, 3, P1)
+        assert err.value.t == 0.39999999999999997
+        assert str(err.value) == "step left the disk at t=0.4"
+        assert isinstance(err.value.__cause__, BoundaryViolation)
+
+    def test_step_to_non_finite_position_escapes(self):
+        # mu = 0 times an overflowed C^2 makes z NaN while w stays inside
+        s0 = GeodesicState(make_jacobi_point(0.0, 0.5), TangentVector(1e200, 0.1))
+        with pytest.raises(BoundaryEscape) as err:
+            integrate(s0, 0.1, 10, ModelParams(1.0, 0.0))
+        assert err.value.t == 0.01
+        assert str(err.value) == "step left the disk at t=0.01"
+        assert isinstance(err.value.__cause__, NonFinite)
+
+    def test_velocity_overflow_is_non_finite(self):
+        # the four d2w stages of about -8.5e307 sum past the largest float
+        s0 = GeodesicState(make_jacobi_point(0.0, 0.0), TangentVector(1.3e154, 0.0))
+        with pytest.raises(NonFinite, match=r"^dw must be finite, got \(-inf\+nanj\)$"):
+            integrate(s0, 1e-300, 1, P1)
+
+    def test_path_memory_per_sample(self):
+        # 16 B for each of z, w, dz, dw and 8 B for t; while the columns are
+        # built every sample is also a Python float and four complex objects.
+        # tracemalloc makes the run about 20x slower, so 10^4 steps stand in
+        # for 10^5: per sample they hold 72.3 B (72.0 B) and peak at 276 B (274 B)
+        s0 = GeodesicState(make_jacobi_point(0.3 - 0.2j, 0.1 + 0.2j),
+                           TangentVector(0.4 + 0.1j, -0.2 + 0.3j))
+        n_steps = 10_000
+        tracemalloc.start()
+        try:
+            path = integrate(s0, 2.0, n_steps, P1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(path) == n_steps + 1
+        assert held / len(path) <= 96
+        assert peak / len(path) <= 400
 
     def test_action_covariance(self, rng):
         e = random_elements(rng, 1)[0]
@@ -221,22 +271,21 @@ class TestPathsAndLength:
         s0 = GeodesicState(make_jacobi_point(0.1, 0.05j), TangentVector(0.4, 0.2))
         path = integrate(s0, 1.0, 1000, P1)
         speeds = path.speeds(P1)
-        t, v = [t for t, _ in path.samples], speeds.tolist()
+        t, v = path.t.tolist(), speeds.tolist()
         total = 0.0
         for t1, t2, v1, v2 in zip(t, t[1:], v, v[1:]):
             total += 0.5 * (v1 + v2) * (t2 - t1)
         assert path.length(speeds) == total == curve_length(path, P1)
 
     def test_path_requires_increasing_t(self):
-        s = GeodesicState(make_jacobi_point(0, 0), TangentVector(0, 0))
         with pytest.raises(ValueError):
-            GeodesicPath([(0.0, s), (0.0, s)])
+            GeodesicPath(np.array([0.0, 0.0]), np.zeros((2, 4), dtype=complex))
 
     def test_interpolation_path_endpoints(self):
         p1 = make_jacobi_point(0.2, 0.1)
         p2 = make_jacobi_point(-0.5j, -0.3j)
         path = interpolation_path(p1, p2, 100)
-        assert path.samples[0][1].pos == p1
+        assert path.y[0, :2].tolist() == [p1.z, p1.w]
         assert abs(path.endpoint().pos.z - p2.z) <= 1e-15
 
     def test_csv_export(self):
