@@ -28,8 +28,6 @@ from .kernels import (
     BasisIndex,
     TruncationOrder,
     basis_function,
-    berezin_kernel,
-    diastasis,
     diastasis_split,
     disk_kernel,
     heisenberg_kernel,
@@ -37,21 +35,13 @@ from .kernels import (
     kahler_potential,
     kernel_series,
     normalized_kernel,
-    pn_polynomial,
 )
 from .geometry import (
-    RicciTensor2,
     WirtingerStencil,
     kahler_condition_check,
     metric,
-    metric_det,
     metric_fd,
-    ricci,
     ricci_fd,
-    scalar_curvature,
-    tangent_norm,
-    tilde_metric,
-    volume_density,
 )
 from .group import (
     JacobiGroupElement,
@@ -60,12 +50,10 @@ from .group import (
     disk_geodesic_map,
     fc_forward,
     fc_inverse,
-    heisenberg_phase,
     jacobi_action,
     mobius,
 )
 from .geodesics import (
-    ChristoffelSet,
     GeodesicPath,
     GeodesicState,
     christoffel,
@@ -97,10 +85,7 @@ from .quadrature import (
     McConfig,
     McEstimate,
     inner_product_mc,
-    invariant_measure_density,
-    parseval_check,
     sample_point,
-    weight_rho,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ variable) provides defaults that individual flags override.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -35,7 +34,7 @@ from .core import (
     p_at,
     require_finite,
 )
-from .geodesics import MAX_GEODESIC_STEPS, GeodesicState
+from .geodesics import CHRISTOFFEL_KEYS, MAX_GEODESIC_STEPS, GeodesicState
 from .verify import SUITE_NAMES, VerifyConfig, run_suites
 
 EXIT_OK = 0
@@ -125,7 +124,6 @@ def _settings(args: argparse.Namespace) -> dict:
 _EVAL_QUANTITIES = ("kernel", "potential", "metric", "ricci",
                     "scalar-curvature", "diastasis", "berezin",
                     "christoffel", "volume", "eta")
-_CHRISTOFFEL_KEYS = tuple(f.name for f in dataclasses.fields(geodesics.ChristoffelSet))
 _TABLE_CHUNK_ROWS = 8192
 
 
@@ -156,7 +154,7 @@ def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
         check_metric(*h)
         return {"value": geometry.scalar_curvature_at(*h, geometry.ricci_at(p)[2])}
     if quantity == "christoffel":
-        return dict(zip(_CHRISTOFFEL_KEYS, geodesics.christoffel_at(z, w, p, params)))
+        return dict(zip(CHRISTOFFEL_KEYS, geodesics.christoffel_at(z, w, p, params)))
     if quantity == "volume":
         return {"value": geometry.volume_density_at(p, params)}
     if quantity == "eta":

@@ -68,10 +68,10 @@ def require_finite(value: complex, name: str = "value") -> complex:
     return value
 
 
-def check_disk(w: complex, eps_bound: float = EPS_BOUND) -> complex:
-    """Validate a disk coordinate: finite and |w| < 1 - eps_bound."""
+def check_disk(w: complex) -> complex:
+    """Validate a disk coordinate: finite and |w| < 1 - EPS_BOUND."""
     require_finite(w, "w")
-    if abs(w) >= 1.0 - eps_bound:
+    if abs(w) >= 1.0 - EPS_BOUND:
         raise BoundaryViolation(f"|w|={abs(w):.12g} is not inside the open disk")
     return w
 
@@ -94,16 +94,9 @@ class JacobiPoint:
         object.__setattr__(self, "p", p_at(self.w))
 
 
-def make_jacobi_point(z: complex, w: complex, eps_bound: float = EPS_BOUND) -> JacobiPoint:
-    """Validated constructor for a point of the Siegel-Jacobi disk.
-
-    The point validates itself against ``EPS_BOUND``; a wider
-    ``eps_bound`` adds one disk check, a narrower one is already implied.
-    """
-    point = JacobiPoint(complex(z), complex(w))
-    if eps_bound > EPS_BOUND:
-        check_disk(point.w, eps_bound)
-    return point
+def make_jacobi_point(z: complex, w: complex) -> JacobiPoint:
+    """Validated constructor for a point of the Siegel-Jacobi disk."""
+    return JacobiPoint(complex(z), complex(w))
 
 
 def check_points(z, w) -> None:

@@ -139,20 +139,9 @@ def fubini_study_pullback_check(zeta: JacobiPoint, params: ModelParams,
     return max(abs(d_zz - h.h_zz), abs(d_zw - h.h_zw), abs(d_ww - h.h_ww))
 
 
-@dataclass(frozen=True)
-class AngleBoundReport:
-    """Curve length versus projective angle between its endpoints."""
-
-    length: float
-    angle: float
-    margin: float
-    passed: bool
-
-
 def distance_angle_inequality_check(zeta1: JacobiPoint, zeta2: JacobiPoint,
-                                    params: ModelParams, path: GeodesicPath,
-                                    slack: float = 1e-9) -> AngleBoundReport:
-    """Check curve_length(path) >= cs_angle(zeta1, zeta2) - slack.
+                                    params: ModelParams, path: GeodesicPath) -> float:
+    """Margin curve_length(path) - cs_angle(zeta1, zeta2), nonnegative in exact arithmetic.
 
     Any admissible curve upper-bounds the metric distance, which in turn
     dominates the projective angle; the path must actually connect the two
@@ -162,8 +151,4 @@ def distance_angle_inequality_check(zeta1: JacobiPoint, zeta2: JacobiPoint,
     if (abs(z1 - zeta1.z) > 1e-6 or abs(w1 - zeta1.w) > 1e-6
             or abs(z2 - zeta2.z) > 1e-6 or abs(w2 - zeta2.w) > 1e-6):
         raise EndpointMismatch("path endpoints do not match the given points")
-    length = curve_length(path, params)
-    angle = cs_angle(zeta1, zeta2, params)
-    margin = length - angle
-    return AngleBoundReport(length=length, angle=angle, margin=margin,
-                            passed=margin >= -slack)
+    return curve_length(path, params) - cs_angle(zeta1, zeta2, params)

@@ -49,16 +49,9 @@ from .geometry import speed_at
 from .group import disk_geodesic_map
 
 
-@dataclass(frozen=True)
-class ChristoffelSet:
-    """The six nonzero connection coefficients at a point."""
-
-    g_zzz: complex
-    g_wzz: complex
-    g_zzw: complex
-    g_wwz: complex
-    g_zww: complex
-    g_www: complex
+# Names of the six nonzero connection coefficients G^a_(bc), as g_abc, in
+# the order christoffel_at returns them.
+CHRISTOFFEL_KEYS = ("g_zzz", "g_wzz", "g_zzw", "g_wwz", "g_zww", "g_www")
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,7 @@ class GeodesicPath:
 def christoffel_at(z, w, p, params: ModelParams):
     """Closed-form connection coefficients on coordinates (numbers or arrays).
 
-    ``p`` is P = p_at(w).  Returned in :class:`ChristoffelSet` field order;
+    ``p`` is P = p_at(w).  Returned in :data:`CHRISTOFFEL_KEYS` order;
     g_wzz = lam is constant.
     """
     lam = params.mu / (2.0 * params.k)
@@ -138,9 +131,9 @@ def christoffel_at(z, w, p, params: ModelParams):
             lam * etab, -lam * etab**3, lam * etab**2 + 2.0 * wb_over_p)
 
 
-def christoffel(zeta: JacobiPoint, params: ModelParams) -> ChristoffelSet:
-    """Closed-form connection coefficients at a point."""
-    return ChristoffelSet(*christoffel_at(zeta.z, zeta.w, zeta.p, params))
+def christoffel(zeta: JacobiPoint, params: ModelParams) -> tuple[complex, ...]:
+    """Closed-form connection coefficients at a point, in CHRISTOFFEL_KEYS order."""
+    return christoffel_at(zeta.z, zeta.w, zeta.p, params)
 
 
 def acceleration_at(z, w, p, dz, dw, params: ModelParams):
@@ -165,11 +158,11 @@ def geodesic_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:
 
 def christoffel_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:
     """Same accelerations through the connection contraction -G(v, v)."""
-    g = christoffel(state.pos, params)
+    g_zzz, g_wzz, g_zzw, g_wwz, g_zww, g_www = christoffel(state.pos, params)
     dz, dw = state.vel.dz, state.vel.dw
     return TangentVector(
-        dz=-(g.g_zzz * dz * dz + 2.0 * g.g_zzw * dz * dw + g.g_zww * dw * dw),
-        dw=-(g.g_wzz * dz * dz + 2.0 * g.g_wwz * dz * dw + g.g_www * dw * dw),
+        dz=-(g_zzz * dz * dz + 2.0 * g_zzw * dz * dw + g_zww * dw * dw),
+        dw=-(g_wzz * dz * dz + 2.0 * g_wwz * dz * dw + g_www * dw * dw),
     )
 
 
@@ -205,7 +198,7 @@ def integrate(s0: GeodesicState, t_end: float, n_steps: int,
 
     Aborts with BoundaryEscape (carrying the offending parameter value) if
     any stage evaluation or accepted step leaves the guarded disk, and with
-    NonFinite if a step's velocity is not finite.
+    OverflowError naming that value if a step's velocity is not finite.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -241,12 +234,12 @@ def integrate(s0: GeodesicState, t_end: float, n_steps: int,
         t += h
         if not (isfinite(z) and isfinite(w) and abs(w) < edge
                 and isfinite(dz) and isfinite(dw)):
-            # the validated constructors name the fault
+            # the validated constructor names a fault of the position
             try:
                 make_jacobi_point(z, w)
             except (BoundaryViolation, NonFinite) as exc:
                 raise BoundaryEscape(t, f"step left the disk at t={t:.6g}") from exc
-            TangentVector(dz, dw)
+            raise OverflowError(f"velocity overflowed at t={t:.6g}")
         ts.append(t)
         ys += (z, w, dz, dw)
     return GeodesicPath(np.array(ts), np.array(ys, dtype=complex).reshape(-1, 4))

@@ -6,8 +6,8 @@ potential f = ln K(zeta, zeta):
     h_zz = mu / P,   h_zw = mu eta / P,   h_ww = mu |eta|^2 / P + 2k / P^2,
 
 with P = 1 - w conj(w) and eta = (z + conj(z) w) / P.  Everything else
-(determinant, Ricci, scalar curvature, the shifted positive form, the
-volume density) is closed-form on top of these.
+(determinant, Ricci, scalar curvature, the volume density) is
+closed-form on top of these.
 
 The numerical oracle is a real 4-point central-difference stencil combined
 into Wirtinger derivatives,
@@ -33,21 +33,15 @@ from .core import (
     HermitianMetric2,
     JacobiPoint,
     ModelParams,
-    TangentVector,
     check_metric,
     eta_at,
     hermitian_det,
 )
 from .kernels import kahler_potential
 
-
-@dataclass(frozen=True)
-class RicciTensor2:
-    """Ricci coefficients; diagonal entries are real by hermiticity."""
-
-    r_zz: float
-    r_zw: complex
-    r_ww: float
+# Step of real_jacobian, and the smallest step resolve_step halves down to.
+JACOBIAN_STEP = 1e-5
+MIN_STENCIL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -87,53 +81,16 @@ def scalar_curvature_at(h_zz, h_zw, h_ww, r_ww):
 
 
 def volume_density_at(p, params: ModelParams):
-    """Volume density 4 k mu / P^3 from P."""
+    """Volume density 4 k mu / P^3 from P, against dRe(z) dIm(z) dRe(w) dIm(w).
+
+    That is twice det h: the Jacobian from complex differentials to real ones.
+    """
     return 4.0 * params.k * params.mu / p**3
 
 
 def metric(zeta: JacobiPoint, params: ModelParams) -> HermitianMetric2:
     """Closed-form metric coefficients at a point."""
     return HermitianMetric2(*metric_at(zeta.z, zeta.w, zeta.p, params))
-
-
-def metric_det(zeta: JacobiPoint, params: ModelParams) -> float:
-    """Determinant of the 2x2 coefficient matrix (equals 2 k mu / P^3)."""
-    return metric(zeta, params).det()
-
-
-def ricci(zeta: JacobiPoint, params: ModelParams) -> RicciTensor2:
-    """Ricci coefficients: only the pure-w entry survives, -3 / P^2."""
-    return RicciTensor2(*ricci_at(zeta.p))
-
-
-def scalar_curvature(zeta: JacobiPoint, params: ModelParams) -> float:
-    """Trace of (inverse metric) * Ricci; constant -3/(2k) over the space.
-
-    Raises where the metric is not finite and positive definite.
-    """
-    h = metric(zeta, params)
-    return scalar_curvature_at(h.h_zz, h.h_zw, h.h_ww, ricci(zeta, params).r_ww)
-
-
-def tilde_metric(zeta: JacobiPoint, params: ModelParams) -> HermitianMetric2:
-    """Coefficients of the shifted positive form 3 h - Ric (complex dim 2)."""
-    h = metric(zeta, params)
-    r = ricci(zeta, params)
-    return HermitianMetric2(
-        h_zz=3.0 * h.h_zz - r.r_zz,
-        h_zw=3.0 * h.h_zw - r.r_zw,
-        h_ww=3.0 * h.h_ww - r.r_ww,
-    )
-
-
-def volume_density(zeta: JacobiPoint, params: ModelParams) -> float:
-    """Density 4 k mu / P^3 of the volume form against dRe(z) dIm(z) dRe(w) dIm(w).
-
-    The factor 4 relative to the coefficient determinant is the Jacobian of
-    passing from the wedge of complex differentials to real coordinates;
-    the ratio to :func:`metric_det` is exactly 2.
-    """
-    return volume_density_at(zeta.p, params)
 
 
 def speed_at(z, w, p, dz, dw, params: ModelParams):
@@ -158,11 +115,6 @@ def speed_at(z, w, p, dz, dw, params: ModelParams):
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def tangent_norm(zeta: JacobiPoint, v: TangentVector, params: ModelParams) -> float:
-    """Length of a tangent vector in the metric at zeta."""
-    return float(speed_at(zeta.z, zeta.w, zeta.p, v.dz, v.dw, params))
-
-
 # ---------------------------------------------------------------------------
 # Real <-> hermitian packaging for pullback checks
 # ---------------------------------------------------------------------------
@@ -178,25 +130,6 @@ def hermitian_to_real(h: HermitianMetric2) -> np.ndarray:
     g[0, 3] = g[3, 0] = ci
     g[1, 2] = g[2, 1] = -ci
     return g
-
-
-def real_to_hermitian(g: np.ndarray) -> tuple[float, complex, float, float]:
-    """Recover (h_zz, h_zw, h_ww, defect) from a real 4x4 Gram matrix.
-
-    ``defect`` is the largest violation of the symmetries a hermitian form
-    imposes on the real matrix; it vanishes exactly when the form carries
-    no dz dz / dw dw type terms.
-    """
-    h_zz = 0.5 * (g[0, 0] + g[1, 1])
-    h_ww = 0.5 * (g[2, 2] + g[3, 3])
-    cr = 0.5 * (g[0, 2] + g[1, 3])
-    ci = 0.5 * (g[0, 3] - g[1, 2])
-    defect = max(
-        abs(g[0, 0] - g[1, 1]), abs(g[2, 2] - g[3, 3]),
-        abs(g[0, 2] - g[1, 3]), abs(g[0, 3] + g[1, 2]),
-        abs(g[0, 1]), abs(g[2, 3]),
-    )
-    return h_zz, complex(cr, ci), h_ww, defect
 
 
 def hermitian_to_symplectic(h: HermitianMetric2) -> np.ndarray:
@@ -232,7 +165,7 @@ def symplectic_to_hermitian(omega: np.ndarray) -> tuple[float, complex, float, f
 
 
 def real_jacobian(map_fn: Callable[[complex, complex], tuple[complex, complex]],
-                  a: complex, b: complex, step: float = 1e-5) -> np.ndarray:
+                  a: complex, b: complex) -> np.ndarray:
     """Central-difference real Jacobian at (a, b) of a map of two complex coordinates.
 
     Rows and columns are ordered (Re a, Im a, Re b, Im b).
@@ -245,9 +178,9 @@ def real_jacobian(map_fn: Callable[[complex, complex], tuple[complex, complex]],
     jac = np.zeros((4, 4))
     for j in range(4):
         xp, xm = x0.copy(), x0.copy()
-        xp[j] += step
-        xm[j] -= step
-        jac[:, j] = (real_map(xp) - real_map(xm)) / (2.0 * step)
+        xp[j] += JACOBIAN_STEP
+        xm[j] -= JACOBIAN_STEP
+        jac[:, j] = (real_map(xp) - real_map(xm)) / (2.0 * JACOBIAN_STEP)
     return jac
 
 
@@ -268,20 +201,19 @@ def _from_coords(x: np.ndarray) -> JacobiPoint:
     return JacobiPoint(complex(x[0], x[1]), complex(x[2], x[3]))
 
 
-def resolve_step(zeta: JacobiPoint, stencil: WirtingerStencil,
-                 min_step: float = 1e-6) -> float:
+def resolve_step(zeta: JacobiPoint, stencil: WirtingerStencil) -> float:
     """Step for stencils at zeta, halved near the boundary until it fits.
 
-    Raises BoundaryProximity once halving below ``min_step`` would still
-    let the stencil leave the guarded disk.
+    Raises BoundaryProximity once halving below :data:`MIN_STENCIL_STEP`
+    would still let the stencil leave the guarded disk.
     """
     step = stencil.step
     while abs(zeta.w) + 2.0 * step >= 1.0 - EPS_BOUND:
         step *= 0.5
-        if step < min_step:
+        if step < MIN_STENCIL_STEP:
             raise BoundaryProximity(
                 f"point with |w|={abs(zeta.w):.6g} too close to the boundary "
-                f"for a stencil of step >= {min_step:g}")
+                f"for a stencil of step >= {MIN_STENCIL_STEP:g}")
     return step
 
 
@@ -333,12 +265,12 @@ def metric_fd(zeta: JacobiPoint, params: ModelParams,
 
 
 def ricci_fd(zeta: JacobiPoint, params: ModelParams,
-             stencil: WirtingerStencil = WirtingerStencil()) -> RicciTensor2:
-    """Ricci coefficients as minus the Wirtinger Hessian of ln det(metric)."""
+             stencil: WirtingerStencil = WirtingerStencil()) -> tuple[float, complex, float]:
+    """Ricci (r_zz, r_zw, r_ww) as minus the Wirtinger Hessian of ln det(metric)."""
     step = resolve_step(zeta, stencil)
     d_zz, d_zw, d_ww = wirtinger_hessian(
-        lambda pt: math.log(metric_det(pt, params)), zeta, step)
-    return RicciTensor2(r_zz=-d_zz, r_zw=-d_zw, r_ww=-d_ww)
+        lambda pt: math.log(metric(pt, params).det()), zeta, step)
+    return -d_zz, -d_zw, -d_ww
 
 
 def _wirtinger_grad(g: Callable[[JacobiPoint], complex], zeta: JacobiPoint,

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    EPS_BOUND,
     JacobiPoint,
     ModelParams,
     TangentVector,
@@ -82,13 +81,6 @@ def mobius(g: SU11Element, w: complex) -> complex:
     check_disk(w)
     result = (g.a * w + g.b) / (g.b.conjugate() * w + g.a.conjugate())
     return check_disk(result)
-
-
-def heisenberg_phase(alpha2: complex, alpha1: complex, mu: float) -> float:
-    """Composition phase mu * Im(alpha2 conj(alpha1)) of two translations."""
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    return mu * (alpha2 * alpha1.conjugate()).imag
 
 
 def jacobi_action(e: JacobiGroupElement, zeta: JacobiPoint,
@@ -154,4 +146,4 @@ def disk_geodesic_map(z: complex, t: float) -> complex:
     if r == 0.0:
         return 0.0 + 0.0j
     w = (z / r) * math.tanh(t * r)
-    return check_disk(w, EPS_BOUND)
+    return check_disk(w)

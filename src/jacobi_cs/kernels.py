@@ -123,18 +123,11 @@ def berezin_at(z, w, z2, w2, params: ModelParams):
 
 
 def diastasis_at(z, w, z2, w2, params: ModelParams):
-    """Diastasis -2 Re(log normalized kernel) on coordinates."""
+    """Diastasis D = -ln (Berezin kernel) >= 0 on coordinates.
+
+    Evaluated as -2 Re(log normalized kernel), with no exp/log round trip.
+    """
     return -2.0 * _log_normalized_at(z, w, z2, w2, params).real
-
-
-def cross_F(zeta: JacobiPoint, zeta2: JacobiPoint) -> complex:
-    """Mixed exponent F(zeta, conj(zeta2)) of the two-point kernel."""
-    return cross_F_at(zeta.z, zeta.w, zeta2.z, zeta2.w)
-
-
-def diagonal_F(zeta: JacobiPoint) -> float:
-    """F(zeta, conj(zeta)); real and nonnegative on the diagonal."""
-    return diagonal_F_at(zeta.z, zeta.w, zeta.p)
 
 
 def jacobi_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> complex:
@@ -156,54 +149,33 @@ def normalized_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams
     return complex(normalized_kernel_at(zeta.z, zeta.w, zeta2.z, zeta2.w, params))
 
 
-def berezin_kernel(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> float:
-    """Squared modulus of the normalized kernel, valued in [0, 1]."""
-    return float(berezin_at(zeta.z, zeta.w, zeta2.z, zeta2.w, params))
-
-
-def diastasis(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> float:
-    """Kernel distance D = -ln berezin_kernel >= 0.
-
-    Evaluated as -2 Re(log-space combination) rather than through exp/log
-    round trips.
-    """
-    return float(diastasis_at(zeta.z, zeta.w, zeta2.z, zeta2.w, params))
-
-
 def diastasis_split(zeta: JacobiPoint, zeta2: JacobiPoint, params: ModelParams) -> float:
     """Diastasis through its disk + flat split form.
 
     D/2 = k ln(|1 - w conj(w2)|^2 / ((1-|w|^2)(1-|w2|^2)))
           + mu [ (F(zeta) + F(zeta2))/2 - Re F(zeta, conj(zeta2)) ].
 
-    Agrees with :func:`diastasis`; keeping both evaluations makes the
+    Agrees with :func:`diastasis_at`; keeping both evaluations makes the
     identity itself testable.
     """
     cross = abs(1.0 - zeta.w * zeta2.w.conjugate()) ** 2
     disk_part = params.k * math.log(cross / (zeta.p * zeta2.p))
-    flat_part = params.mu * (0.5 * (diagonal_F(zeta) + diagonal_F(zeta2))
-                             - cross_F(zeta, zeta2).real)
+    flat_part = params.mu * (0.5 * (diagonal_F_at(zeta.z, zeta.w, zeta.p)
+                                    + diagonal_F_at(zeta2.z, zeta2.w, zeta2.p))
+                             - cross_F_at(zeta.z, zeta.w, zeta2.z, zeta2.w).real)
     return 2.0 * (disk_part + flat_part)
 
 
 def _pn_values(z, w, n_max: int):
-    """Yield P_0, ..., P_n_max at (z, w) by the recurrence P_(n+1) = z P_n + n w P_(n-1)."""
+    """Yield P_0, ..., P_n_max at (z, w) by the recurrence P_(n+1) = z P_n + n w P_(n-1).
+
+    P_n has generating function exp(z t + w t^2 / 2): P_0 = 1, P_1 = z.
+    """
     prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
     yield cur
     for i in range(n_max):
         prev, cur = cur, z * cur + i * w * prev
         yield cur
-
-
-def pn_polynomial(n: int, z: complex, w: complex) -> complex:
-    """Heat-family polynomial P_n with generating function exp(z t + w t^2 / 2).
-
-    Satisfies P_0 = 1, P_1 = z, P_(n+1) = z P_n + n w P_(n-1).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    *_, pn = _pn_values(z, w, n)
-    return pn
 
 
 def two_k_prime(k: float) -> int:

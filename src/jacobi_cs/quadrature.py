@@ -45,6 +45,14 @@ _GRAM_BLOCK = 8192
 # memory of single-draw estimators without touching their stream.
 _TRANSFORM_CHUNK = 100_000
 
+# Samples per draw of the Gram matrix, and the covariance inflation of its
+# z proposal (see orthonormality_matrix_mc).
+_GRAM_DRAW = 100_000
+_GRAM_Z_INFLATION = 3.0
+
+# Gauss-Legendre nodes per polar axis of disk_inner_product_gl.
+_GL_NODES = 64
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -66,8 +74,6 @@ class McEstimate:
 
     value: complex
     std_error: float
-    n_samples: int = 0
-    seed: int = 0
 
 
 def normalization_constant(k: float) -> float:
@@ -83,20 +89,8 @@ def measure_density_at(p, mu: float):
 
 
 def weight_rho_at(z, w, p, params: ModelParams):
-    """Weight L P^(2k) exp(-mu F) = L exp(-potential) on coordinates, with P = p_at(w)."""
+    """Weight L P^(2k) exp(-mu F) = L / K(zeta, zeta) on coordinates, with P = p_at(w)."""
     return normalization_constant(params.k) * np.exp(-potential_at(z, w, p, params))
-
-
-def invariant_measure_density(zeta: JacobiPoint, mu: float) -> float:
-    """Density mu / P^3 of the invariant measure against Lebesgue measure."""
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    return measure_density_at(zeta.p, mu)
-
-
-def weight_rho(zeta: JacobiPoint, params: ModelParams) -> float:
-    """Scalar-product weight L P^(2k) exp(-mu F(zeta)); equals L / K(zeta, zeta)."""
-    return float(weight_rho_at(zeta.z, zeta.w, zeta.p, params))
 
 
 def _beta_shape(k: float) -> float:
@@ -206,15 +200,6 @@ def _mc_blocks(params: ModelParams, cfg: McConfig, n_max: int, m_max: int,
         remaining -= take
 
 
-def _estimate(total: complex, total_sq: float, cfg: McConfig) -> McEstimate:
-    """Mean and its standard error from the sums of x and |x|^2."""
-    mean = total / cfg.n_samples
-    var = total_sq / cfg.n_samples - abs(mean) ** 2
-    return McEstimate(value=mean,
-                      std_error=math.sqrt(max(var, 0.0) / cfg.n_samples),
-                      n_samples=cfg.n_samples, seed=cfg.seed)
-
-
 def inner_product_mc(i1: BasisIndex, i2: BasisIndex, params: ModelParams,
                      cfg: McConfig) -> McEstimate:
     """Monte Carlo estimate of the weighted pairing of two basis functions.
@@ -227,19 +212,20 @@ def inner_product_mc(i1: BasisIndex, i2: BasisIndex, params: ModelParams,
         x = (np.conj(flat[i1.n] * disk[i1.m]) * (flat[i2.n] * disk[i2.m])) * weights
         total += complex(np.sum(x))
         total_sq += float(np.sum(x.real**2 + x.imag**2))
-    return _estimate(total, total_sq, cfg)
+    mean = total / cfg.n_samples
+    var = total_sq / cfg.n_samples - abs(mean) ** 2
+    return McEstimate(mean, math.sqrt(max(var, 0.0) / cfg.n_samples))
 
 
 def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
-                             cfg: McConfig, chunk: int = 100_000,
-                             z_inflation: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
+                             cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix of all f[n, m] with n <= n_max, m <= m_max, on shared samples.
 
     Returns (estimates, standard errors), both square arrays over the index
     list in row-major (n, m) order.  Shared samples keep the whole matrix
     affordable at large sample counts.  Samples are drawn in chunks of
-    ``chunk`` and accumulated in blocks of ``_GRAM_BLOCK``, in order, hence
-    reproducible for a fixed seed.
+    ``_GRAM_DRAW`` and accumulated in blocks of ``_GRAM_BLOCK``, in order,
+    hence reproducible for a fixed seed.
 
     The accumulation follows the factorisation f[n, m] = A[n] B[m] of
     :func:`basis_factors_at`: the weighted sum of conj(f[n, m]) f[n', m'] is
@@ -248,11 +234,11 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
     moments come from the pairs of |A|^2 and |B|^2 (both symmetric) the same
     way.  The full matrices are filled in by symmetry once, at the end.
 
-    The z proposal is inflated by default: the flat-index-3 entries carry
-    twelfth moments of the conditional Gaussian, and sampling that Gaussian
-    exactly leaves them a standard error a shade above 1e-2 at a million
-    samples; a threefold covariance inflation brings the whole matrix
-    comfortably under it.
+    The z proposal is inflated by ``_GRAM_Z_INFLATION``: the flat-index-3
+    entries carry twelfth moments of the conditional Gaussian, and sampling
+    that Gaussian exactly leaves them a standard error a shade above 1e-2 at
+    a million samples; a threefold covariance inflation brings the whole
+    matrix comfortably under it.
     """
     n1, m1 = n_max + 1, m_max + 1
     n_pairs, m_pairs = n1 * (n1 + 1) // 2, m1 * (m1 + 1) // 2
@@ -262,7 +248,8 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
     disk_pairs = np.empty((m1 * m1, _GRAM_BLOCK), dtype=complex)
     flat_sq_pairs = np.empty((n_pairs, _GRAM_BLOCK))
     disk_sq_pairs = np.empty((m_pairs, _GRAM_BLOCK))
-    for flat, disk, weights in _mc_blocks(params, cfg, n_max, m_max, chunk, z_inflation):
+    for flat, disk, weights in _mc_blocks(params, cfg, n_max, m_max, _GRAM_DRAW,
+                                          _GRAM_Z_INFLATION):
         size = weights.size
         weighted = np.conj(flat)
         weighted *= weights
@@ -308,40 +295,6 @@ def _pair_index(n: int) -> np.ndarray:
     return index
 
 
-@dataclass(frozen=True)
-class ParsevalResult:
-    estimate: McEstimate
-    exact: complex
-    deviation: float
-
-
-def parseval_check(c1: dict[tuple[int, int], complex],
-                   c2: dict[tuple[int, int], complex],
-                   params: ModelParams, cfg: McConfig) -> ParsevalResult:
-    """Resolution-of-identity check for finite basis combinations.
-
-    Estimates the weighted pairing of psi1 = sum c1 f and psi2 = sum c2 f
-    and compares with the exact value sum conj(c1) c2 over shared indices.
-    All cfg.n_samples samples come from one draw.
-    """
-    if not c1 or not c2:
-        raise ValueError("coefficient maps must be nonempty")
-    indices = sorted(set(c1) | set(c2))
-    ns, ms = (list(a) for a in zip(*indices))
-    a1 = np.array([c1.get(idx, 0.0) for idx in indices], dtype=complex)
-    a2 = np.array([c2.get(idx, 0.0) for idx in indices], dtype=complex)
-    total, total_sq = 0j, 0.0
-    for flat, disk, weights in _mc_blocks(params, cfg, max(ns), max(ms), cfg.n_samples):
-        values = flat[ns] * disk[ms]
-        x = np.conj(a1 @ values) * (a2 @ values) * weights
-        total += complex(np.sum(x))
-        total_sq += float(np.sum(x.real**2 + x.imag**2))
-    estimate = _estimate(total, total_sq, cfg)
-    exact = complex(np.vdot(a1, a2))
-    return ParsevalResult(estimate=estimate, exact=exact,
-                          deviation=abs(estimate.value - exact))
-
-
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule, computed once, read-only."""
@@ -350,8 +303,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def disk_inner_product_gl(k: float, m1: int, m2: int,
-                          n_radial: int = 64, n_angular: int = 64) -> complex:
+def disk_inner_product_gl(k: float, m1: int, m2: int) -> complex:
     """Polar Gauss-Legendre pairing of w^m1, w^m2 under the pure-disk weight.
 
     The weight is (2k - 1)/pi (1 - r^2)^(2k - 2) with 2k a positive integer
@@ -363,10 +315,10 @@ def disk_inner_product_gl(k: float, m1: int, m2: int,
         raise InvalidK(f"the disk weight needs 2k in {{2, 3, ...}}; k={k}")
     log_c = disk_coeff_log(max(m1, m2), two_k)
     coeff = math.exp(0.5 * (log_c[m1] + log_c[m2]))
-    xr, wr = _gauss_legendre(n_radial)
+    xr, wr = _gauss_legendre(_GL_NODES)
     r = 0.5 * (xr + 1.0)            # map [-1, 1] -> [0, 1]
     wr = 0.5 * wr
-    xt, wt = _gauss_legendre(n_angular)
+    xt, wt = _gauss_legendre(_GL_NODES)
     theta = math.pi * (xt + 1.0)    # map [-1, 1] -> [0, 2 pi]
     wt = math.pi * wt
     radial = r ** (m1 + m2 + 1) * (1.0 - r**2) ** (two_k - 2.0)

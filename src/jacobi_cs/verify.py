@@ -30,6 +30,10 @@ _GEODESIC_SPAN = 2.0
 # the embedding and quadrature suites need a basis, so they run at this k
 # whatever the configuration says
 _BASIS_K = 1.25
+# The quadrature suite's inner products draw mc_samples / 10 samples in one
+# array, 32 B each: 0.32 GB at this limit.  The floor is McConfig's.
+MIN_MC_SAMPLES = 1000
+MAX_MC_SAMPLES = 10**8
 
 
 @dataclass
@@ -46,6 +50,9 @@ class VerifyConfig:
     def __post_init__(self):
         # the geodesics suite integrates over t in [0, _GEODESIC_SPAN] at most
         geodesics.step_count(_GEODESIC_SPAN, self.rk4_step)
+        if not MIN_MC_SAMPLES <= self.mc_samples <= MAX_MC_SAMPLES:
+            raise ValueError(f"mc_samples must be between {MIN_MC_SAMPLES} and "
+                             f"{MAX_MC_SAMPLES}, got {self.mc_samples}")
 
     def tol(self, check: str, default: float) -> float:
         return self.tolerances.get(check, default)
@@ -170,9 +177,9 @@ def connection_deviation(points, params: ModelParams, stencil: WirtingerStencil)
         step = max(geometry.resolve_step(pt, stencil) * 0.1, 1e-6)
         d_z, d_w = geometry._wirtinger_grad(
             lambda q: geometry.metric_matrix(geometry.metric(q, params)), pt, step)
-        g = geodesics.christoffel(pt, params)
-        gamma = np.array([[[g.g_zzz, g.g_zzw], [g.g_zzw, g.g_zww]],
-                          [[g.g_wzz, g.g_wwz], [g.g_wwz, g.g_www]]])    # G^a_(bc)
+        g_zzz, g_wzz, g_zzw, g_wwz, g_zww, g_www = geodesics.christoffel(pt, params)
+        gamma = np.array([[[g_zzz, g_zzw], [g_zzw, g_zww]],
+                          [[g_wzz, g_wwz], [g_wwz, g_www]]])    # G^a_(bc)
         lhs = np.einsum("ae,abc->bce",
                         geometry.metric_matrix(geometry.metric(pt, params)), gamma)
         gap = np.abs(lhs - np.stack([d_z, d_w], axis=1))
@@ -348,7 +355,7 @@ def angle_bound_violation(points1, points2, params: ModelParams) -> float:
     """How far the length of the straight path from points1[i] to points2[i]
     falls below their projective angle; zero when it never does."""
     margin = min(embedding.distance_angle_inequality_check(
-        a, b, params, geodesics.interpolation_path(a, b)).margin
+        a, b, params, geodesics.interpolation_path(a, b))
         for a, b in zip(points1, points2))
     return max(0.0, -margin)
 
@@ -478,10 +485,9 @@ def suite_geometry(cfg: VerifyConfig) -> list[dict]:
 
     dev = 0.0
     for pt in pts[:10]:
-        rc = geometry.ricci(pt, params)
+        rc = geometry.ricci_at(pt.p)
         rf = geometry.ricci_fd(pt, params, stencil)
-        dev = max(dev, abs(rc.r_zz - rf.r_zz), abs(rc.r_zw - rf.r_zw),
-                  abs(rc.r_ww - rf.r_ww))
+        dev = max(dev, *(abs(c - f) for c, f in zip(rc, rf)))
     records.append(_record(cfg, "ricci-closed-vs-fd",
                            "Ricci equals minus the Hessian of ln det h", dev, 1e-6))
 

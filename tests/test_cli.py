@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobi_cs import cli
+from jacobi_cs import cli, verify
 from jacobi_cs.cli import MAX_GEODESIC_STEPS, main, parse_complex, parse_range
 
 
@@ -291,13 +291,13 @@ class TestGeodesic:
         assert out == json.dumps({"error": "boundary escape", "t": t}) + "\n"
         assert err == f"error: {message}\n"
 
-    def test_velocity_overflow_exits_2(self, capsys, tmp_path):
+    def test_velocity_overflow_exits_3(self, capsys, tmp_path):
         # four d2w stages of about -8.5e307 sum to -inf in one tiny step
         out_file = tmp_path / "x.csv"
         code, out, err = run(capsys, "geodesic", "--dz", "1.3e154", "--t-end", "1e-300",
                              "--steps", "1", "--out", str(out_file))
-        assert (code, out) == (2, "")
-        assert err == "error: dw must be finite, got (-inf+nanj)\n"
+        assert (code, out) == (3, "")
+        assert err == "error: velocity overflowed at t=1e-300\n"
         assert not out_file.exists()
 
     def test_summary_min_p(self, capsys, tmp_path):
@@ -344,6 +344,16 @@ class TestVerifyCommand:
         assert err.startswith("error:")
         if argv[1] == "1e-7":
             assert str(MAX_GEODESIC_STEPS) in err
+
+    @pytest.mark.parametrize("mc_samples", [verify.MIN_MC_SAMPLES - 1,
+                                            verify.MAX_MC_SAMPLES + 1])
+    def test_mc_samples_out_of_range_exits_2_before_any_suite(self, capsys, monkeypatch,
+                                                               mc_samples):
+        monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run, no sample is drawn
+        code, out, err = run(capsys, "verify", "all", "--mc-samples", str(mc_samples))
+        assert (code, out) == (2, "")
+        assert err == (f"error: mc_samples must be between {verify.MIN_MC_SAMPLES} and "
+                       f"{verify.MAX_MC_SAMPLES}, got {mc_samples}\n")
 
     def test_quadrature_reproducible(self, capsys):
         code1, out1, _ = run(capsys, "verify", "quadrature", "--seed", "42",

@@ -42,15 +42,6 @@ class TestMakeJacobiPoint:
         with pytest.raises(NonFinite):
             make_jacobi_point(z, w)
 
-    def test_wider_eps_bound_applies(self):
-        make_jacobi_point(0.0, 0.95)
-        with pytest.raises(BoundaryViolation):
-            make_jacobi_point(0.0, 0.95, eps_bound=0.1)
-
-    def test_narrower_eps_bound_keeps_default_guard(self):
-        with pytest.raises(BoundaryViolation):
-            make_jacobi_point(0.0, 1.0 - 1e-12, eps_bound=1e-15)
-
     def test_p_is_cached(self):
         p = make_jacobi_point(2.0, 0.3 + 0.4j)
         assert p.p == pytest.approx(1 - 0.25, abs=1e-15)

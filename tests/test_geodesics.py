@@ -28,6 +28,7 @@ from jacobi_cs import (
     mu_zero_solution,
 )
 from jacobi_cs.geodesics import (
+    CHRISTOFFEL_KEYS,
     MAX_GEODESIC_STEPS,
     acceleration_at,
     christoffel_rhs,
@@ -41,20 +42,19 @@ P1 = ModelParams(1.0, 1.0)
 
 class TestChristoffel:
     def test_at_origin(self):
-        g = christoffel(make_jacobi_point(0, 0), P1)
+        g = dict(zip(CHRISTOFFEL_KEYS, christoffel(make_jacobi_point(0, 0), P1)))
         lam = P1.mu / (2 * P1.k)
-        assert g.g_wzz == pytest.approx(lam)
-        for val in (g.g_zzz, g.g_zzw, g.g_wwz, g.g_zww, g.g_www):
-            assert val == 0.0
+        assert g.pop("g_wzz") == pytest.approx(lam)
+        assert list(g.values()) == [0.0] * 5
 
     def test_hand_values(self):
-        g = christoffel(make_jacobi_point(1.0, 0.5), P1)
-        assert g.g_zzz == pytest.approx(-1.0)
-        assert g.g_wzz == pytest.approx(0.5)
-        assert g.g_zzw == pytest.approx(-4 / 3)
-        assert g.g_wwz == pytest.approx(1.0)
-        assert g.g_zww == pytest.approx(-4.0)
-        assert g.g_www == pytest.approx(10 / 3)
+        g = dict(zip(CHRISTOFFEL_KEYS, christoffel(make_jacobi_point(1.0, 0.5), P1)))
+        assert g["g_zzz"] == pytest.approx(-1.0)
+        assert g["g_wzz"] == pytest.approx(0.5)
+        assert g["g_zzw"] == pytest.approx(-4 / 3)
+        assert g["g_wwz"] == pytest.approx(1.0)
+        assert g["g_zww"] == pytest.approx(-4.0)
+        assert g["g_www"] == pytest.approx(10 / 3)
 
 
 class TestRightHandSide:
@@ -163,7 +163,7 @@ class TestIntegrate:
     def test_velocity_overflow_is_non_finite(self):
         # the four d2w stages of about -8.5e307 sum past the largest float
         s0 = GeodesicState(make_jacobi_point(0.0, 0.0), TangentVector(1.3e154, 0.0))
-        with pytest.raises(NonFinite, match=r"^dw must be finite, got \(-inf\+nanj\)$"):
+        with pytest.raises(OverflowError, match=r"^velocity overflowed at t=1e-300$"):
             integrate(s0, 1e-300, 1, P1)
 
     def test_path_memory_per_sample(self):

@@ -12,27 +12,29 @@ from jacobi_cs import (
     kahler_condition_check,
     make_jacobi_point,
     metric,
-    metric_det,
     metric_fd,
-    ricci,
     ricci_fd,
-    scalar_curvature,
-    tangent_norm,
-    tilde_metric,
-    volume_density,
 )
+from jacobi_cs.core import p_at
 from jacobi_cs.geometry import (
-    hermitian_to_real,
     hermitian_to_symplectic,
-    real_to_hermitian,
+    metric_at,
+    ricci_at,
+    scalar_curvature_at,
     speed_at,
     symplectic_to_hermitian,
+    volume_density_at,
 )
 from jacobi_cs import verify
 from jacobi_cs.verify import random_points
 
 P1 = ModelParams(1.0, 1.0)
 GRID = [ModelParams(k, mu) for k in (1.0, 1.5, 2.0) for mu in (0.5, 1.0, 2.0)]
+
+
+def scalar_curvature(z, w, params):
+    p = p_at(w)
+    return scalar_curvature_at(*metric_at(z, w, p, params), ricci_at(p)[2])
 
 
 def metric_gap(h1, h2):
@@ -89,103 +91,78 @@ class TestMetricFiniteDifference:
 
 class TestDeterminant:
     def test_origin(self):
-        assert metric_det(make_jacobi_point(0, 0), P1) == pytest.approx(2.0)
+        assert metric(make_jacobi_point(0, 0), P1).det() == pytest.approx(2.0)
 
     def test_hand_value(self):
-        got = metric_det(make_jacobi_point(1.0, 0.5), P1)
+        got = metric(make_jacobi_point(1.0, 0.5), P1).det()
         assert got == pytest.approx(128 / 27, rel=1e-12)
 
     def test_closed_form_and_z_independence(self, rng):
         for p in random_points(rng, 50, z_scale=2.0, w_radius=0.8):
-            det = metric_det(p, P1)
+            det = metric(p, P1).det()
             assert det == pytest.approx(2 / p.p**3, rel=1e-12)
-            at_zero_z = metric_det(make_jacobi_point(0.0, p.w), P1)
+            at_zero_z = metric(make_jacobi_point(0.0, p.w), P1).det()
             assert det == pytest.approx(at_zero_z, rel=1e-12)
 
 
 class TestRicci:
     def test_at_origin(self):
-        r = ricci(make_jacobi_point(0, 0), P1)
-        assert (r.r_zz, r.r_zw, r.r_ww) == (0.0, 0.0, -3.0)
+        assert ricci_at(1.0) == (0.0, 0.0, -3.0)
 
     def test_hand_value(self):
-        r = ricci(make_jacobi_point(0.3j, 0.5), P1)
-        assert r.r_ww == pytest.approx(-3 / 0.5625)
+        assert ricci_at(p_at(0.5))[2] == pytest.approx(-3 / 0.5625)
 
     def test_only_disk_component(self, rng):
         for p in random_points(rng, 50, z_scale=2.0, w_radius=0.9):
-            r = ricci(p, ModelParams(1.5, 0.7))
-            assert r.r_zz == 0.0 and r.r_zw == 0.0 and r.r_ww < 0.0
+            r_zz, r_zw, r_ww = ricci_at(p.p)
+            assert r_zz == 0.0 and r_zw == 0.0 and r_ww < 0.0
 
     def test_matches_log_det_hessian(self, rng):
         for p in random_points(rng, 10, z_scale=1.0, w_radius=0.6):
-            rc, rf = ricci(p, P1), ricci_fd(p, P1)
-            assert abs(rc.r_zz - rf.r_zz) <= 1e-6
-            assert abs(rc.r_zw - rf.r_zw) <= 1e-6
-            assert abs(rc.r_ww - rf.r_ww) <= 1e-6 * abs(rc.r_ww)
+            (c_zz, c_zw, c_ww), (f_zz, f_zw, f_ww) = ricci_at(p.p), ricci_fd(p, P1)
+            assert abs(c_zz - f_zz) <= 1e-6
+            assert abs(c_zw - f_zw) <= 1e-6
+            assert abs(c_ww - f_ww) <= 1e-6 * abs(c_ww)
 
 
 class TestScalarCurvature:
     @pytest.mark.parametrize("k,want", [(1.0, -1.5), (2.0, -0.75)])
     def test_reference_values(self, k, want):
-        p = make_jacobi_point(0.7 - 0.1j, 0.2 + 0.4j)
-        assert scalar_curvature(p, ModelParams(k, 1.0)) == pytest.approx(want)
+        got = scalar_curvature(0.7 - 0.1j, 0.2 + 0.4j, ModelParams(k, 1.0))
+        assert got == pytest.approx(want)
 
     def test_constant_over_points_and_mu(self):
-        a = scalar_curvature(make_jacobi_point(0, 0), ModelParams(1.0, 1.0))
-        b = scalar_curvature(make_jacobi_point(1 + 1j, 0.4 - 0.2j),
-                             ModelParams(1.0, 2.0))
+        a = scalar_curvature(0j, 0j, ModelParams(1.0, 1.0))
+        b = scalar_curvature(1 + 1j, 0.4 - 0.2j, ModelParams(1.0, 2.0))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_variance_over_sample(self, rng):
-        values = [scalar_curvature(p, ModelParams(1.5, 0.5))
+        values = [scalar_curvature(p.z, p.w, ModelParams(1.5, 0.5))
                   for p in random_points(rng, 100, z_scale=1.5, w_radius=0.8)]
         assert np.var(values) < 1e-18
         assert np.mean(values) == pytest.approx(-1.0)
 
 
-class TestTildeMetric:
-    def test_origin(self):
-        h = tilde_metric(make_jacobi_point(0, 0), P1)
-        assert (h.h_zz, h.h_zw, h.h_ww) == (3.0, 0.0, 9.0)
-
-    def test_positive_definite(self, rng):
-        for p in random_points(rng, 200, z_scale=1.5, w_radius=0.9):
-            tilde_metric(p, P1)   # constructor asserts positivity
-
-    def test_shifted_weight_identity(self, rng):
-        # pure-w block equals 3x the metric with k -> k + 1/2
-        for p in random_points(rng, 20, z_scale=1.5, w_radius=0.8):
-            t = tilde_metric(p, P1)
-            shifted = metric(p, ModelParams(P1.k + 0.5, P1.mu))
-            assert t.h_ww == pytest.approx(3 * shifted.h_ww, rel=1e-12)
-            assert t.h_zz == pytest.approx(3 * shifted.h_zz, rel=1e-12)
-            assert t.h_zw == pytest.approx(3 * shifted.h_zw, rel=1e-12)
-
-
 class TestVolume:
     def test_origin(self):
-        assert volume_density(make_jacobi_point(0, 0), P1) == pytest.approx(4.0)
+        assert volume_density_at(1.0, P1) == pytest.approx(4.0)
 
     def test_hand_value(self):
-        got = volume_density(make_jacobi_point(2 - 1j, 0.5), P1)
-        assert got == pytest.approx(4 / 0.75**3)
+        assert volume_density_at(p_at(0.5), P1) == pytest.approx(4 / 0.75**3)
 
     def test_twice_determinant(self, rng):
         for p in random_points(rng, 50, z_scale=2.0, w_radius=0.9):
-            assert volume_density(p, P1) == pytest.approx(
-                2 * metric_det(p, P1), rel=1e-12)
+            assert volume_density_at(p.p, P1) == pytest.approx(
+                2 * metric(p, P1).det(), rel=1e-12)
 
 
 class TestTangentNorm:
     def test_zero_vector(self):
-        p = make_jacobi_point(0.5, 0.5j)
-        assert tangent_norm(p, TangentVector(0, 0), P1) == 0.0
+        assert speed_at(0.5 + 0j, 0.5j, p_at(0.5j), 0j, 0j, P1) == 0.0
 
     def test_unit_directions_at_origin(self):
-        p = make_jacobi_point(0, 0)
-        assert tangent_norm(p, TangentVector(1, 0), P1) == pytest.approx(1.0)
-        assert tangent_norm(p, TangentVector(0, 1), P1) == pytest.approx(math.sqrt(2))
+        assert speed_at(0j, 0j, 1.0, 1 + 0j, 0j, P1) == pytest.approx(1.0)
+        assert speed_at(0j, 0j, 1.0, 0j, 1 + 0j, P1) == pytest.approx(math.sqrt(2))
 
     def test_matches_quadratic_form(self, rng):
         for p in random_points(rng, 20):
@@ -195,7 +172,8 @@ class TestTangentNorm:
             want = (h.h_zz * abs(v.dz) ** 2
                     + 2 * (h.h_zw * v.dz * v.dw.conjugate()).real
                     + h.h_ww * abs(v.dw) ** 2)
-            assert tangent_norm(p, v, P1) ** 2 == pytest.approx(want, rel=1e-12)
+            speed = speed_at(p.z, p.w, p.p, v.dz, v.dw, P1)
+            assert speed ** 2 == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("params", [P1, ModelParams(1.75, 2.5)])
     def test_speed_at_arrays_match_points(self, rng, params):
@@ -209,7 +187,7 @@ class TestTangentNorm:
         speeds = speed_at(z, w, p, dz, dw, params)
         assert speeds.shape == (20, 20)
         for i, (pt, v) in enumerate(zip(pts, vel)):
-            want = tangent_norm(pt, v, params)
+            want = float(speed_at(pt.z, pt.w, pt.p, v.dz, v.dw, params))
             h = metric(pt, params)
             # numpy's complex products round apart from Python's in the
             # metric; the quadratic form magnifies that by its condition number
@@ -253,23 +231,13 @@ class TestNonEinstein:
     def test_witness_everywhere(self, rng):
         for p in random_points(rng, 100, z_scale=1.5, w_radius=0.9):
             h = metric(p, P1)
-            r = ricci(p, P1)
-            assert r.r_zz == 0.0
+            r_zz, _, r_ww = ricci_at(p.p)
+            assert r_zz == 0.0
             assert h.h_zz > 0.0
-            assert r.r_ww < 0.0
+            assert r_ww < 0.0
 
 
 class TestFormPackaging:
-    def test_real_roundtrip(self, rng):
-        for _ in range(20):
-            h = HermitianMetric2(rng.uniform(0.5, 2),
-                                 complex(rng.uniform(-0.4, 0.4),
-                                         rng.uniform(-0.4, 0.4)),
-                                 rng.uniform(1, 3))
-            h_zz, h_zw, h_ww, defect = real_to_hermitian(hermitian_to_real(h))
-            assert (h_zz, h_zw, h_ww) == (h.h_zz, h.h_zw, h.h_ww)
-            assert defect == 0.0
-
     def test_symplectic_roundtrip(self, rng):
         for _ in range(20):
             h = HermitianMetric2(rng.uniform(0.5, 2),

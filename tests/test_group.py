@@ -13,7 +13,6 @@ from jacobi_cs import (
     disk_geodesic_map,
     fc_forward,
     fc_inverse,
-    heisenberg_phase,
     jacobi_action,
     make_jacobi_point,
     mobius,
@@ -61,21 +60,6 @@ class TestMobius:
         for e, p in zip(random_elements(rng, 50, rho_max=1.5),
                         random_points(rng, 50, w_radius=0.95)):
             assert abs(mobius(e.g, p.w)) < 1.0
-
-
-class TestHeisenbergPhase:
-    def test_self_is_zero(self):
-        assert heisenberg_phase(0.7 + 0.2j, 0.7 + 0.2j, 1.0) == 0.0
-
-    def test_hand_value(self):
-        assert heisenberg_phase(1j, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_antisymmetric(self, rng):
-        for _ in range(20):
-            a1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            a2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert heisenberg_phase(a2, a1, 1.3) == pytest.approx(
-                -heisenberg_phase(a1, a2, 1.3))
 
 
 class TestJacobiAction:

@@ -12,8 +12,6 @@ from jacobi_cs import (
     ModelParams,
     TruncationOrder,
     basis_function,
-    berezin_kernel,
-    diastasis,
     diastasis_split,
     disk_kernel,
     heisenberg_kernel,
@@ -22,14 +20,27 @@ from jacobi_cs import (
     kernel_series,
     make_jacobi_point,
     normalized_kernel,
-    pn_polynomial,
 )
-from jacobi_cs.kernels import basis_at, basis_matrix, cross_F, two_k_prime
+from jacobi_cs.kernels import (
+    basis_at,
+    basis_factors_at,
+    basis_matrix,
+    berezin_at,
+    cross_F_at,
+    diastasis_at,
+    two_k_prime,
+)
 from jacobi_cs import verify
 from jacobi_cs.verify import random_points
 from conftest import point_strategy
 
 P1 = ModelParams(1.0, 1.0)
+
+
+def pn_polynomial(n, z, w):
+    # flat[n] = P_n(sqrt(mu) z, w) / sqrt(n!); mu = 1, and k = 1.25 admits a basis
+    flat, _ = basis_factors_at(z, w, ModelParams(1.25, 1.0), n, 0)
+    return flat[n] * math.sqrt(math.factorial(n))
 
 
 class TestFactorKernels:
@@ -72,17 +83,14 @@ class TestFactorKernels:
 
 class TestCrossExponent:
     def test_diagonal_flat(self):
-        p = make_jacobi_point(1 - 2j, 0.0)
-        assert cross_F(p, p) == pytest.approx(abs(p.z) ** 2)
+        z = 1 - 2j
+        assert cross_F_at(z, 0j, z, 0j) == pytest.approx(abs(z) ** 2)
 
     def test_hand_value(self):
-        p = make_jacobi_point(1.0, 0.5)
-        assert cross_F(p, p) == pytest.approx((2 + 0.5 + 0.5) / 1.5)
+        assert cross_F_at(1.0, 0.5, 1.0, 0.5) == pytest.approx((2 + 0.5 + 0.5) / 1.5)
 
     def test_zero_z(self):
-        p1 = make_jacobi_point(0.0, 0.3)
-        p2 = make_jacobi_point(0.0, -0.4j)
-        assert cross_F(p1, p2) == 0
+        assert cross_F_at(0j, 0.3 + 0j, 0j, -0.4j) == 0
 
 
 class TestJacobiKernel:
@@ -151,13 +159,13 @@ class TestNormalizedAndBerezin:
     def test_diagonal_is_one(self):
         p = make_jacobi_point(0.7, 0.2j)
         assert normalized_kernel(p, p, P1) == pytest.approx(1.0)
-        assert berezin_kernel(p, p, P1) == pytest.approx(1.0)
+        assert berezin_at(p.z, p.w, p.z, p.w, P1) == pytest.approx(1.0)
 
     def test_hand_value(self):
         p1 = make_jacobi_point(0.0, 0.5)
         p2 = make_jacobi_point(0.0, 0.0)
         assert normalized_kernel(p1, p2, P1) == pytest.approx(0.75)
-        assert berezin_kernel(p1, p2, P1) == pytest.approx(0.5625)
+        assert berezin_at(p1.z, p1.w, p2.z, p2.w, P1) == pytest.approx(0.5625)
 
     def test_modulus_bound_many_pairs(self, rng):
         pts = random_points(rng, 200, z_scale=1.5, w_radius=0.8)
@@ -171,8 +179,8 @@ class TestNormalizedAndBerezin:
     def test_berezin_symmetric(self, rng):
         pts = random_points(rng, 40)
         for p1, p2 in zip(pts[::2], pts[1::2]):
-            assert berezin_kernel(p1, p2, P1) == pytest.approx(
-                berezin_kernel(p2, p1, P1), rel=1e-12)
+            assert berezin_at(p1.z, p1.w, p2.z, p2.w, P1) == pytest.approx(
+                berezin_at(p2.z, p2.w, p1.z, p1.w, P1), rel=1e-12)
 
     def test_no_overflow_for_large_z(self):
         p1 = make_jacobi_point(30 + 10j, 0.1)
@@ -183,24 +191,22 @@ class TestNormalizedAndBerezin:
 
 class TestDiastasis:
     def test_zero_on_diagonal(self):
-        p = make_jacobi_point(1.0, 0.4j)
-        assert diastasis(p, p, P1) == pytest.approx(0.0, abs=1e-12)
+        z, w = 1.0 + 0j, 0.4j
+        assert diastasis_at(z, w, z, w, P1) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        p1 = make_jacobi_point(0.0, 0.5)
-        p2 = make_jacobi_point(0.0, 0.0)
-        assert diastasis(p1, p2, P1) == pytest.approx(-math.log(0.5625))
+        assert diastasis_at(0j, 0.5 + 0j, 0j, 0j, P1) == pytest.approx(-math.log(0.5625))
 
     def test_nonnegative_many_pairs(self, rng):
         pts = random_points(rng, 200, z_scale=1.5, w_radius=0.8)
         for p1 in pts[:100]:
             for p2 in pts[100:]:
-                assert diastasis(p1, p2, P1) >= -1e-12
+                assert diastasis_at(p1.z, p1.w, p2.z, p2.w, P1) >= -1e-12
 
     def test_two_evaluations_agree(self, rng):
         pts = random_points(rng, 60, z_scale=1.2, w_radius=0.7)
         for p1, p2 in zip(pts[::2], pts[1::2]):
-            a = diastasis(p1, p2, P1)
+            a = diastasis_at(p1.z, p1.w, p2.z, p2.w, P1)
             b = diastasis_split(p1, p2, P1)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
@@ -214,7 +220,7 @@ class TestKernelProperties:
     @settings(max_examples=100, deadline=None)
     @given(k=st.sampled_from([1.25, 1.75]), p1=point_strategy(), p2=point_strategy())
     def test_diastasis_nonnegative(self, k, p1, p2):
-        assert diastasis(p1, p2, ModelParams(k, 1.0)) >= -1e-12
+        assert diastasis_at(p1.z, p1.w, p2.z, p2.w, ModelParams(k, 1.0)) >= -1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.sampled_from([1.25, 1.75]), p1=point_strategy(), p2=point_strategy())
@@ -227,8 +233,9 @@ class TestKernelProperties:
     @given(k=st.sampled_from([1.25, 1.75]), p1=point_strategy(), p2=point_strategy())
     def test_diastasis_symmetric(self, k, p1, p2):
         params = ModelParams(k, 1.0)
-        forward = diastasis(p1, p2, params)
-        assert abs(forward - diastasis(p2, p1, params)) <= 1e-12 * max(1.0, forward)
+        forward = diastasis_at(p1.z, p1.w, p2.z, p2.w, params)
+        backward = diastasis_at(p2.z, p2.w, p1.z, p1.w, params)
+        assert abs(forward - backward) <= 1e-12 * max(1.0, forward)
 
 
 class TestBasisPolynomials:

@@ -10,13 +10,10 @@ from jacobi_cs import (
     McConfig,
     ModelParams,
     inner_product_mc,
-    invariant_measure_density,
     jacobi_action,
     jacobi_kernel,
     make_jacobi_point,
-    parseval_check,
     sample_point,
-    weight_rho,
 )
 from jacobi_cs import quadrature
 from jacobi_cs.geometry import real_jacobian
@@ -34,10 +31,10 @@ PK = ModelParams(1.25, 1.0)
 
 class TestDensities:
     def test_measure_at_center(self):
-        assert invariant_measure_density(make_jacobi_point(1j, 0.0), 1.0) == 1.0
+        assert measure_density_at(1.0, 1.0) == 1.0
 
     def test_measure_hand_value(self):
-        got = invariant_measure_density(make_jacobi_point(0, 0.5), 2.0)
+        got = measure_density_at(1 - 0.5**2, 2.0)
         assert got == pytest.approx(2 / 0.75**3)
 
     def test_measure_invariance_under_action(self, rng):
@@ -51,22 +48,22 @@ class TestDensities:
                 return pt.z, pt.w
 
             det = abs(np.linalg.det(real_jacobian(mapped, p.z, p.w)))
-            lhs = invariant_measure_density(img, PK.mu) * det
-            rhs = invariant_measure_density(p, PK.mu)
+            lhs = measure_density_at(img.p, PK.mu) * det
+            rhs = measure_density_at(p.p, PK.mu)
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_weight_at_origin(self):
-        got = weight_rho(make_jacobi_point(0, 0), ModelParams(1.0, 1.0))
+        got = weight_rho_at(0j, 0j, 1.0, ModelParams(1.0, 1.0))
         assert got == pytest.approx(1 / (2 * math.pi**2))
 
     def test_weight_positive(self, rng):
         for p in random_points(rng, 100, z_scale=2.0, w_radius=0.9):
-            assert weight_rho(p, PK) > 0.0
+            assert weight_rho_at(p.z, p.w, p.p, PK) > 0.0
 
     def test_weight_times_kernel_is_constant(self, rng):
         lam = normalization_constant(PK.k)
         for p in random_points(rng, 50, z_scale=1.5, w_radius=0.8):
-            got = weight_rho(p, PK) * jacobi_kernel(p, p, PK).real
+            got = weight_rho_at(p.z, p.w, p.p, PK) * jacobi_kernel(p, p, PK).real
             assert got == pytest.approx(lam, rel=1e-12)
 
     def test_degenerate_normalization_rejected(self):
@@ -81,9 +78,10 @@ class TestDensities:
         rho = weight_rho_at(z, w, p, PK)
         density = measure_density_at(p, PK.mu)
         for i, pt in enumerate(pts):
-            assert rho.flat[i] == pytest.approx(weight_rho(pt, PK), rel=1e-14)
+            want = weight_rho_at(pt.z, pt.w, pt.p, PK)
+            assert rho.flat[i] == pytest.approx(want, rel=1e-14)
             assert density.flat[i] == pytest.approx(
-                invariant_measure_density(pt, PK.mu), rel=1e-14)
+                measure_density_at(pt.p, PK.mu), rel=1e-14)
 
 
 class TestSampler:
@@ -163,40 +161,6 @@ class TestGramMatrix:
         assert np.allclose(gram, gram.conj().T)
 
 
-class TestParseval:
-    def test_single_basis_function(self):
-        res = parseval_check({(0, 0): 1.0}, {(0, 0): 1.0}, PK,
-                             McConfig(200_000, 9))
-        assert res.exact == 1.0
-        assert res.deviation <= 3 * res.estimate.std_error
-
-    def test_orthogonal_combinations(self):
-        res = parseval_check({(0, 0): 1.0}, {(2, 1): 1.0}, PK,
-                             McConfig(200_000, 10))
-        assert res.exact == 0.0
-        assert res.deviation <= 3 * res.estimate.std_error
-
-    def test_mixed_combination_exact_value(self):
-        c1 = {(0, 0): 1.0, (1, 1): 0.5j}
-        c2 = {(1, 1): 2.0, (0, 1): -1.0}
-        res = parseval_check(c1, c2, PK, McConfig(200_000, 12))
-        assert res.exact == pytest.approx((0.5j).conjugate() * 2.0)
-        assert res.deviation <= 3 * res.estimate.std_error
-
-    def test_linearity_same_seed(self):
-        cfg = McConfig(50_000, 21)
-        base = {(0, 0): 1.0}
-        a = parseval_check(base, {(1, 0): 1.0}, PK, cfg)
-        b = parseval_check(base, {(0, 1): 1.0}, PK, cfg)
-        both = parseval_check(base, {(1, 0): 1.0, (0, 1): 1.0}, PK, cfg)
-        assert both.estimate.value == pytest.approx(
-            a.estimate.value + b.estimate.value, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            parseval_check({}, {(0, 0): 1.0}, PK, McConfig(1000, 0))
-
-
 class TestSinglePassEstimators:
     # value and standard error as the unblocked estimators computed them,
     # from one draw of all samples evaluated at once; the draw is unchanged,
@@ -207,14 +171,6 @@ class TestSinglePassEstimators:
         assert est.value == pytest.approx(0.9962663529454873 - 1.000724201059714e-19j,
                                           rel=1e-13, abs=0)
         assert est.std_error == pytest.approx(0.0033500115529911537, rel=1e-13, abs=0)
-
-    def test_pinned_parseval(self):
-        res = parseval_check({(0, 0): 1.0, (1, 2): 0.5j}, {(0, 0): 1.0, (2, 1): -0.25},
-                             PK, McConfig(200_000, 12))
-        assert res.estimate.value == pytest.approx(
-            1.0004430607416277 - 0.0011872114790391374j, rel=1e-13, abs=0)
-        assert res.estimate.std_error == pytest.approx(0.001889188823092084,
-                                                       rel=1e-13, abs=0)
 
     def test_blocking_does_not_change_the_estimate(self, monkeypatch):
         cfg = McConfig(50_000, 4)

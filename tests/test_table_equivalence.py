@@ -27,6 +27,12 @@ QUANTITIES = ("kernel", "potential", "metric", "ricci", "scalar-curvature",
 REL = 1e-14
 
 
+def _scalar_curvature(zeta, params):
+    h = geometry.metric(zeta, params)     # validates the metric
+    r_ww = geometry.ricci_at(zeta.p)[2]
+    return geometry.scalar_curvature_at(h.h_zz, h.h_zw, h.h_ww, r_ww)
+
+
 def _reference_value(quantity, zeta, origin, params):
     if quantity == "kernel":
         v = kernels.jacobi_kernel(zeta, origin, params)
@@ -38,21 +44,19 @@ def _reference_value(quantity, zeta, origin, params):
         return {"h_zz": h.h_zz, "h_zw_re": h.h_zw.real,
                 "h_zw_im": h.h_zw.imag, "h_ww": h.h_ww}
     if quantity == "ricci":
-        r = geometry.ricci(zeta, params)
-        return {"r_zz": r.r_zz, "r_zw_re": r.r_zw.real,
-                "r_zw_im": r.r_zw.imag, "r_ww": r.r_ww}
+        r_zz, r_zw, r_ww = geometry.ricci_at(zeta.p)
+        return {"r_zz": r_zz, "r_zw_re": r_zw.real, "r_zw_im": r_zw.imag, "r_ww": r_ww}
     if quantity == "scalar-curvature":
-        return {"value": geometry.scalar_curvature(zeta, params)}
+        return {"value": _scalar_curvature(zeta, params)}
     if quantity == "diastasis":
-        return {"value": kernels.diastasis(zeta, origin, params)}
+        return {"value": kernels.diastasis_at(zeta.z, zeta.w, origin.z, origin.w, params)}
     if quantity == "berezin":
-        return {"value": kernels.berezin_kernel(zeta, origin, params)}
+        return {"value": kernels.berezin_at(zeta.z, zeta.w, origin.z, origin.w, params)}
     if quantity == "christoffel":
-        g = geodesics.christoffel(zeta, params)
-        return {name: getattr(g, name) for name in
-                ("g_zzz", "g_wzz", "g_zzw", "g_wwz", "g_zww", "g_www")}
+        return dict(zip(("g_zzz", "g_wzz", "g_zzw", "g_wwz", "g_zww", "g_www"),
+                        geodesics.christoffel_at(zeta.z, zeta.w, zeta.p, params)))
     if quantity == "volume":
-        return {"value": geometry.volume_density(zeta, params)}
+        return {"value": geometry.volume_density_at(zeta.p, params)}
     v = eta_of(zeta)
     return {"re": v.real, "im": v.imag}
 
@@ -244,6 +248,6 @@ def test_pinned_metric_and_curvature(kmu, z, w, h_want, curvature):
         for a, b in zip(got, h_want):
             assert _close(a, b, REL), (got, h_want)
     cond = _condition("scalar-curvature", zeta, params)
-    for got in (geometry.scalar_curvature(zeta, params),
+    for got in (_scalar_curvature(zeta, params),
                 batch["scalar-curvature"]["value"][0]):
         assert _close(got, curvature, REL * cond), (got, curvature)
