@@ -292,6 +292,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     report = run_suites(names, vcfg)
+    for name, records in report["suites"].items():
+        for rec in records:
+            if not math.isfinite(rec["deviation"]):
+                print(f"error: {name} check {rec['check']} has no finite deviation "
+                      f"at these settings", file=sys.stderr)
+                return EXIT_DOMAIN
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
@@ -428,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OverflowError as exc:
+    except (BoundaryEscape, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

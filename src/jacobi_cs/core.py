@@ -48,6 +48,11 @@ class BoundaryEscape(RuntimeError):
         self.t = t
         super().__init__(message or f"trajectory left the disk at t={t:.6g}")
 
+    def __reduce__(self):
+        # args hold only the message; rebuild from t and the message so
+        # the error survives a process boundary
+        return type(self), (self.t, str(self))
+
 
 class ZeroDirection(ValueError):
     """A closed-form solution requires a nonzero disk velocity."""

@@ -230,7 +230,10 @@ def basis_at(z, w, params: ModelParams, n_max: int, m_max: int) -> np.ndarray:
 
 def basis_function(idx: BasisIndex, zeta: JacobiPoint, params: ModelParams) -> complex:
     """Orthonormal basis polynomial f[n, m] at zeta."""
-    return complex(basis_at(zeta.z, zeta.w, params, idx.n, idx.m)[idx.n, idx.m])
+    flat, disk = basis_factors_at(zeta.z, zeta.w, params, idx.n, idx.m)
+    # row n of basis_at's outer product: numpy's array loop may fuse the
+    # complex multiply, so a product of two scalars can differ in the last bit
+    return complex((flat[idx.n] * disk)[idx.m])
 
 
 def basis_matrix(zeta: JacobiPoint, params: ModelParams,

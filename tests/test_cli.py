@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from jacobi_cs import cli, verify
 from jacobi_cs.cli import MAX_GEODESIC_STEPS, main, parse_complex, parse_range
 
@@ -355,6 +356,35 @@ class TestVerifyCommand:
         assert err == (f"error: mc_samples must be between {verify.MIN_MC_SAMPLES} and "
                        f"{verify.MAX_MC_SAMPLES}, got {mc_samples}\n")
 
+    def test_boundary_escape_exits_3(self, capsys):
+        code, out, err = run(capsys, "verify", "geodesics", "--rk4-step", "1.5")
+        assert (code, out, err) == (3, "", "error: trajectory left the disk at t=0\n")
+
+    def test_boundary_escape_in_a_worker_exits_3(self, capsys, forked):
+        code, out, err = run(capsys, "verify", "all", "--rk4-step", "1.5",
+                             "--mc-samples", "10000")
+        assert forked == [2]         # the geodesics suite ran in a worker
+        assert (code, out, err) == (3, "", "error: trajectory left the disk at t=0\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow, the subject
+    def test_non_finite_deviation_exits_3(self, capsys):
+        # the kernel overflows at this k: no NaN in place of JSON
+        code, out, err = run(capsys, "verify", "kernels", "--k", "1e308")
+        assert (code, out) == (3, "")
+        assert err == ("error: kernels check hermitian-symmetry has no finite "
+                       "deviation at these settings\n")
+
+    def test_forked_error_stderr_is_one_line(self):
+        # at mu = 0 the algebra suite raises first in name order; the
+        # geometry suite, run meanwhile in a worker, warns, but a run in
+        # name order would never have reached it
+        proc = run_python("import sys\n"
+                          "from jacobi_cs import cli, verify\n"
+                          "verify._usable_cpus = lambda: 3\n"
+                          "sys.exit(cli.main(['verify', 'all', '--mu', '0']))\n")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: the operator realization needs mu > 0\n"
+
     def test_quadrature_reproducible(self, capsys):
         code1, out1, _ = run(capsys, "verify", "quadrature", "--seed", "42",
                              "--mc-samples", "50000")
@@ -513,8 +543,20 @@ def _flags(names):
                      st.lists(st.booleans(), min_size=n, max_size=n))
 
 
+def _near(lo, hi, rest=_REAL):
+    """Strategy for a flag value: three times in four a number in [lo, hi],
+    else one from ``rest``."""
+    return st.integers(0, 3).flatmap(
+        lambda i: rest if i == 0 else st.floats(lo, hi)).map(repr)
+
+
+# a geodesics suite at --rk4-step 0.05 integrates 40 steps; a finer step is slow
+_RK4_STEP = _near(0.05, 2.0, _REAL.filter(lambda x: not 0.0 < x < 0.05))
+
+
 class TestFuzz:
-    """Any input exits 0, 2 or 3 with strict JSON on stdout and no traceback."""
+    """Any input exits 0, 2 or 3 (or 1 from verify) with strict JSON or
+    nothing on stdout and no traceback."""
 
     @staticmethod
     def check(argv):
@@ -524,9 +566,10 @@ class TestFuzz:
                 code = main(argv)
             except SystemExit as exc:     # argparse rejects the command line
                 code = exc.code
-        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert code in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3)), \
+            (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        if code == 0 or out.getvalue():
+        if code in (0, 1) or out.getvalue():
             json.loads(out.getvalue(), parse_constant=_reject_constant)
 
     @settings(max_examples=150, deadline=None)
@@ -540,3 +583,15 @@ class TestFuzz:
            steps=st.integers(1, 50))
     def test_short_geodesic(self, flags, steps):
         self.check(["geodesic", *flags, "--steps", str(steps), "--out", os.devnull])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow at huge k, mu
+    @settings(max_examples=150, deadline=None)
+    @given(suite=st.sampled_from(["geodesics", "geometry", "kernels", "group", "algebra"]),
+           rk4_step=_RK4_STEP, fd_step=st.none() | _near(1e-7, 1e-2),
+           k=st.none() | _near(0.75, 10.0), mu=st.none() | _near(0.0, 10.0))
+    def test_verify_suite(self, suite, rk4_step, fd_step, k, mu):
+        argv = ["verify", suite, "--rk4-step", rk4_step]
+        for flag, value in (("--fd-step", fd_step), ("--k", k), ("--mu", mu)):
+            if value is not None:
+                argv += [flag, value]
+        self.check(argv)

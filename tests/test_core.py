@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from jacobi_cs import (
     ModelParams,
     NonFinite,
     TangentVector,
+    core,
     eta_of,
     fc_forward,
     make_jacobi_point,
@@ -113,3 +116,21 @@ class TestValueTypes:
 
     def test_point_equality_ignores_cache(self):
         assert make_jacobi_point(1.0, 0.2) == JacobiPoint(1.0, 0.2)
+
+
+_CORE_ERRORS = sorted((obj for obj in vars(core).values()
+                       if isinstance(obj, type) and issubclass(obj, Exception)
+                       and obj.__module__ == core.__name__), key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", [
+    *(cls("a message") for cls in _CORE_ERRORS if cls is not core.BoundaryEscape),
+    core.BoundaryEscape(0.5),
+    core.BoundaryEscape(0.39999999999999997, "step left the disk at t=0.4"),
+], ids=repr)
+def test_errors_survive_pickle(error):
+    # a verify suite run in a worker process sends its error back pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)

@@ -301,6 +301,15 @@ class TestBasisFunctions:
             assert np.max(np.abs(cell - want)) <= 1e-14 * np.max(np.abs(want))
             assert basis_function(BasisIndex(7, 5), p, params) == want[7, 5]
 
+    @pytest.mark.parametrize("k", [0.75, 1.25, 2.25])
+    def test_one_entry_is_the_matrix_entry_bit_for_bit(self, rng, k):
+        params = ModelParams(k, 1.5)
+        for p in random_points(rng, 10, z_scale=2.0, w_radius=0.9):
+            for n in range(12):
+                for m in range(12):
+                    want = complex(basis_at(p.z, p.w, params, n, m)[n, m])
+                    assert basis_function(BasisIndex(n, m), p, params) == want
+
 
 # (k, mu), z, w, (n, m), f[n, m] at truncation 40x40 as the implementation
 # with separate scalar and array basis evaluators computed them

@@ -1,10 +1,15 @@
 """End-to-end run of every named verification suite at default settings."""
 
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import assert_no_children, run_python
+from jacobi_cs import verify
+from jacobi_cs.core import BoundaryEscape
 from jacobi_cs.verify import (
     SUITE_NAMES,
     VerifyConfig,
@@ -55,3 +60,109 @@ def test_random_streams_pinned():
     assert (e.g.a, e.g.b, e.alpha, e.t) == (
         -0.14045440815886168 + 1.1239220535985233j, 0.514380275208108 + 0.13542952341793393j,
         -0.9669447289429418 + 0.6265404784005448j, 0.8255111545554434)
+
+
+def _name_order_report(names, cfg):
+    """A report assembled from each suite function called here, in name order."""
+    suites = {name: getattr(verify, f"suite_{name}")(cfg) for name in sorted(names)}
+    return {"suites": suites,
+            "pass": all(rec["pass"] for recs in suites.values() for rec in recs)}
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_forked_report_equals_name_order_report(forked, seed):
+    cfg = VerifyConfig(seed=seed)
+    report = run_suites(list(SUITE_NAMES), cfg)
+    assert forked == [2]
+    assert json.dumps(report) == json.dumps(_name_order_report(SUITE_NAMES, cfg))
+    assert report["pass"] is (seed == 0)
+
+
+_CHEAP = ["algebra", "bargmann", "group"]
+
+
+@pytest.mark.parametrize("cpus, names, fork", [
+    (1, _CHEAP, True),          # one CPU
+    (4, ["group"], True),       # one suite
+    (4, _CHEAP, False),         # no fork start method
+])
+def test_no_pool_without_a_worker(monkeypatch, cpus, names, fork):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+
+    def no_pool(*args):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(verify, "_run_forked", no_pool)
+    cfg = VerifyConfig()
+    assert run_suites(names, cfg) == _name_order_report(names, cfg)
+    assert_no_children()
+
+
+def _fake_suite(name, error=None, warning=None):
+    def suite(cfg):
+        if warning:
+            warnings.warn(warning)
+        if error:
+            raise error
+        return [{"check": name, "pass": True}]
+    return suite
+
+
+@pytest.mark.parametrize("errors, first", [
+    # quadrature runs in this process, the others in workers
+    ({"algebra": ValueError("algebra"), "quadrature": ValueError("quadrature")},
+     ValueError("algebra")),
+    ({"quadrature": ValueError("quadrature")}, ValueError("quadrature")),
+    ({"group": ValueError("group"), "geodesics": BoundaryEscape(0.5)},
+     BoundaryEscape(0.5)),
+])
+def test_forked_run_raises_the_first_error_in_name_order(forked, monkeypatch, errors, first):
+    monkeypatch.setattr(verify, "_SUITES", {name: _fake_suite(name, errors.get(name))
+                                            for name in SUITE_NAMES})
+    with pytest.raises(type(first)) as err:
+        run_suites(list(SUITE_NAMES), VerifyConfig())
+    assert forked == [2]
+    assert str(err.value) == str(first)
+    assert vars(err.value) == vars(first)
+
+
+def test_forked_warnings_shown_in_name_order_up_to_the_first_error(forked, monkeypatch):
+    suites = {name: _fake_suite(name) for name in SUITE_NAMES}
+    suites["algebra"] = _fake_suite("algebra", warning="algebra")
+    suites["bargmann"] = _fake_suite("bargmann", ValueError("bargmann"), "bargmann")
+    suites["group"] = _fake_suite("group", warning="group")      # runs after the error
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError):
+        warnings.simplefilter("always")
+        run_suites(list(SUITE_NAMES), VerifyConfig())
+    assert forked == [2]
+    assert [str(w.message) for w in caught] == ["algebra", "bargmann"]
+
+
+def test_output_written_before_the_fork_appears_once():
+    proc = run_python(
+        "import sys\n"
+        "from jacobi_cs import verify\n"
+        "verify._usable_cpus = lambda: 3\n"
+        "sys.stdout.write('written before the fork\\n')\n"
+        f"verify.run_suites({_CHEAP!r}, verify.VerifyConfig())\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "written before the fork\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_one_cpu_prints_the_same_report_without_a_pool():
+    proc = run_python(
+        "import os, sys\n"
+        "from jacobi_cs import cli\n"
+        "POOL = ('multiprocessing', 'concurrent.futures.process')\n"
+        "assert not any(m in sys.modules for m in POOL), 'imported by the CLI'\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "code = cli.main(['verify', 'all', '--seed', '0'])\n"
+        "assert not any(m in sys.modules for m in POOL), 'imported by a report'\n"
+        "sys.exit(code)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.dumps(run_suites(list(SUITE_NAMES), VerifyConfig()),
+                                     indent=2) + "\n"
