@@ -15,11 +15,13 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
-from . import geodesics, geometry, kernels
+from . import core, geodesics, geometry, kernels
 from .core import (
     BoundaryEscape,
     BoundaryViolation,
@@ -107,6 +109,12 @@ def load_config(path: str | None) -> dict:
                     value, (int, float) if kind is float else kind):
                 raise ValueError(f"config key {key!r} takes a {kind.__name__}, "
                                  f"got {value!r}")
+            if key == "tolerances":
+                for check, tol in value.items():
+                    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                            or not 0.0 <= tol < math.inf):
+                        raise ValueError(f"tolerance {check!r} takes a finite, "
+                                         f"non-negative number, got {tol!r}")
             merged[key] = value
     return merged
 
@@ -125,6 +133,7 @@ _EVAL_QUANTITIES = ("kernel", "potential", "metric", "ricci",
                     "scalar-curvature", "diastasis", "berezin",
                     "christoffel", "volume", "eta")
 _TABLE_CHUNK_ROWS = 8192
+_COPY_BYTES = 1 << 16        # a child's rows are appended in pieces of this size
 
 
 def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
@@ -302,6 +311,109 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
+def _coords(texts: list[list[str]], start: int):
+    """Comma-joined coordinates of rows ``start``, ``start`` + 1, ... of the
+    product of the formatted axes ``texts`` in ij order (``start`` below
+    the row count, or 0).
+
+    The row's index on each axis comes from index arithmetic, so no row
+    before ``start`` is generated: one product per axis finishes the
+    partial row counter, innermost axis first.
+    """
+    index = []
+    for axis in reversed(texts):
+        start, i = divmod(start, len(axis) or 1)
+        index.insert(0, i)
+    last = len(texts) - 1
+    pieces = (itertools.product(*(t[i:i + 1] for t, i in zip(texts[:d], index)),
+                                texts[d][index[d] + (d < last):], *texts[d + 1:])
+              for d in range(last, -1, -1))
+    return map(",".join, itertools.chain.from_iterable(pieces))
+
+
+def _write_rows(write, texts: list[list[str]], columns: dict, keys: list[str],
+                start: int, stop: int) -> None:
+    """Rows ``start`` to ``stop`` - 1 of a table, ``_TABLE_CHUNK_ROWS`` per write."""
+    coords = _coords(texts, start)
+    for lo in range(start, stop, _TABLE_CHUNK_ROWS):
+        hi = min(lo + _TABLE_CHUNK_ROWS, stop)
+        rows = zip(itertools.islice(coords, hi - lo),
+                   *(map(repr, columns[key][lo:hi].tolist()) for key in keys))
+        write("".join([",".join(row) + "\n" for row in rows]))
+
+
+def _fork_rows(texts: list[list[str]], columns: dict, keys: list[str],
+               start: int, stop: int, spool) -> int:
+    """Fork a child that writes rows ``start`` to ``stop`` - 1 to the binary
+    file ``spool``; returns its pid.  The child exits with status 0 once
+    they are written, else 1, and never returns into the caller."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            _write_rows(lambda text: spool.write(text.encode("ascii")),
+                        texts, columns, keys, start, stop)
+            spool.flush()
+            status = 0
+        finally:
+            # no traceback, no flush of the stdio buffers copied at the fork
+            os._exit(status)
+    return pid
+
+
+def _append(out, spool) -> None:
+    """Copy the ASCII file ``spool`` from its start to the end of ``out``."""
+    spool.seek(0)
+    if hasattr(out, "buffer"):
+        out.flush()
+        shutil.copyfileobj(spool, out.buffer, _COPY_BYTES)
+    else:
+        while chunk := spool.read(_COPY_BYTES):
+            out.write(chunk.decode("ascii"))
+
+
+def _write_table(out, header: str, texts: list[list[str]], columns: dict,
+                 keys: list[str], n_rows: int) -> None:
+    """Write the header and every row to ``out``, on up to one process per
+    usable CPU.
+
+    Rows split into contiguous ranges of at least ``_TABLE_CHUNK_ROWS``.
+    A forked child writes each range after the first to a temporary file
+    while this process writes the first; the files are then appended in
+    order, so ``out`` gets the bytes one process would write.  No child
+    outlives the call.
+    """
+    parts = 1
+    if hasattr(os, "fork"):
+        parts = max(1, min(core.usable_cpus(), n_rows // _TABLE_CHUNK_ROWS))
+    bounds = [n_rows * i // parts for i in range(parts + 1)]
+    children = []   # (pid, spool, first row) of each child not yet reaped
+    spools = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            spools.append(tempfile.TemporaryFile())
+            children.append((_fork_rows(texts, columns, keys, start, stop, spools[-1]),
+                             spools[-1], start))
+        out.write(header)
+        _write_rows(out.write, texts, columns, keys, 0, bounds[1])
+        while children:
+            pid, spool, start = children[0]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]     # reaped: its pid may be reused from here on
+            if status != 0:
+                raise ChildProcessError(f"the process writing table rows from {start} "
+                                        f"on failed with exit status {status}")
+            _append(out, spool)
+    finally:
+        if children:
+            import signal   # only on this error path: the CLI's start-up does without
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for spool in spools:
+            spool.close()
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
@@ -318,17 +430,12 @@ def cmd_table(args: argparse.Namespace) -> int:
                        _complex_grid(re_w, im_w), origin, origin, params)
     n_rows = re_z.size
     keys = sorted(columns) if n_rows else ["value"]
+    header = ",".join(["re_z", "im_z", "re_w", "im_w"] + keys) + "\n"
     # each coordinate is formatted once per axis value, not once per row
-    coords = map(",".join, itertools.product(
-        *([repr(x) for x in axis.tolist()] for axis in axes)))
+    texts = [[repr(x) for x in axis.tolist()] for axis in axes]
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
-        out.write(",".join(["re_z", "im_z", "re_w", "im_w"] + keys) + "\n")
-        for start in range(0, n_rows, _TABLE_CHUNK_ROWS):
-            stop = start + _TABLE_CHUNK_ROWS
-            rows = zip(itertools.islice(coords, _TABLE_CHUNK_ROWS),
-                       *(map(repr, columns[key][start:stop].tolist()) for key in keys))
-            out.write("".join([",".join(row) + "\n" for row in rows]))
+        _write_table(out, header, texts, columns, keys, n_rows)
     finally:
         if out is not sys.stdout:
             out.close()

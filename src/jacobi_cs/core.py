@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,3 +240,11 @@ def eta_at(z, w, p):
 def eta_of(zeta: JacobiPoint) -> complex:
     """:func:`eta_at` at a point."""
     return eta_at(zeta.z, zeta.w, zeta.p)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the parallel CLI commands start at
+    most one process per usable CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, bargmann, embedding, geodesics, geometry, group, kernels, quadrature
+from . import algebra, bargmann, core, embedding, geodesics, geometry, group, kernels, quadrature
 from .core import JacobiPoint, ModelParams, TangentVector, hermitian_det, make_jacobi_point, p_at
 from .geometry import WirtingerStencil
 from .kernels import BasisIndex, TruncationOrder
@@ -739,12 +739,6 @@ _SUITES = {
 }
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_caught(name: str, cfg: VerifyConfig) -> tuple:
     """(records or the error raised, warnings issued) of one suite.
 
@@ -794,7 +788,7 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
         raise ValueError(f"unknown suites: {unknown}; "
                          f"choose from {sorted(_SUITES)}")
     order = sorted(set(names), key=_LONGEST_FIRST.index)
-    workers = min(len(order), _usable_cpus()) - 1
+    workers = min(len(order), core.usable_cpus()) - 1
     if workers < 1 or not hasattr(os, "fork"):
         suites = {name: _SUITES[name](cfg) for name in sorted(order)}
     else:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from jacobi_cs import JacobiGroupElement, SU11Element, make_jacobi_point, verify
+from jacobi_cs import JacobiGroupElement, SU11Element, core, make_jacobi_point, verify
 
 
 def point_strategy(z_max=1.0, w_max=0.6):
@@ -57,7 +57,7 @@ def forked(monkeypatch):
     """Three usable CPUs whatever the machine has, so a report of three or
     more suites forks two workers; yields the worker count of each pool
     made, and checks that no worker is left once the test is over."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 3)
     pools = []
     run_forked = verify._run_forked
 

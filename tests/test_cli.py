@@ -1,17 +1,19 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
-from jacobi_cs import cli, verify
+from conftest import assert_no_children, run_python
+from jacobi_cs import cli, core, verify
 from jacobi_cs.cli import MAX_GEODESIC_STEPS, main, parse_complex, parse_range
 
 
@@ -379,8 +381,8 @@ class TestVerifyCommand:
         # geometry suite, run meanwhile in a worker, warns, but a run in
         # name order would never have reached it
         proc = run_python("import sys\n"
-                          "from jacobi_cs import cli, verify\n"
-                          "verify._usable_cpus = lambda: 3\n"
+                          "from jacobi_cs import cli, core\n"
+                          "core.usable_cpus = lambda: 3\n"
                           "sys.exit(cli.main(['verify', 'all', '--mu', '0']))\n")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: the operator realization needs mu > 0\n"
@@ -477,6 +479,131 @@ class TestTable:
         assert dict(zip(header.split(","), row.split(",")))["h_ww"] == "inf"
 
 
+# 7 * 11 * 17 * 19 = 24,871 rows: three parts of at least 8,192 rows, and
+# neither two nor three parts divide the rows evenly
+PARALLEL_GRID = ("--re-z=-1.5:1.5:7", "--im-z=-1.5:1.5:11", "--re-w=-0.6:0.6:17",
+                 "--im-w=-0.6:0.6:19")
+
+
+class TestParallelTable:
+    @staticmethod
+    def table(monkeypatch, cpus, quantity, out):
+        """Bytes of ``table`` at ``cpus`` usable CPUs to a file, or to a
+        stdout with a binary buffer when ``out`` is None."""
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["table", quantity, *PARALLEL_GRID, "--out", str(out) if out else "-"])
+        assert code == 0
+        assert_no_children()
+        if out:
+            return out.read_bytes()
+        stdout.flush()
+        return stdout.buffer.getvalue()
+
+    @pytest.mark.parametrize("quantity", cli._EVAL_QUANTITIES)
+    def test_same_bytes_on_any_number_of_processes(self, monkeypatch, tmp_path, quantity):
+        forks = []
+        fork_rows = cli._fork_rows
+        monkeypatch.setattr(cli, "_fork_rows",
+                            lambda *a: forks.append(a[3:5]) or fork_rows(*a))
+        want = self.table(monkeypatch, 1, quantity, tmp_path / "one.csv")
+        assert forks == []
+        assert want.count(b"\n") == 1 + 7 * 11 * 17 * 19
+        for cpus, parts in ((2, [(12435, 24871)]),
+                            (3, [(8290, 16580), (16580, 24871)])):
+            forks.clear()
+            assert self.table(monkeypatch, cpus, quantity, tmp_path / "t.csv") == want
+            assert self.table(monkeypatch, cpus, quantity, None) == want
+            assert forks == parts * 2
+
+    def test_stdout_without_a_buffer(self, monkeypatch, tmp_path):
+        want = self.table(monkeypatch, 1, "metric", tmp_path / "one.csv")
+        monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["table", "metric", *PARALLEL_GRID]) == 0
+        assert_no_children()
+        assert out.getvalue().encode() == want
+
+    @pytest.mark.parametrize("cpus, rows, fork", [
+        (1, 4 * 8192, True),            # one usable CPU
+        (3, 2 * 8192 - 1, True),        # too few rows for two parts
+        (3, 4 * 8192, False),           # no fork on the platform
+    ])
+    def test_one_part_runs_in_process(self, monkeypatch, tmp_path, cpus, rows, fork):
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+
+        def no_fork(*args):
+            raise AssertionError("a child was forked")
+
+        monkeypatch.setattr(cli, "_fork_rows", no_fork)
+        out = tmp_path / "t.csv"
+        assert main(["table", "volume", f"--re-w=0:0.5:{rows}", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == rows + 1
+
+    def test_coordinates_start_at_any_row(self):
+        texts = [["a", "b", "c"], ["d"], ["e", "f", "g", "h"], ["i", "j"]]
+        rows = list(map(",".join, itertools.product(*texts)))
+        for start in range(len(rows)):
+            assert list(cli._coords(texts, start)) == rows[start:]
+        assert list(cli._coords([["a"], []], 0)) == []
+
+    def test_failing_parent_write_reaps_every_child(self, monkeypatch, capsys):
+        class FailingOut(io.StringIO):
+            def write(self, text):
+                if self.tell():         # the header is written, the rows fail
+                    raise OSError("no space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+        forks = []
+        fork_rows = cli._fork_rows
+        monkeypatch.setattr(cli, "_fork_rows",
+                            lambda *a: forks.append(fork_rows(*a)) or forks[-1])
+        monkeypatch.setattr(sys, "stdout", FailingOut())
+        assert main(["table", "christoffel", *PARALLEL_GRID]) == 2
+        assert len(forks) == 2
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert_no_children()
+
+    def test_failing_child_exits_2_without_traceback(self, monkeypatch, capfd, tmp_path):
+        write_rows = cli._write_rows
+
+        def failing(write, texts, columns, keys, start, stop):
+            if start:                   # a child's range
+                raise OSError("no space left on device")
+            write_rows(write, texts, columns, keys, start, stop)
+
+        monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "_write_rows", failing)
+        code = main(["table", "metric", *PARALLEL_GRID, "--out", str(tmp_path / "t.csv")])
+        assert_no_children()
+        out, err = capfd.readouterr()
+        assert (code, out) == (2, "")
+        assert err == ("error: the process writing table rows from 8290 on failed "
+                       "with exit status 1\n")
+
+    def test_fresh_interpreter_forks_without_multiprocessing(self, tmp_path):
+        # the unflushed line before the fork must not be flushed by the child too
+        out = tmp_path / "t.csv"
+        proc = run_python(
+            "import os, sys\n"
+            "from jacobi_cs import cli, core\n"
+            "core.usable_cpus = lambda: 2\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "sys.stdout.write('written before the fork\\n')\n"
+            "code = cli.main(['table', 'volume', '--re-z=0:1:200', '--re-w=-0.5:0.5:200',\n"
+            f"                 '--out', {str(out)!r}])\n"
+            "print(code, len(forks), 'multiprocessing' in sys.modules)\n")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "written before the fork\n0 1 False\n"
+        assert out.read_text().count("\n") == 1 + 200 * 200
+
+
 class TestConfig:
     def test_config_file_and_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -507,6 +634,16 @@ class TestConfig:
                              "--out", str(tmp_path / "x.csv"))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and next(iter(entry)) in err
+
+    @pytest.mark.parametrize("tol", ['"x"', "NaN", "-1", "true"])
+    def test_tolerance_not_a_finite_non_negative_number_exits_2(self, capsys, tmp_path,
+                                                                tol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"tolerances": {{"scalar-curvature-constant": {tol}}}}}')
+        code, out, err = run(capsys, "verify", "geometry", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerance 'scalar-curvature-constant'")
+        assert err.count("\n") == 1
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -559,7 +696,7 @@ class TestFuzz:
     nothing on stdout and no traceback."""
 
     @staticmethod
-    def check(argv):
+    def check(argv, json_stdout=True):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -569,7 +706,7 @@ class TestFuzz:
         assert code in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3)), \
             (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        if code in (0, 1) or out.getvalue():
+        if json_stdout and (code in (0, 1) or out.getvalue()):
             json.loads(out.getvalue(), parse_constant=_reject_constant)
 
     @settings(max_examples=150, deadline=None)
@@ -583,6 +720,23 @@ class TestFuzz:
            steps=st.integers(1, 50))
     def test_short_geodesic(self, flags, steps):
         self.check(["geodesic", *flags, "--steps", str(steps), "--out", os.devnull])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # linspace overflow at huge ends
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(quantity=st.sampled_from(cli._EVAL_QUANTITIES),
+           axes=st.lists(st.tuples(_REAL, _REAL, st.integers(0, 4), st.booleans()),
+                         min_size=4, max_size=4),
+           k=st.none() | _near(0.75, 10.0), mu=st.none() | _near(0.0, 10.0))
+    def test_small_table(self, tmp_path, quantity, axes, k, mu):
+        argv = ["table", quantity, "--out", str(tmp_path / "t.csv")]
+        for flag, (a, b, n, join) in zip(("--re-z", "--im-z", "--re-w", "--im-w"), axes):
+            value = f"{a!r}:{b!r}:{n}"
+            argv += [f"{flag}={value}"] if join else [flag, value]
+        for flag, value in (("--k", k), ("--mu", mu)):
+            if value is not None:
+                argv += [flag, value]
+        self.check(argv, json_stdout=False)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow at huge k, mu
     @settings(max_examples=150, deadline=None)

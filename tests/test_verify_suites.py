@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_no_children, run_python
-from jacobi_cs import verify
+from jacobi_cs import core, verify
 from jacobi_cs.core import BoundaryEscape
 from jacobi_cs.verify import (
     SUITE_NAMES,
@@ -87,7 +87,7 @@ _CHEAP = ["algebra", "bargmann", "group"]
     (4, _CHEAP, False),         # no fork start method
 ])
 def test_no_pool_without_a_worker(monkeypatch, cpus, names, fork):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     if not fork:
         monkeypatch.delattr(os, "fork")
 
@@ -144,8 +144,8 @@ def test_forked_warnings_shown_in_name_order_up_to_the_first_error(forked, monke
 def test_output_written_before_the_fork_appears_once():
     proc = run_python(
         "import sys\n"
-        "from jacobi_cs import verify\n"
-        "verify._usable_cpus = lambda: 3\n"
+        "from jacobi_cs import core, verify\n"
+        "core.usable_cpus = lambda: 3\n"
         "sys.stdout.write('written before the fork\\n')\n"
         f"verify.run_suites({_CHEAP!r}, verify.VerifyConfig())\n")
     assert proc.returncode == 0, proc.stderr
