@@ -87,7 +87,12 @@ def parse_range(text: str) -> np.ndarray:
             if count > MAX_TABLE_NODES:
                 raise argparse.ArgumentTypeError(
                     f"{count} samples exceed the table limit of {MAX_TABLE_NODES} nodes")
-            return np.linspace(float(parts[0]), float(parts[1]), count)
+            start, stop = float(parts[0]), float(parts[1])
+            if not math.isfinite(stop - start):
+                raise argparse.ArgumentTypeError(
+                    f"range {text!r} needs finite ends less than the largest "
+                    f"float apart")
+            return np.linspace(start, stop, count)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(

@@ -77,8 +77,12 @@ def require_finite(value: complex, name: str = "value") -> complex:
 def check_disk(w: complex) -> complex:
     """Validate a disk coordinate: finite and |w| < 1 - EPS_BOUND."""
     require_finite(w, "w")
-    if abs(w) >= 1.0 - EPS_BOUND:
-        raise BoundaryViolation(f"|w|={abs(w):.12g} is not inside the open disk")
+    try:
+        r = abs(w)
+    except OverflowError:       # finite parts, |w| beyond the float range
+        r = math.inf
+    if r >= 1.0 - EPS_BOUND:
+        raise BoundaryViolation(f"|w|={r:.12g} is not inside the open disk")
     return w
 
 
@@ -115,7 +119,9 @@ def check_points(z, w) -> None:
     complex does); the scalar constructor decides.
     """
     z, w = np.broadcast_arrays(np.asarray(z), np.asarray(w))
-    good = np.isfinite(z) & np.isfinite(w) & (np.hypot(w.real, w.imag) < 1.0 - EPS_BOUND)
+    with np.errstate(over="ignore"):    # an overflowing |w| is inf: outside
+        r = np.hypot(w.real, w.imag)
+    good = np.isfinite(z) & np.isfinite(w) & (r < 1.0 - EPS_BOUND)
     for i in np.flatnonzero(~good):
         make_jacobi_point(z.flat[i].item(), w.flat[i].item())
 

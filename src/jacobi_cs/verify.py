@@ -5,8 +5,10 @@ Each identity is measured by one check function: it takes explicit inputs
 returns the worst deviation.  A suite draws its inputs from the configured
 seed with :func:`random_points` and :func:`random_elements`, runs the checks
 and returns a list of records {check, identity, deviation, tolerance, pass};
-a report aggregates suites in name order.  Suites are independent, so a
-report runs them on up to one process per usable CPU (:func:`run_suites`).
+a report aggregates suites in name order.  A suite is one or more parts
+(the quadrature suite has three) that seed their own generators, so a
+report runs the parts on up to one process per usable CPU
+(:func:`run_suites`).
 The acceptance tests call the same check functions on their own seeds and
 domains.  Tolerances can be overridden per check name through the
 configuration, which is how the sensitivity of the finite-difference gates
@@ -29,14 +31,18 @@ from .kernels import BasisIndex, TruncationOrder
 
 SUITE_NAMES = ("algebra", "bargmann", "embedding", "geodesics",
                "geometry", "group", "kernels", "quadrature")
-# By run time at the default settings, longest first: quadrature takes
-# 0.55-0.75 s, geodesics about 0.1 s, each other suite 7-35 ms.
-_LONGEST_FIRST = ("quadrature", "geodesics", "embedding", "geometry",
-                  "algebra", "kernels", "bargmann", "group")
+# Suite parts, as (suite name, index into its tuple in _SUITES), by run time
+# at the default settings, longest first (medians of seven in-process runs at
+# seed 0 on a 2-vCPU Xeon VM): the quadrature Gram part 0.45 s, geodesics
+# 75 ms, the quadrature tail 62 ms and head 31 ms, each other suite 4-20 ms.
+_LONGEST_FIRST = (("quadrature", 1), ("geodesics", 0), ("quadrature", 2),
+                  ("quadrature", 0), ("geometry", 0), ("algebra", 0),
+                  ("embedding", 0), ("kernels", 0), ("bargmann", 0), ("group", 0))
 _GEODESIC_SPAN = 2.0
 # the embedding and quadrature suites need a basis, so they run at this k
 # whatever the configuration says
 _BASIS_K = 1.25
+_AT_BASIS_K = f" (k = {_BASIS_K})"
 # The quadrature suite's inner products draw mc_samples / 10 samples in one
 # array, 32 B each: 0.32 GB at this limit.  The floor is McConfig's.
 MIN_MC_SAMPLES = 1000
@@ -658,108 +664,123 @@ def suite_embedding(cfg: VerifyConfig) -> list[dict]:
     params = ModelParams(_BASIS_K, cfg.mu)
     trunc = cfg.truncation
     pts = random_points(rng, 30, z_scale=1.0, w_radius=0.5)
-    at_k = f" (k = {_BASIS_K})"
 
     dev_pair, dev_angle = pairing_deviation(pts[::2], pts[1::2], params, trunc)
     records = [_record(cfg, "projective-pairing",
-                       "normalized kernel equals the embedded pairing" + at_k,
+                       "normalized kernel equals the embedded pairing" + _AT_BASIS_K,
                        dev_pair, 1e-8)]
     records.append(_record(cfg, "angle-vs-projective-distance",
-                           "kernel angle equals the projective distance" + at_k,
+                           "kernel angle equals the projective distance" + _AT_BASIS_K,
                            dev_angle, 1e-8))
 
     records.append(_record(cfg, "projective-metric-pullback",
-                           "metric equals the Hessian of ln |embedding|^2" + at_k,
+                           "metric equals the Hessian of ln |embedding|^2" + _AT_BASIS_K,
                            pullback_deviation(pts[:4], params, trunc, cfg.stencil()),
                            1e-5))
 
     records.append(_record(cfg, "embedding-norm-convergence",
                            "squared embedding norm converges to the diagonal "
-                           "kernel" + at_k,
+                           "kernel" + _AT_BASIS_K,
                            embedding_norm_deviation(pts[:10], params, trunc), 1e-8))
 
     records.append(_record(cfg, "length-dominates-angle",
                            "admissible curve length bounds the projective "
-                           "angle" + at_k,
+                           "angle" + _AT_BASIS_K,
                            angle_bound_violation(pts[::2], pts[1::2], params), 1e-9))
     return records
 
 
-def suite_quadrature(cfg: VerifyConfig) -> list[dict]:
+def _small_mc(cfg: VerifyConfig) -> quadrature.McConfig:
+    """The sampler of the single inner products: a tenth of the Gram's."""
+    return quadrature.McConfig(max(MIN_MC_SAMPLES, cfg.mc_samples // 10), cfg.seed)
+
+
+def _quadrature_head(cfg: VerifyConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(_BASIS_K, cfg.mu)
-    at_k = f" (k = {_BASIS_K})"
-
     z, w = _zw(random_points(rng, 25))
     p = p_at(w)
     lam = quadrature.normalization_constant(params.k)
     product = (quadrature.weight_rho_at(z, w, p, params)
                * kernels.kernel_at(z, w, z, w, params).real)
-    records = [_record(cfg, "weight-kernel-product",
-                       "rho * K is the normalization constant" + at_k,
-                       np.max(np.abs(product - lam) / lam), 1e-12)]
-
-    cfg_small = quadrature.McConfig(max(1000, cfg.mc_samples // 10), cfg.seed)
     est = quadrature.inner_product_mc(BasisIndex(0, 0), BasisIndex(0, 0),
-                                      params, cfg_small)
-    records.append(_record(cfg, "unit-normalization",
-                           "mean importance weight is 1" + at_k,
-                           abs(est.value - 1.0), 3.0 * est.std_error))
+                                      params, _small_mc(cfg))
+    return [_record(cfg, "weight-kernel-product",
+                    "rho * K is the normalization constant" + _AT_BASIS_K,
+                    np.max(np.abs(product - lam) / lam), 1e-12),
+            _record(cfg, "unit-normalization",
+                    "mean importance weight is 1" + _AT_BASIS_K,
+                    abs(est.value - 1.0), 3.0 * est.std_error)]
 
-    sigmas, se = gram_deviation(params, quadrature.McConfig(cfg.mc_samples, cfg.seed))
-    records.append(_record(cfg, "orthonormality-matrix",
-                           "basis Gram matrix is the identity (units of "
-                           "standard error)" + at_k, sigmas, 3.0))
-    records.append(_record(cfg, "orthonormality-precision",
-                           "standard errors below 1e-2" + at_k, se, 1e-2))
 
-    records.append(_record(cfg, "disk-marginal",
-                           "pure-disk pairings are orthonormal under exact "
-                           "quadrature (k = 1)", disk_marginal_deviation(), 1e-6))
+def _quadrature_gram(cfg: VerifyConfig) -> list[dict]:
+    sigmas, se = gram_deviation(ModelParams(_BASIS_K, cfg.mu),
+                                quadrature.McConfig(cfg.mc_samples, cfg.seed))
+    return [_record(cfg, "orthonormality-matrix",
+                    "basis Gram matrix is the identity (units of "
+                    "standard error)" + _AT_BASIS_K, sigmas, 3.0),
+            _record(cfg, "orthonormality-precision",
+                    "standard errors below 1e-2" + _AT_BASIS_K, se, 1e-2)]
 
-    rep1 = quadrature.inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1),
-                                       params, cfg_small)
-    rep2 = quadrature.inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1),
-                                       params, cfg_small)
+
+def _quadrature_tail(cfg: VerifyConfig) -> list[dict]:
+    params = ModelParams(_BASIS_K, cfg.mu)
+    records = [_record(cfg, "disk-marginal",
+                       "pure-disk pairings are orthonormal under exact "
+                       "quadrature (k = 1)", disk_marginal_deviation(), 1e-6)]
+    rep1, rep2 = (quadrature.inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1),
+                                              params, _small_mc(cfg))
+                  for _ in range(2))
     records.append(_record(cfg, "determinism",
-                           "same seed reproduces the same estimate" + at_k,
+                           "same seed reproduces the same estimate" + _AT_BASIS_K,
                            abs(rep1.value - rep2.value), 0.0))
     return records
 
 
+# Each part seeds its own generators from the configured seed, so the parts
+# can run in any order, in any process.
+_QUADRATURE_PARTS = (_quadrature_head, _quadrature_gram, _quadrature_tail)
+
+
+def suite_quadrature(cfg: VerifyConfig) -> list[dict]:
+    return [rec for part in _QUADRATURE_PARTS for rec in part(cfg)]
+
+
+# each suite's parts, whose records concatenate in this order to the suite's
 _SUITES = {
-    "algebra": suite_algebra,
-    "bargmann": suite_bargmann,
-    "embedding": suite_embedding,
-    "geodesics": suite_geodesics,
-    "geometry": suite_geometry,
-    "group": suite_group,
-    "kernels": suite_kernels,
-    "quadrature": suite_quadrature,
+    "algebra": (suite_algebra,),
+    "bargmann": (suite_bargmann,),
+    "embedding": (suite_embedding,),
+    "geodesics": (suite_geodesics,),
+    "geometry": (suite_geometry,),
+    "group": (suite_group,),
+    "kernels": (suite_kernels,),
+    "quadrature": _QUADRATURE_PARTS,
 }
 
 
-def _run_caught(name: str, cfg: VerifyConfig) -> tuple:
-    """(records or the error raised, warnings issued) of one suite.
+def _run_caught(part: tuple[str, int], cfg: VerifyConfig) -> tuple:
+    """(records or the error raised, warnings issued) of one suite part.
 
-    A worker is sent this function and the suite's name, never a suite
-    function: pickle sends functions by module name, where a tracer may
-    have put a wrapper in place of the function.
+    A worker is sent this function and the part's (suite name, index),
+    never a part function: pickle sends functions by module name, where a
+    tracer may have put a wrapper in place of the function.
     """
+    name, index = part
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _SUITES[name](cfg), caught
+            return _SUITES[name][index](cfg), caught
         except Exception as exc:
             return exc, caught
 
 
-def _run_forked(order: list[str], cfg: VerifyConfig, workers: int) -> dict:
-    """:func:`_run_caught` of each suite by name: order[0] in this process,
-    the rest in ``workers`` forked processes meanwhile.
+def _run_forked(order: list[tuple[str, int]], cfg: VerifyConfig, workers: int) -> dict:
+    """:func:`_run_caught` of each part: order[0] in this process, the rest
+    in ``workers`` forked processes meanwhile.
 
     Forked, not spawned: a worker starts from this process's memory with
     the package imported, where a fresh interpreter would spend about as
-    long importing it as the suites it runs take.
+    long importing it as the parts it runs take.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -767,40 +788,42 @@ def _run_forked(order: list[str], cfg: VerifyConfig, workers: int) -> dict:
     # a forked worker flushes the stdio buffers it inherited when it exits;
     # multiprocessing flushes sys.stdout and sys.stderr before each fork
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {name: pool.submit(_run_caught, name, cfg) for name in order[1:]}
+        futures = {part: pool.submit(_run_caught, part, cfg) for part in order[1:]}
         outcomes = {order[0]: _run_caught(order[0], cfg)}
-        outcomes.update((name, future.result()) for name, future in futures.items())
+        outcomes.update((part, future.result()) for part, future in futures.items())
     return outcomes
 
 
 def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     """Run the requested suites and aggregate their records in name order.
 
-    With more than one usable CPU and more than one suite, the longest
-    suite runs in this process while forked worker processes run the
-    others, up to one process per usable CPU in all; no worker outlives the
-    call.  Each suite seeds its own generator, so the report is the one a
-    single process gives, and a failing run raises the error that running
-    the suites one by one in name order raises first.
+    The unit of work is a suite part.  With more than one usable CPU and
+    more than one part, the longest part runs in this process while forked
+    worker processes run the others, up to one process per usable CPU in
+    all; no worker outlives the call.  Each part seeds its own generators,
+    so the report is the one a single process gives, and a failing run
+    raises the error that running the parts one by one in (suite name,
+    part) order raises first.
     """
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; "
                          f"choose from {sorted(_SUITES)}")
-    order = sorted(set(names), key=_LONGEST_FIRST.index)
-    workers = min(len(order), core.usable_cpus()) - 1
+    suites = {name: [] for name in sorted(set(names))}
+    parts = [(name, index) for name in suites for index in range(len(_SUITES[name]))]
+    workers = min(len(parts), core.usable_cpus()) - 1
     if workers < 1 or not hasattr(os, "fork"):
-        suites = {name: _SUITES[name](cfg) for name in sorted(order)}
+        for name, index in parts:
+            suites[name] += _SUITES[name][index](cfg)
     else:
-        outcomes = _run_forked(order, cfg, workers)
-        suites = {}
-        # warnings and errors surface as a run in name order shows them
-        for name in sorted(order):
-            result, caught = outcomes[name]
+        outcomes = _run_forked(sorted(parts, key=_LONGEST_FIRST.index), cfg, workers)
+        # warnings and errors surface as a run in part order shows them
+        for name, index in parts:
+            result, caught = outcomes[name, index]
             for w in caught:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno)
             if isinstance(result, Exception):
                 raise result
-            suites[name] = result
+            suites[name] += result
     all_pass = all(rec["pass"] for recs in suites.values() for rec in recs)
     return {"suites": suites, "pass": all_pass}

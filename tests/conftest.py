@@ -55,7 +55,7 @@ def assert_no_children():
 @pytest.fixture
 def forked(monkeypatch):
     """Three usable CPUs whatever the machine has, so a report of three or
-    more suites forks two workers; yields the worker count of each pool
+    more suite parts forks two workers; yields the worker count of each pool
     made, and checks that no worker is left once the test is over."""
     monkeypatch.setattr(core, "usable_cpus", lambda: 3)
     pools = []

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 
@@ -72,6 +73,26 @@ class TestParsing:
     def test_range_empty(self):
         assert len(parse_range("0:1:0")) == 0
 
+    @pytest.mark.parametrize("text", ["-1.7e308:1.7e308:3", "1e308:-1e308:2",
+                                      "inf:1:3", "0:nan:1", "-inf:-inf:0"])
+    def test_range_without_a_finite_span_refused(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match=re.escape(repr(text))):
+            parse_range(text)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_span_exits_2_naming_the_range(self, capsys, tmp_path):
+        out_file = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "potential", "--re-z=-1.7e308:1.7e308:3",
+                  "--out", str(out_file)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1] == (
+            "jacobi-cs table: error: argument --re-z: range '-1.7e308:1.7e308:3' "
+            "needs finite ends less than the largest float apart")
+        assert "Warning" not in err and "nan" not in err
+        assert not out_file.exists()
+
     def test_negative_complex_without_equals(self, capsys):
         code, out, _ = run(capsys, "eval", "kernel", "--z", "-0.5,0.2", "--w", "-.1")
         assert code == 0
@@ -121,6 +142,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "potential", "--w", "1.0")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", ["1.7e308,1.7e308", "1e308,1e308"])
+    def test_huge_w_exits_2_without_warning(self, capsys, w):
+        # |w| may overflow the float range: the point is still outside the disk
+        code, out, err = run(capsys, "eval", "potential", f"--w={w}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: |w|=") and err.endswith(" is not inside the open disk\n")
+        assert err.count("\n") == 1
 
     def test_eta(self, capsys):
         code, out, _ = run(capsys, "eval", "eta", "--z", "1", "--w", "0.5")
@@ -462,6 +492,14 @@ class TestTable:
         assert err
 
     @pytest.mark.filterwarnings("error")
+    def test_node_with_overflowing_w_exits_2_without_warning(self, capsys, tmp_path):
+        out_file = tmp_path / "t.csv"
+        code, out, err = run(capsys, "table", "potential", "--re-w=1.7e308:0:2",
+                             "--im-w=1.7e308", "--out", str(out_file))
+        assert (code, out, err) == (2, "", "error: |w|=inf is not inside the open disk\n")
+        assert not out_file.exists()
+
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_cells_are_written(self, capsys, tmp_path):
         out_file = tmp_path / "d.csv"
         code, _, err = run(capsys, "table", "diastasis", "--re-z=1e200",
@@ -708,6 +746,7 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
         if json_stdout and (code in (0, 1) or out.getvalue()):
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+        return code
 
     @settings(max_examples=150, deadline=None)
     @given(quantity=st.sampled_from(cli._EVAL_QUANTITIES),
@@ -721,7 +760,7 @@ class TestFuzz:
     def test_short_geodesic(self, flags, steps):
         self.check(["geodesic", *flags, "--steps", str(steps), "--out", os.devnull])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # linspace overflow at huge ends
+    @pytest.mark.filterwarnings("error::RuntimeWarning")    # no numpy warning reaches stderr
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(quantity=st.sampled_from(cli._EVAL_QUANTITIES),
@@ -749,3 +788,14 @@ class TestFuzz:
             if value is not None:
                 argv += [flag, value]
         self.check(argv)
+
+    # in range, the quadrature suite's parts run forked on small sample counts
+    @settings(max_examples=60, deadline=None)
+    @given(mc_samples=st.one_of(
+        st.integers(verify.MIN_MC_SAMPLES, 20_000),
+        st.integers(max_value=verify.MIN_MC_SAMPLES - 1),
+        st.integers(min_value=verify.MAX_MC_SAMPLES + 1)))
+    def test_verify_quadrature_mc_samples(self, mc_samples):
+        code = self.check(["verify", "quadrature", f"--mc-samples={mc_samples}"])
+        in_range = verify.MIN_MC_SAMPLES <= mc_samples <= verify.MAX_MC_SAMPLES
+        assert code in ((0, 1) if in_range else (2,))

@@ -83,7 +83,7 @@ _CHEAP = ["algebra", "bargmann", "group"]
 
 @pytest.mark.parametrize("cpus, names, fork", [
     (1, _CHEAP, True),          # one CPU
-    (4, ["group"], True),       # one suite
+    (4, ["group"], True),       # one suite of one part
     (4, _CHEAP, False),         # no fork start method
 ])
 def test_no_pool_without_a_worker(monkeypatch, cpus, names, fork):
@@ -100,27 +100,42 @@ def test_no_pool_without_a_worker(monkeypatch, cpus, names, fork):
     assert_no_children()
 
 
-def _fake_suite(name, error=None, warning=None):
-    def suite(cfg):
+def _fake_part(part, error=None, warning=None):
+    def run(cfg):
         if warning:
             warnings.warn(warning)
         if error:
             raise error
-        return [{"check": name, "pass": True}]
-    return suite
+        return [{"check": "/".join(map(str, part)), "pass": True}]
+    return run
+
+
+def _fake_suites(monkeypatch, errors=None, warns=None):
+    """Replace every suite part by one that warns ``warns[part]``, raises
+    ``errors[part]`` or returns one record; each suite keeps its number of
+    parts, so the parts run where the real ones would."""
+    errors, warns = errors or {}, warns or {}
+    monkeypatch.setattr(verify, "_SUITES", {
+        name: tuple(_fake_part((name, i), errors.get((name, i)), warns.get((name, i)))
+                    for i in range(len(parts)))
+        for name, parts in verify._SUITES.items()})
+
+
+GRAM, HEAD, TAIL = ("quadrature", 1), ("quadrature", 0), ("quadrature", 2)
 
 
 @pytest.mark.parametrize("errors, first", [
-    # quadrature runs in this process, the others in workers
-    ({"algebra": ValueError("algebra"), "quadrature": ValueError("quadrature")},
+    # the Gram part runs in this process, the others in workers
+    ({("algebra", 0): ValueError("algebra"), GRAM: ValueError("gram")},
      ValueError("algebra")),
-    ({"quadrature": ValueError("quadrature")}, ValueError("quadrature")),
-    ({"group": ValueError("group"), "geodesics": BoundaryEscape(0.5)},
+    ({GRAM: ValueError("gram")}, ValueError("gram")),
+    ({GRAM: ValueError("gram"), TAIL: ValueError("tail")}, ValueError("gram")),
+    ({HEAD: ValueError("head"), GRAM: ValueError("gram")}, ValueError("head")),
+    ({("group", 0): ValueError("group"), ("geodesics", 0): BoundaryEscape(0.5)},
      BoundaryEscape(0.5)),
 ])
 def test_forked_run_raises_the_first_error_in_name_order(forked, monkeypatch, errors, first):
-    monkeypatch.setattr(verify, "_SUITES", {name: _fake_suite(name, errors.get(name))
-                                            for name in SUITE_NAMES})
+    _fake_suites(monkeypatch, errors)
     with pytest.raises(type(first)) as err:
         run_suites(list(SUITE_NAMES), VerifyConfig())
     assert forked == [2]
@@ -129,16 +144,41 @@ def test_forked_run_raises_the_first_error_in_name_order(forked, monkeypatch, er
 
 
 def test_forked_warnings_shown_in_name_order_up_to_the_first_error(forked, monkeypatch):
-    suites = {name: _fake_suite(name) for name in SUITE_NAMES}
-    suites["algebra"] = _fake_suite("algebra", warning="algebra")
-    suites["bargmann"] = _fake_suite("bargmann", ValueError("bargmann"), "bargmann")
-    suites["group"] = _fake_suite("group", warning="group")      # runs after the error
-    monkeypatch.setattr(verify, "_SUITES", suites)
+    _fake_suites(monkeypatch,
+                 errors={("bargmann", 0): ValueError("bargmann")},
+                 warns={("algebra", 0): "algebra", ("bargmann", 0): "bargmann",
+                        ("group", 0): "group"})           # group runs after the error
     with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError):
         warnings.simplefilter("always")
         run_suites(list(SUITE_NAMES), VerifyConfig())
     assert forked == [2]
     assert [str(w.message) for w in caught] == ["algebra", "bargmann"]
+
+
+def test_worker_warning_shown_before_the_error_of_a_later_part(forked, monkeypatch):
+    # head warns in a worker, the Gram part warns and fails in this process,
+    # and the tail warns after it in a worker: a run in part order never
+    # reaches the tail
+    _fake_suites(monkeypatch, errors={GRAM: ValueError("gram")},
+                 warns={HEAD: "head", GRAM: "gram", TAIL: "tail"})
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(ValueError, match="gram"):
+        warnings.simplefilter("always")
+        run_suites(["quadrature"], VerifyConfig())
+    assert forked == [2]
+    assert [str(w.message) for w in caught] == ["head", "gram"]
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_quadrature_alone_forks_one_worker_on_two_cpus(forked, monkeypatch, seed):
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    cfg = VerifyConfig(seed=seed)
+    report = run_suites(["quadrature"], cfg)
+    assert forked == [1]
+    assert [rec["check"] for rec in report["suites"]["quadrature"]] == [
+        "weight-kernel-product", "unit-normalization", "orthonormality-matrix",
+        "orthonormality-precision", "disk-marginal", "determinism"]
+    assert json.dumps(report) == json.dumps(_name_order_report(["quadrature"], cfg))
 
 
 def test_output_written_before_the_fork_appears_once():
