@@ -11,6 +11,7 @@ from .core import (
     BoundaryEscape,
     BoundaryProximity,
     BoundaryViolation,
+    DegenerateAction,
     DimensionMismatch,
     EndpointMismatch,
     EPS_BOUND,

@@ -25,6 +25,7 @@ from . import core, geodesics, geometry, kernels
 from .core import (
     BoundaryEscape,
     BoundaryViolation,
+    DegenerateAction,
     InvalidK,
     ModelParams,
     NonFinite,
@@ -44,8 +45,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
-# Largest table grid, in nodes: the whole grid and its value columns are
-# held in memory before the first row is written.
+# Largest table grid, in nodes.  Nodes are built and evaluated
+# _TABLE_CHUNK_ROWS at a time, so memory does not grow with the grid; the
+# limit bounds the run time and the output, about 1 GB at 10^7 nodes.
 MAX_TABLE_NODES = 10**7
 
 _DEFAULTS = {
@@ -137,13 +139,18 @@ def _settings(args: argparse.Namespace) -> dict:
 _EVAL_QUANTITIES = ("kernel", "potential", "metric", "ricci",
                     "scalar-curvature", "diastasis", "berezin",
                     "christoffel", "volume", "eta")
+# quantities whose evaluation validates the metric
+_METRIC_QUANTITIES = ("metric", "scalar-curvature")
 _TABLE_CHUNK_ROWS = 8192
 _COPY_BYTES = 1 << 16        # a child's rows are appended in pieces of this size
 
 
 def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
              w2: np.ndarray, params: ModelParams) -> dict:
-    """Value columns of one quantity at validated coordinates, by output key."""
+    """Value columns of one quantity at valid coordinates, by output key.
+
+    The metric is not checked here; :func:`_check_values` does that.
+    """
     if quantity == "kernel":
         v = kernels.kernel_at(z, w, z2, w2, params)
         return {"re": v.real, "im": v.imag}
@@ -156,7 +163,6 @@ def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
         return {"value": kernels.potential_at(z, w, p, params)}
     if quantity == "metric":
         h_zz, h_zw, h_ww = geometry.metric_at(z, w, p, params)
-        check_metric(h_zz, h_zw, h_ww)
         return {"h_zz": h_zz, "h_zw_re": h_zw.real, "h_zw_im": h_zw.imag,
                 "h_ww": h_ww}
     if quantity == "ricci":
@@ -165,7 +171,6 @@ def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
                 "r_ww": r_ww}
     if quantity == "scalar-curvature":
         h = geometry.metric_at(z, w, p, params)
-        check_metric(*h)
         return {"value": geometry.scalar_curvature_at(*h, geometry.ricci_at(p)[2])}
     if quantity == "christoffel":
         return dict(zip(CHRISTOFFEL_KEYS, geodesics.christoffel_at(z, w, p, params)))
@@ -177,23 +182,41 @@ def _columns(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
+def _check_values(quantity: str, z: np.ndarray, w: np.ndarray,
+                  params: ModelParams) -> None:
+    """Raise what :func:`check_metric` raises for a quantity built on the
+    metric at valid coordinates: at mu = 0, and where |z| is so large that
+    the determinant cancels to zero."""
+    if quantity in _METRIC_QUANTITIES:
+        with np.errstate(all="ignore"):
+            check_metric(*geometry.metric_at(z, w, p_at(w), params))
+
+
+def _values(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
+            w2: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
+    """:func:`_columns` at checked nodes, silenced and broadcast to the nodes."""
+    with np.errstate(all="ignore"):
+        columns = _columns(quantity, z, w, z2, w2, params)
+    shape = np.broadcast_shapes(np.shape(z), np.shape(z2))
+    return {key: np.broadcast_to(col, shape) for key, col in columns.items()}
+
+
 def evaluate(quantity: str, z: np.ndarray, w: np.ndarray, z2: np.ndarray,
              w2: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
     """One quantity at every node of coordinate arrays, as value columns.
 
-    The shared evaluator of ``eval`` (a one-node grid) and ``table``.  All
-    nodes, then all second points, are validated before anything is
-    evaluated, raising what :func:`make_jacobi_point` raises at the first
-    invalid one.  Arithmetic warnings are silenced: a value that is not
+    The evaluator of ``eval`` (a one-node grid); ``table`` runs its steps
+    chunk by chunk.  All nodes, then all second points, are validated
+    before anything is evaluated, raising what :func:`make_jacobi_point`
+    raises at the first invalid one, and then the metric of the quantities
+    built on it.  Arithmetic warnings are silenced: a value that is not
     finite is the caller's to report or write.  Complex columns hold
     complex values; the others are real.
     """
     check_points(z, w)
     check_points(z2, w2)
-    with np.errstate(all="ignore"):
-        columns = _columns(quantity, z, w, z2, w2, params)
-    shape = np.broadcast_shapes(np.shape(z), np.shape(z2))
-    return {key: np.broadcast_to(col, shape) for key, col in columns.items()}
+    _check_values(quantity, z, w, params)
+    return _values(quantity, z, w, z2, w2, params)
 
 
 def _complex_grid(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -336,18 +359,51 @@ def _coords(texts: list[list[str]], start: int):
     return map(",".join, itertools.chain.from_iterable(pieces))
 
 
-def _write_rows(write, texts: list[list[str]], columns: dict, keys: list[str],
+def _nodes(axes: list[np.ndarray], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z, w) of rows ``lo`` to ``hi`` - 1 of the grid over ``axes`` =
+    [re_z, im_z, re_w, im_w] in ij order, by the index arithmetic of
+    :func:`_coords`; no other row is built."""
+    index = np.unravel_index(np.arange(lo, hi), [axis.size for axis in axes])
+    re_z, im_z, re_w, im_w = (axis[i] for axis, i in zip(axes, index))
+    return _complex_grid(re_z, im_z), _complex_grid(re_w, im_w)
+
+
+def _check_grid(quantity: str, axes: list[np.ndarray], params: ModelParams) -> None:
+    """Raise what :func:`evaluate` raises on the whole grid over ``axes``,
+    ``_TABLE_CHUNK_ROWS`` nodes at a time.
+
+    A node is invalid when its z or its w is, so the first invalid node in
+    row order is the first one among the first z with every w, or else
+    among every z with the first w: two planes of the grid stand in for it.
+    Only a quantity built on the metric needs a pass over every node.
+    """
+    if not all(axis.size for axis in axes):
+        return
+    first = [axis[:1] for axis in axes]
+    passes = [(first[:2] + axes[2:], check_points), (axes[:2] + first[2:], check_points)]
+    if quantity in _METRIC_QUANTITIES:
+        passes.append((axes, lambda z, w: _check_values(quantity, z, w, params)))
+    for grid, check in passes:
+        n = math.prod(axis.size for axis in grid)
+        for lo in range(0, n, _TABLE_CHUNK_ROWS):
+            check(*_nodes(grid, lo, min(lo + _TABLE_CHUNK_ROWS, n)))
+
+
+def _write_rows(write, texts: list[list[str]], values, keys: list[str],
                 start: int, stop: int) -> None:
-    """Rows ``start`` to ``stop`` - 1 of a table, ``_TABLE_CHUNK_ROWS`` per write."""
+    """Rows ``start`` to ``stop`` - 1 of a table, ``_TABLE_CHUNK_ROWS`` per
+    write; ``values(lo, hi)`` gives the value columns of rows ``lo`` to
+    ``hi`` - 1 by key."""
     coords = _coords(texts, start)
     for lo in range(start, stop, _TABLE_CHUNK_ROWS):
         hi = min(lo + _TABLE_CHUNK_ROWS, stop)
+        columns = values(lo, hi)
         rows = zip(itertools.islice(coords, hi - lo),
-                   *(map(repr, columns[key][lo:hi].tolist()) for key in keys))
+                   *(map(repr, columns[key].tolist()) for key in keys))
         write("".join([",".join(row) + "\n" for row in rows]))
 
 
-def _fork_rows(texts: list[list[str]], columns: dict, keys: list[str],
+def _fork_rows(texts: list[list[str]], values, keys: list[str],
                start: int, stop: int, spool) -> int:
     """Fork a child that writes rows ``start`` to ``stop`` - 1 to the binary
     file ``spool``; returns its pid.  The child exits with status 0 once
@@ -357,7 +413,7 @@ def _fork_rows(texts: list[list[str]], columns: dict, keys: list[str],
         status = 1
         try:
             _write_rows(lambda text: spool.write(text.encode("ascii")),
-                        texts, columns, keys, start, stop)
+                        texts, values, keys, start, stop)
             spool.flush()
             status = 0
         finally:
@@ -377,16 +433,16 @@ def _append(out, spool) -> None:
             out.write(chunk.decode("ascii"))
 
 
-def _write_table(out, header: str, texts: list[list[str]], columns: dict,
+def _write_table(out, header: str, texts: list[list[str]], values,
                  keys: list[str], n_rows: int) -> None:
     """Write the header and every row to ``out``, on up to one process per
-    usable CPU.
+    usable CPU; ``values`` is as for :func:`_write_rows`.
 
     Rows split into contiguous ranges of at least ``_TABLE_CHUNK_ROWS``.
-    A forked child writes each range after the first to a temporary file
-    while this process writes the first; the files are then appended in
-    order, so ``out`` gets the bytes one process would write.  No child
-    outlives the call.
+    A forked child evaluates and writes each range after the first to a
+    temporary file while this process does the first; the files are then
+    appended in order, so ``out`` gets the bytes one process would write.
+    No child outlives the call.
     """
     parts = 1
     if hasattr(os, "fork"):
@@ -397,10 +453,10 @@ def _write_table(out, header: str, texts: list[list[str]], columns: dict,
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             spools.append(tempfile.TemporaryFile())
-            children.append((_fork_rows(texts, columns, keys, start, stop, spools[-1]),
+            children.append((_fork_rows(texts, values, keys, start, stop, spools[-1]),
                              spools[-1], start))
         out.write(header)
-        _write_rows(out.write, texts, columns, keys, 0, bounds[1])
+        _write_rows(out.write, texts, values, keys, 0, bounds[1])
         while children:
             pid, spool, start = children[0]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -422,25 +478,24 @@ def _write_table(out, header: str, texts: list[list[str]], columns: dict,
 def cmd_table(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
-    axes = (args.re_z, args.im_z, args.re_w, args.im_w)
-    nodes = math.prod(axis.size for axis in axes)
-    if nodes > MAX_TABLE_NODES:
-        raise ValueError(f"the grid has {nodes} nodes, more than the limit of "
+    axes = [args.re_z, args.im_z, args.re_w, args.im_w]
+    n_rows = math.prod(axis.size for axis in axes)
+    if n_rows > MAX_TABLE_NODES:
+        raise ValueError(f"the grid has {n_rows} nodes, more than the limit of "
                          f"{MAX_TABLE_NODES}")
-    # ij indexing and itertools.product both put the rows in the order of
-    # nested loops over re_z, im_z, re_w, im_w
-    re_z, im_z, re_w, im_w = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    _check_grid(args.quantity, axes, params)
     origin = np.zeros(1, dtype=complex)   # reference for two-point quantities
-    columns = evaluate(args.quantity, _complex_grid(re_z, im_z),
-                       _complex_grid(re_w, im_w), origin, origin, params)
-    n_rows = re_z.size
-    keys = sorted(columns) if n_rows else ["value"]
+
+    def values(lo: int, hi: int) -> dict:
+        return _values(args.quantity, *_nodes(axes, lo, hi), origin, origin, params)
+
+    keys = sorted(values(0, 1)) if n_rows else ["value"]
     header = ",".join(["re_z", "im_z", "re_w", "im_w"] + keys) + "\n"
     # each coordinate is formatted once per axis value, not once per row
     texts = [[repr(x) for x in axis.tolist()] for axis in axes]
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
-        _write_table(out, header, texts, columns, keys, n_rows)
+        _write_table(out, header, texts, values, keys, n_rows)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -546,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BoundaryEscape, OverflowError) as exc:
+    except (BoundaryEscape, DegenerateAction, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -55,6 +55,10 @@ class BoundaryEscape(RuntimeError):
         return type(self), (self.t, str(self))
 
 
+class DegenerateAction(ZeroDivisionError):
+    """A group action's denominator vanishes to working precision."""
+
+
 class ZeroDirection(ValueError):
     """A closed-form solution requires a nonzero disk velocity."""
 

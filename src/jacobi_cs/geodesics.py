@@ -108,14 +108,18 @@ class GeodesicPath:
         return float(np.cumsum(terms)[-1])
 
     def write_csv(self, stream: IO[str], speeds: np.ndarray) -> None:
-        """Write the samples and their ``speeds`` as CSV rows with CRLF line ends."""
+        """Write the samples and their ``speeds`` as CSV rows with CRLF line
+        ends, ``_PATH_BLOCK`` rows at a time."""
         stream.write("t,re_z,im_z,re_w,im_w,re_dz,im_dz,re_dw,im_dw,speed\r\n")
-        table = np.empty((len(self), 10))
-        table[:, 0] = self.t
-        table[:, 1:9] = self.y.view(float)
-        table[:, 9] = speeds
-        for row in table.tolist():
-            stream.write(",".join(map(repr, row)) + "\r\n")
+        table = np.empty((_PATH_BLOCK, 10))
+        for lo in range(0, len(self), _PATH_BLOCK):
+            block = table[:min(_PATH_BLOCK, len(self) - lo)]
+            hi = lo + len(block)
+            block[:, 0] = self.t[lo:hi]
+            block[:, 1:9] = self.y[lo:hi].view(float)
+            block[:, 9] = speeds[lo:hi]
+            stream.write("".join([",".join(map(repr, row)) + "\r\n"
+                                  for row in block.tolist()]))
 
 
 def christoffel_at(z, w, p, params: ModelParams):
@@ -166,10 +170,16 @@ def christoffel_rhs(state: GeodesicState, params: ModelParams) -> TangentVector:
     )
 
 
-# A path holds t and four complex columns, 72 B per sample.  Building it
-# peaks at 274 B per sample (tracemalloc, 10^5 steps), so 10^6 steps need
-# about 0.3 GB and keep 72 MB; longer runs are refused before integrating.
+# A path holds t and four complex columns, 72 B per sample.  The columns are
+# allocated once and filled _PATH_BLOCK steps at a time, so building it peaks
+# at 82 B per sample (tracemalloc, 10^5 steps): 10^6 steps keep 72 MB, and a
+# CLI run of them peaks at about 177 MB RSS.  Longer runs are refused before
+# integrating.
 MAX_GEODESIC_STEPS = 1_000_000
+
+# Steps whose samples are gathered as Python numbers, 160 B per step, before
+# they are copied into the columns; also the rows per write of a CSV.
+_PATH_BLOCK = 1024
 
 
 def check_rk4_step(rk4_step: float) -> float:
@@ -196,9 +206,11 @@ def integrate(s0: GeodesicState, t_end: float, n_steps: int,
               params: ModelParams) -> GeodesicPath:
     """Classical fixed-step Runge-Kutta integration of the geodesic system.
 
-    Aborts with BoundaryEscape (carrying the offending parameter value) if
-    any stage evaluation or accepted step leaves the guarded disk, and with
-    OverflowError naming that value if a step's velocity is not finite.
+    Sample i sits at t = t_end * i / n_steps, and the last one at t_end
+    exactly.  Aborts with BoundaryEscape (carrying the offending parameter
+    value) if any stage evaluation or accepted step leaves the guarded disk,
+    and with OverflowError naming that value if a step's velocity is not
+    finite.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -206,19 +218,26 @@ def integrate(s0: GeodesicState, t_end: float, n_steps: int,
     half_h, sixth_h = 0.5 * h, h / 6.0
     edge = 1.0 - EPS_BOUND
     isfinite = cmath.isfinite
-    t = 0.0
+    def sample_t(i):
+        # (t_end * i) / n_steps may round away from t_end at i = n_steps
+        return t_end if i == n_steps else t_end * i / n_steps
 
     def accel(z, w, dz, dw):
-        # acceleration_at at one stage, guarding the disk; P as in p_at
+        # acceleration_at at one stage of the loop's step, guarding the disk;
+        # P as in p_at
         p = 1.0 - (w.real * w.real + w.imag * w.imag)
         if p <= EPS_BOUND or abs(w) >= edge:
-            raise BoundaryEscape(t)
+            raise BoundaryEscape(sample_t(step))
         return acceleration_at(z, w, p, dz, dw, params)
 
     z, w = s0.pos.z, s0.pos.w
     dz, dw = s0.vel.dz, s0.vel.dw
-    ts, ys = [t], [z, w, dz, dw]
-    for _ in range(n_steps):
+    columns = np.empty((n_steps + 1, 4), dtype=complex)
+    filled, ys = 0, [z, w, dz, dw]      # ys: samples not yet in columns, flat
+    for step in range(n_steps):
+        if len(ys) >= 4 * _PATH_BLOCK:
+            columns[filled:filled + _PATH_BLOCK].reshape(-1)[:] = ys
+            filled, ys = filled + _PATH_BLOCK, []
         # stage i evaluates y' = (dz_i, dw_i, accel) of y = (z, w, dz, dw)
         az1, aw1 = accel(z, w, dz, dw)
         dz2, dw2 = dz + half_h * az1, dw + half_h * aw1
@@ -231,18 +250,22 @@ def integrate(s0: GeodesicState, t_end: float, n_steps: int,
         w += sixth_h * (dw + 2.0 * dw2 + 2.0 * dw3 + dw4)
         dz += sixth_h * (az1 + 2.0 * az2 + 2.0 * az3 + az4)
         dw += sixth_h * (aw1 + 2.0 * aw2 + 2.0 * aw3 + aw4)
-        t += h
         if not (isfinite(z) and isfinite(w) and abs(w) < edge
                 and isfinite(dz) and isfinite(dw)):
+            t = sample_t(step + 1)
             # the validated constructor names a fault of the position
             try:
                 make_jacobi_point(z, w)
             except (BoundaryViolation, NonFinite) as exc:
                 raise BoundaryEscape(t, f"step left the disk at t={t:.6g}") from exc
             raise OverflowError(f"velocity overflowed at t={t:.6g}")
-        ts.append(t)
         ys += (z, w, dz, dw)
-    return GeodesicPath(np.array(ts), np.array(ys, dtype=complex).reshape(-1, 4))
+    columns[filled:].reshape(-1)[:] = ys
+    t = np.arange(n_steps + 1, dtype=float)
+    t *= t_end
+    t /= n_steps
+    t[-1] = t_end
+    return GeodesicPath(t, columns)
 
 
 def fc_particular_solution(eta0: complex, b: complex, t: float) -> GeodesicState:

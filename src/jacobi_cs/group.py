@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    DegenerateAction,
     JacobiPoint,
     ModelParams,
     TangentVector,
@@ -88,13 +89,17 @@ def jacobi_action(e: JacobiGroupElement, zeta: JacobiPoint,
     """Transformed point and scalar multiplier of the coherent-state family.
 
     The multiplier includes the central phase exp(i mu t); modulus-level
-    identities are independent of t.
+    identities are independent of t.  Raises DegenerateAction if the
+    denominator conj(b) w + conj(a) vanishes to working precision, which a
+    validated element and point keep away from: its modulus is at least
+    |a| - |b| |w| > 0.
     """
     a, b, alpha = e.g.a, e.g.b, e.alpha
     z, w = zeta.z, zeta.w
     delta = b.conjugate() * w + a.conjugate()
     if abs(delta) <= 1e-12:
-        raise ZeroDivisionError("degenerate denominator in the point action")
+        raise DegenerateAction(f"the point action's denominator conj(b) w + conj(a) "
+                               f"= {delta!r} vanishes")
     gamma = z + alpha - alpha.conjugate() * w
     z1 = gamma / delta
     w1 = (a * w + b) / delta

@@ -36,14 +36,11 @@ from .kernels import BasisIndex, basis_factors_at, disk_coeff_log, potential_at
 # stays integrable and the weights absorb the mismatch.
 _BETA_EPS = 1e-3
 
-# Samples per block of the Monte Carlo accumulation.  Each draw is made
-# whole, so the random stream does not depend on this; the basis values and
-# their products are formed block by block, small enough to stay in cache.
+# Samples per block of the Monte Carlo work.  Each draw is made whole, so
+# the random stream does not depend on this; the points, weights, basis
+# values and their products are formed block by block, small enough to stay
+# in cache, so only the draw's variates grow with the sample count.
 _GRAM_BLOCK = 8192
-
-# Largest number of drawn samples mapped to points in one go; bounds the
-# memory of single-draw estimators without touching their stream.
-_TRANSFORM_CHUNK = 100_000
 
 # Samples per draw of the Gram matrix, and the covariance inflation of its
 # z proposal (see orthonormality_matrix_mc).
@@ -179,24 +176,21 @@ def _mc_blocks(params: ModelParams, cfg: McConfig, n_max: int, m_max: int,
 
     The cfg.n_samples samples are drawn ``draw`` at a time from one stream
     seeded by cfg.seed; the samples depend on ``draw`` only, not on how
-    they are processed: each draw is transformed in pieces of at most
-    ``_TRANSFORM_CHUNK`` and its basis factors are evaluated in blocks of
-    ``_GRAM_BLOCK``.
+    they are processed.  Each draw's variates (32 B per sample) are held
+    whole; they are mapped to points, weights and basis factors in blocks
+    of ``_GRAM_BLOCK``, so nothing else grows with ``draw``.
     """
     rng = np.random.default_rng(cfg.seed)
     remaining = cfg.n_samples
     while remaining > 0:
         take = min(draw, remaining)
         s, theta, xi = _draw(params, rng, take)
-        for lo in range(0, take, _TRANSFORM_CHUNK):
-            piece = slice(lo, lo + _TRANSFORM_CHUNK)
-            z, w, q = _transform(params, s[piece], theta[piece], xi[:, piece],
+        for lo in range(0, take, _GRAM_BLOCK):
+            block = slice(lo, lo + _GRAM_BLOCK)
+            z, w, q = _transform(params, s[block], theta[block], xi[:, block],
                                  z_inflation)
-            weights = _mc_weights(z, w, q, params)
-            for b in range(0, z.size, _GRAM_BLOCK):
-                block = slice(b, b + _GRAM_BLOCK)
-                flat, disk = basis_factors_at(z[block], w[block], params, n_max, m_max)
-                yield flat, disk, weights[block]
+            flat, disk = basis_factors_at(z, w, params, n_max, m_max)
+            yield flat, disk, _mc_weights(z, w, q, params)
         remaining -= take
 
 
@@ -224,8 +218,10 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
     Returns (estimates, standard errors), both square arrays over the index
     list in row-major (n, m) order.  Shared samples keep the whole matrix
     affordable at large sample counts.  Samples are drawn in chunks of
-    ``_GRAM_DRAW`` and accumulated in blocks of ``_GRAM_BLOCK``, in order,
-    hence reproducible for a fixed seed.
+    ``_GRAM_DRAW`` and mapped and accumulated in blocks of ``_GRAM_BLOCK``,
+    in order, hence reproducible for a fixed seed; working memory is one
+    draw's variates (3.2 MB) and one block's factors and pair products,
+    whatever the sample count.
 
     The accumulation follows the factorisation f[n, m] = A[n] B[m] of
     :func:`basis_factors_at`: the weighted sum of conj(f[n, m]) f[n', m'] is

@@ -759,17 +759,34 @@ _SUITES = {
 }
 
 
+def _run_part(part: tuple[str, int], cfg: VerifyConfig) -> list[dict]:
+    """Records of one suite part, given as (suite name, index).
+
+    numpy's floating-point warnings are off: an overflow shows as a
+    deviation that is not finite, which the caller reports, while warnings
+    the library issues still surface.  An OverflowError is raised again
+    naming the suite.
+    """
+    name, index = part
+    try:
+        with np.errstate(all="ignore"):
+            return _SUITES[name][index](cfg)
+    except OverflowError as exc:
+        detail = exc.args[-1] if exc.args else "a value left the floating-point range"
+        raise OverflowError(f"the {name} suite overflowed at these settings: "
+                            f"{detail}") from exc
+
+
 def _run_caught(part: tuple[str, int], cfg: VerifyConfig) -> tuple:
-    """(records or the error raised, warnings issued) of one suite part.
+    """(records or the error raised, warnings issued) of :func:`_run_part`.
 
     A worker is sent this function and the part's (suite name, index),
     never a part function: pickle sends functions by module name, where a
     tracer may have put a wrapper in place of the function.
     """
-    name, index = part
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _SUITES[name][index](cfg), caught
+            return _run_part(part, cfg), caught
         except Exception as exc:
             return exc, caught
 
@@ -813,8 +830,8 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     parts = [(name, index) for name in suites for index in range(len(_SUITES[name]))]
     workers = min(len(parts), core.usable_cpus()) - 1
     if workers < 1 or not hasattr(os, "fork"):
-        for name, index in parts:
-            suites[name] += _SUITES[name][index](cfg)
+        for part in parts:
+            suites[part[0]] += _run_part(part, cfg)
     else:
         outcomes = _run_forked(sorted(parts, key=_LONGEST_FIRST.index), cfg, workers)
         # warnings and errors surface as a run in part order shows them

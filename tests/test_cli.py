@@ -9,6 +9,7 @@ import re
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -313,8 +314,8 @@ class TestGeodesic:
     @pytest.mark.parametrize("argv, t, message", [
         # a Runge-Kutta stage leaves the disk
         (("--w", "0.9", "--dw", "2.0", "--mu", "0", "--t-end", "2"),
-         0.8770000000000007, "trajectory left the disk at t=0.877"),
-        # every stage stays inside, the accepted third step does not
+         0.877, "trajectory left the disk at t=0.877"),
+        # every stage stays inside, the accepted first step does not
         (("--w", "0.7", "--dw", "0.8,-0.8", "--t-end", "1.2", "--steps", "3"),
          0.39999999999999997, "step left the disk at t=0.4"),
     ])
@@ -398,13 +399,21 @@ class TestVerifyCommand:
         assert forked == [2]         # the geodesics suite ran in a worker
         assert (code, out, err) == (3, "", "error: trajectory left the disk at t=0\n")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow, the subject
+    @pytest.mark.filterwarnings("error::RuntimeWarning")    # no numpy warning reaches stderr
     def test_non_finite_deviation_exits_3(self, capsys):
         # the kernel overflows at this k: no NaN in place of JSON
         code, out, err = run(capsys, "verify", "kernels", "--k", "1e308")
         assert (code, out) == (3, "")
         assert err == ("error: kernels check hermitian-symmetry has no finite "
                        "deviation at these settings\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_exits_3_naming_the_suite(self, capsys):
+        # the determinant of a finite-difference stencil's metric overflows
+        code, out, err = run(capsys, "verify", "geometry", "--mu", "1e300")
+        assert (code, out) == (3, "")
+        assert err == ("error: the geometry suite overflowed at these settings: "
+                       "Numerical result out of range\n")
 
     def test_forked_error_stderr_is_one_line(self):
         # at mu = 0 the algebra suite raises first in name order; the
@@ -472,6 +481,22 @@ class TestTable:
         assert err.startswith("error:") and "10000000000 nodes" in err
         assert peak < 16e6
 
+    def test_peak_memory_flat_in_grid_size(self):
+        # nodes are built and evaluated 8,192 at a time, so the writing
+        # process peaks as high at 4e6 nodes as at 2.5e5 (34 MB on a
+        # 2-vCPU Linux VM; holding the whole grid took about 122 MB per 1e6)
+        proc = run_python(
+            "import os, resource\n"
+            "from jacobi_cs import cli\n"
+            "for n in (50, 200):\n"
+            "    assert cli.main(['table', 'potential', f'--re-z=-1:1:{n}',\n"
+            "                     f'--im-z=-1:1:{n}', '--re-w=-0.5:0.5:10',\n"
+            "                     '--im-w=-0.5:0.5:10', '--out', os.devnull]) == 0\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        assert proc.returncode == 0, proc.stderr
+        small, large = map(int, proc.stdout.split())
+        assert large <= 1.1 * small
+
     def test_node_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_TABLE_NODES", 12)
         code, _, _ = run(capsys, "table", "potential", "--re-z", "0:1:3",
@@ -490,6 +515,33 @@ class TestTable:
                            "--out", str(tmp_path / "v.csv"))
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("quantity, axes", [
+        # a w outside the disk, first met with the first z
+        ("potential", ("-1:1:7", "-1:1:11", "-0.6:0.6:17", "-0.9:0.9:19")),
+        # a z that is not finite, at every node
+        ("berezin", ("-1:1:7", "nan", "-0.6:0.6:17", "-0.6:0.6:19")),
+        # the metric's determinant cancels to zero from row 10,962 on, in a
+        # worker's range of the rows
+        ("metric", ("0:6e7:7", "-1:1:11", "-0.6:0.6:17", "-0.6:0.6:19")),
+        ("scalar-curvature", ("0:6e7:7", "-1:1:11", "-0.6:0.6:17", "-0.6:0.6:19")),
+    ])
+    def test_invalid_node_exits_2_before_any_row(self, monkeypatch, capsys, tmp_path,
+                                                 quantity, axes):
+        # the error is the one of evaluating the whole grid at once
+        grid = [g.ravel() for g in np.meshgrid(*map(parse_range, axes), indexing="ij")]
+        origin = np.zeros(1, dtype=complex)
+        with pytest.raises(ValueError) as want:
+            cli.evaluate(quantity, cli._complex_grid(*grid[:2]), cli._complex_grid(*grid[2:]),
+                         origin, origin, core.ModelParams(1.0, 1.0))
+        monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+        out_file = tmp_path / "t.csv"
+        flags = [f"{flag}={axis}" for flag, axis in
+                 zip(("--re-z", "--im-z", "--re-w", "--im-w"), axes)]
+        code, out, err = run(capsys, "table", quantity, *flags, "--out", str(out_file))
+        assert (code, out, err) == (2, "", f"error: {want.value}\n")
+        assert not out_file.exists()
+        assert_no_children()
 
     @pytest.mark.filterwarnings("error")
     def test_node_with_overflowing_w_exits_2_without_warning(self, capsys, tmp_path):
@@ -734,7 +786,9 @@ class TestFuzz:
     nothing on stdout and no traceback."""
 
     @staticmethod
-    def check(argv, json_stdout=True):
+    def check(argv, json_stdout=True, error_line=False):
+        """Exit code of ``argv``; with ``error_line``, exits 2 and 3 must
+        print exactly one line, an ``error:`` line, to stderr."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -746,6 +800,9 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
         if json_stdout and (code in (0, 1) or out.getvalue()):
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+        if error_line and code in (2, 3):
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
         return code
 
     @settings(max_examples=150, deadline=None)
@@ -777,7 +834,7 @@ class TestFuzz:
                 argv += [flag, value]
         self.check(argv, json_stdout=False)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow at huge k, mu
+    @pytest.mark.filterwarnings("error::RuntimeWarning")    # no numpy warning reaches stderr
     @settings(max_examples=150, deadline=None)
     @given(suite=st.sampled_from(["geodesics", "geometry", "kernels", "group", "algebra"]),
            rk4_step=_RK4_STEP, fd_step=st.none() | _near(1e-7, 1e-2),
@@ -788,6 +845,24 @@ class TestFuzz:
             if value is not None:
                 argv += [flag, value]
         self.check(argv)
+
+    # the suites' basis matrices hold (n_max + 1)(m_max + 1) entries per
+    # point, so the orders stay small; 0 and below are refused
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(suite=st.sampled_from(["kernels", "embedding"]),
+           n_max=st.none() | st.integers(-2, 80) | st.integers(81, 400),
+           m_max=st.none() | st.integers(-2, 80) | st.integers(81, 400),
+           k=st.none() | _near(0.75, 10.0), mu=st.none() | _near(0.0, 10.0))
+    def test_verify_truncation(self, suite, n_max, m_max, k, mu):
+        argv = ["verify", suite]
+        for flag, value in (("--n-max", n_max), ("--m-max", m_max), ("--k", k),
+                            ("--mu", mu)):
+            if value is not None:
+                argv += [flag, str(value)]
+        code = self.check(argv, error_line=True)
+        if any(order is not None and order < 1 for order in (n_max, m_max)):
+            assert code == 2
 
     # in range, the quadrature suite's parts run forked on small sample counts
     @settings(max_examples=60, deadline=None)

@@ -137,13 +137,13 @@ class TestIntegrate:
             integrate(s0, 2.0, 2000, ModelParams(1.0, 0.0))
         assert 0.0 < err.value.t <= 2.0
         # a stage leaves the disk: the escape carries the start of that step
-        assert err.value.t == 0.8770000000000007
+        assert err.value.t == 0.877     # 2 * 877 / 2000, not 877 sums of 0.001
         assert str(err.value) == "trajectory left the disk at t=0.877"
         assert err.value.__cause__ is None
 
     def test_step_leaving_disk_escapes(self):
-        # every stage stays inside, the accepted third step does not; t is
-        # the sum of three steps of 0.4, not 3 * 0.4
+        # every stage stays inside, the accepted first step does not; t is
+        # 1.2 * 1 / 3, which rounds below 0.4
         s0 = GeodesicState(make_jacobi_point(0.0, 0.7), TangentVector(0.0, 0.8 - 0.8j))
         with pytest.raises(BoundaryEscape) as err:
             integrate(s0, 1.2, 3, P1)
@@ -167,10 +167,11 @@ class TestIntegrate:
             integrate(s0, 1e-300, 1, P1)
 
     def test_path_memory_per_sample(self):
-        # 16 B for each of z, w, dz, dw and 8 B for t; while the columns are
-        # built every sample is also a Python float and four complex objects.
-        # tracemalloc makes the run about 20x slower, so 10^4 steps stand in
-        # for 10^5: per sample they hold 72.3 B (72.0 B) and peak at 276 B (274 B)
+        # 16 B for each of z, w, dz, dw and 8 B for t; when the columns were
+        # built from lists every sample was also a Python float and four
+        # complex objects.  tracemalloc makes the run about 20x slower, so
+        # 10^4 steps stand in for 10^5: per sample they held 72.3 B (72.0 B)
+        # and peaked at 276 B (274 B)
         s0 = GeodesicState(make_jacobi_point(0.3 - 0.2j, 0.1 + 0.2j),
                            TangentVector(0.4 + 0.1j, -0.2 + 0.3j))
         n_steps = 10_000
@@ -183,6 +184,21 @@ class TestIntegrate:
         assert len(path) == n_steps + 1
         assert held / len(path) <= 96
         assert peak / len(path) <= 400
+
+    def test_path_built_in_place(self):
+        # the columns are allocated once, and at most 1,024 steps at a time
+        # are Python numbers (160 B per step): 10^4 steps peak at 94 B per
+        # sample, 10^5 at 82 B
+        s0 = GeodesicState(make_jacobi_point(0.3 - 0.2j, 0.1 + 0.2j),
+                           TangentVector(0.4 + 0.1j, -0.2 + 0.3j))
+        n_steps = 10_000
+        tracemalloc.start()
+        try:
+            path = integrate(s0, 2.0, n_steps, P1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(path) <= 120
 
     def test_action_covariance(self, rng):
         e = random_elements(rng, 1)[0]

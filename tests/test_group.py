@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from jacobi_cs import (
+    DegenerateAction,
     JacobiGroupElement,
     ModelParams,
     SU11Element,
@@ -82,6 +84,21 @@ class TestJacobiAction:
             assert p1.z == 0.0
             assert p1.w == pytest.approx(0.6)
             assert lam == pytest.approx(0.8 ** (2 * k))
+
+    def test_degenerate_denominator_is_a_typed_error(self):
+        # a validated element keeps conj(b) w + conj(a) away from 0 on the
+        # disk; one with |a| < |b|, built past the check, reaches it
+        g = object.__new__(SU11Element)
+        object.__setattr__(g, "a", 0.5 + 0j)
+        object.__setattr__(g, "b", 1.0 + 0j)
+        with pytest.raises(DegenerateAction) as err:
+            jacobi_action(JacobiGroupElement(g, 0j), make_jacobi_point(0.0, -0.5), P1)
+        assert isinstance(err.value, ZeroDivisionError)
+        # a verify suite run in a worker process sends its error back pickled
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is DegenerateAction
+        assert str(copy) == str(err.value) == (
+            "the point action's denominator conj(b) w + conj(a) = 0j vanishes")
 
     def test_kernel_equivariance(self, rng):
         pts = random_points(rng, 40, z_scale=1.0, w_radius=0.5)

@@ -175,7 +175,6 @@ class TestSinglePassEstimators:
     def test_blocking_does_not_change_the_estimate(self, monkeypatch):
         cfg = McConfig(50_000, 4)
         want = inner_product_mc(BasisIndex(2, 1), BasisIndex(0, 3), PK, cfg)
-        monkeypatch.setattr(quadrature, "_TRANSFORM_CHUNK", 7_000)
         monkeypatch.setattr(quadrature, "_GRAM_BLOCK", 1_000)
         got = inner_product_mc(BasisIndex(2, 1), BasisIndex(0, 3), PK, cfg)
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-15)
@@ -192,6 +191,18 @@ class TestSinglePassEstimators:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
+
+    def test_gram_peak_memory_at_a_million_samples(self):
+        # one draw of 1e5 samples holds 3.2 MB of variates, and every block
+        # of 8,192 its points, weights, factors and pair products: 11.7 MiB
+        # in all (20.2 MiB when each draw was mapped to points whole)
+        tracemalloc.start()
+        try:
+            orthonormality_matrix_mc(3, 3, PK, McConfig(1_000_000, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2**20
 
 
 class TestDiskMarginal:
