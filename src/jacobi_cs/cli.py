@@ -10,19 +10,19 @@ variable) provides defaults that individual flags override.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import os
 import re
-import shutil
 import sys
-import tempfile
 
 import numpy as np
 
 from . import core, geodesics, geometry, kernels
 from .core import (
+    SUITE_NAMES,
     BoundaryEscape,
     BoundaryViolation,
     DegenerateAction,
@@ -38,7 +38,6 @@ from .core import (
     require_finite,
 )
 from .geodesics import CHRISTOFFEL_KEYS, MAX_GEODESIC_STEPS, GeodesicState
-from .verify import SUITE_NAMES, VerifyConfig, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -49,6 +48,10 @@ EXIT_DOMAIN = 3
 # _TABLE_CHUNK_ROWS at a time, so memory does not grow with the grid; the
 # limit bounds the run time and the output, about 1 GB at 10^7 nodes.
 MAX_TABLE_NODES = 10**7
+# Largest series truncation order, in either index.  Basis matrices hold
+# (n_max + 1)(m_max + 1) entries per point, so memory grows with the
+# square of the orders: `verify embedding` peaks at 171 MB at 800 x 800.
+MAX_TRUNCATION_ORDER = 200
 
 _DEFAULTS = {
     "k": 1.0,
@@ -133,6 +136,10 @@ def _settings(args: argparse.Namespace) -> dict:
         override = getattr(args, key, None)
         if override is not None:
             cfg[key] = override
+    for key in ("n_max", "m_max"):
+        if cfg[key] > MAX_TRUNCATION_ORDER:
+            raise ValueError(f"{key} must be at most {MAX_TRUNCATION_ORDER}, "
+                             f"got {cfg[key]}")
     return cfg
 
 
@@ -319,6 +326,10 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the suites load algebra, bargmann, embedding and quadrature, which no
+    # other command uses
+    from .verify import VerifyConfig, run_suites
+
     cfg = _settings(args)
     vcfg = VerifyConfig(
         k=cfg["k"], mu=cfg["mu"],
@@ -426,6 +437,7 @@ def _append(out, spool) -> None:
     """Copy the ASCII file ``spool`` from its start to the end of ``out``."""
     spool.seek(0)
     if hasattr(out, "buffer"):
+        import shutil
         out.flush()
         shutil.copyfileobj(spool, out.buffer, _COPY_BYTES)
     else:
@@ -452,6 +464,7 @@ def _write_table(out, header: str, texts: list[list[str]], values,
     spools = []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
+            import tempfile   # only on the fork path, as shutil in _append
             spools.append(tempfile.TemporaryFile())
             children.append((_fork_rows(texts, values, keys, start, stop, spools[-1]),
                              spools[-1], start))
@@ -489,7 +502,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     def values(lo: int, hi: int) -> dict:
         return _values(args.quantity, *_nodes(axes, lo, hi), origin, origin, params)
 
-    keys = sorted(values(0, 1)) if n_rows else ["value"]
+    # the keys of the quantity, from one valid node: the grid may have none
+    keys = sorted(_values(args.quantity, origin, origin, origin, origin, params))
     header = ",".join(["re_z", "im_z", "re_w", "im_w"] + keys) + "\n"
     # each coordinate is formatted once per axis value, not once per row
     texts = [[repr(x) for x in axis.tolist()] for axis in axes]
@@ -502,7 +516,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  :func:`main` runs
+    ``cmd_<command>`` by its module-level name, looked up at call time."""
     parser = argparse.ArgumentParser(
         prog="jacobi-cs",
         description="Evaluate, integrate, and verify the coherent-state "
@@ -533,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--w", type=parse_complex, default=0j)
     p_eval.add_argument("--z2", type=parse_complex, default=None)
     p_eval.add_argument("--w2", type=parse_complex, default=None)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_geo = sub.add_parser("geodesic", parents=[common],
                            help="integrate the geodesic system to CSV")
@@ -544,12 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     p_geo.add_argument("--steps", type=int, default=None)
     p_geo.add_argument("--out", default="geodesic.csv")
-    p_geo.set_defaults(func=cmd_geodesic)
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a verification suite")
     p_ver.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
-    p_ver.set_defaults(func=cmd_verify)
 
     p_tab = sub.add_parser("table", parents=[common],
                            help="tabulate a quantity over a coordinate grid")
@@ -563,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--im-w", dest="im_w", type=parse_range,
                        default=np.array([0.0]))
     p_tab.add_argument("--out", default="-")
-    p_tab.set_defaults(func=cmd_table)
     return parser
 
 
@@ -590,11 +603,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(
+    args = build_parser().parse_args(_join_negative_values(
         sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (BoundaryViolation, NonFinite, InvalidK, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -25,6 +25,11 @@ EPS_BOUND = 1e-9
 # (4k - 3) / (2 pi^2) vanishes there, so measure operations need k > K_MIN.
 K_MIN = 0.75
 
+# The verification suites of jacobi_cs.verify, named here so that the
+# command-line parser can offer them without loading the suites.
+SUITE_NAMES = ("algebra", "bargmann", "embedding", "geodesics",
+               "geometry", "group", "kernels", "quadrature")
+
 
 class NonFinite(ValueError):
     """A coordinate or parameter is NaN or infinite."""

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, bargmann, core, embedding, geodesics, geometry, group, kernels, quadrature
+from .core import SUITE_NAMES  # noqa: F401  (re-exported; the keys of _SUITES)
 from .core import JacobiPoint, ModelParams, TangentVector, hermitian_det, make_jacobi_point, p_at
 from .geometry import WirtingerStencil
 from .kernels import BasisIndex, TruncationOrder
 
-SUITE_NAMES = ("algebra", "bargmann", "embedding", "geodesics",
-               "geometry", "group", "kernels", "quadrature")
 # Suite parts, as (suite name, index into its tuple in _SUITES), by run time
 # at the default settings, longest first (medians of seven in-process runs at
 # seed 0 on a 2-vCPU Xeon VM): the quadrature Gram part 0.45 s, geodesics

@@ -109,6 +109,11 @@ class TestParsing:
         assert len(rows) == 20
         assert rows[0].split(",")[0] == "-1.0"
 
+    def test_parser_built_once_and_commands_found_at_call_time(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
+        assert main(["eval", "kernel"]) == 7
+
     def test_negative_value_after_value_stays_positional(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "eval", "kernel", "--z", "-1", "-2")
@@ -388,6 +393,22 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == (f"error: mc_samples must be between {verify.MIN_MC_SAMPLES} and "
                        f"{verify.MAX_MC_SAMPLES}, got {mc_samples}\n")
+
+    @pytest.mark.parametrize("key", ["n_max", "m_max"])
+    def test_truncation_order_over_limit_exits_2_before_any_suite(self, capsys, monkeypatch,
+                                                                  tmp_path, key):
+        monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run, no basis is built
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 10**4}))
+        flag = "--" + key.replace("_", "-")
+        for argv in ([flag, "10000"], ["--config", str(cfg)]):
+            code, out, err = run(capsys, "verify", "all", *argv)
+            assert (code, out) == (2, "")
+            assert err == (f"error: {key} must be at most {cli.MAX_TRUNCATION_ORDER}, "
+                           f"got 10000\n")
+        limit = str(cli.MAX_TRUNCATION_ORDER)
+        assert run(capsys, "eval", "potential", flag, limit)[0] == 0
+        assert run(capsys, "eval", "potential", flag, limit + "1")[0] == 2
 
     def test_boundary_escape_exits_3(self, capsys):
         code, out, err = run(capsys, "verify", "geodesics", "--rk4-step", "1.5")
@@ -847,7 +868,8 @@ class TestFuzz:
         self.check(argv)
 
     # the suites' basis matrices hold (n_max + 1)(m_max + 1) entries per
-    # point, so the orders stay small; 0 and below are refused
+    # point, so the orders stay small; 0 and below, and orders over
+    # cli.MAX_TRUNCATION_ORDER, are refused
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(suite=st.sampled_from(["kernels", "embedding"]),
@@ -861,7 +883,8 @@ class TestFuzz:
             if value is not None:
                 argv += [flag, str(value)]
         code = self.check(argv, error_line=True)
-        if any(order is not None and order < 1 for order in (n_max, m_max)):
+        if any(order is not None and not 1 <= order <= cli.MAX_TRUNCATION_ORDER
+               for order in (n_max, m_max)):
             assert code == 2
 
     # in range, the quadrature suite's parts run forked on small sample counts

@@ -86,7 +86,8 @@ def reference_table(quantity, axes, params):
                     rows.append(([x, y, u, v],
                                  _reference_value(quantity, zeta, origin, params)))
                     conditions.append(_condition(quantity, zeta, params))
-    keys = sorted(rows[0][1]) if rows else ["value"]
+    # an empty grid has the columns of its quantity, as at any one node
+    keys = sorted(rows[0][1] if rows else _reference_value(quantity, origin, origin, params))
     header = ["re_z", "im_z", "re_w", "im_w"] + keys
     return header, [coords + [values[k] for k in keys] for coords, values in rows], conditions
 
