@@ -4,7 +4,9 @@ Exit codes are stable across commands: 0 success, 1 verification failure,
 2 invalid input, 3 runtime domain escape.  Complex values are passed as a
 single flag with comma-separated real and imaginary parts ("--z 1.0,0.5");
 a JSON config file (flag --config or the JACOBI_CS_CONFIG environment
-variable) provides defaults that individual flags override.
+variable) provides defaults that individual flags override.  `verify` and
+`table` run on up to one process per usable CPU, forking children through
+:func:`core._fork_jobs`; a child that fails makes them exit 2.
 """
 
 from __future__ import annotations
@@ -414,30 +416,17 @@ def _write_rows(write, texts: list[list[str]], values, keys: list[str],
         write("".join([",".join(row) + "\n" for row in rows]))
 
 
-def _fork_rows(texts: list[list[str]], values, keys: list[str],
-               start: int, stop: int, spool) -> int:
-    """Fork a child that writes rows ``start`` to ``stop`` - 1 to the binary
-    file ``spool``; returns its pid.  The child exits with status 0 once
-    they are written, else 1, and never returns into the caller."""
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            _write_rows(lambda text: spool.write(text.encode("ascii")),
-                        texts, values, keys, start, stop)
-            spool.flush()
-            status = 0
-        finally:
-            # no traceback, no flush of the stdio buffers copied at the fork
-            os._exit(status)
-    return pid
+def _spool_rows(texts: list[list[str]], values, keys: list[str], start: int,
+                stop: int, spool) -> None:
+    """:func:`_write_rows` to the binary file ``spool``, in ASCII."""
+    _write_rows(lambda text: spool.write(text.encode("ascii")),
+                texts, values, keys, start, stop)
 
 
 def _append(out, spool) -> None:
-    """Copy the ASCII file ``spool`` from its start to the end of ``out``."""
-    spool.seek(0)
+    """Copy the ASCII file ``spool`` from where it stands to the end of ``out``."""
     if hasattr(out, "buffer"):
-        import shutil
+        import shutil   # only on the fork path, as tempfile in core._fork_jobs
         out.flush()
         shutil.copyfileobj(spool, out.buffer, _COPY_BYTES)
     else:
@@ -447,45 +436,22 @@ def _append(out, spool) -> None:
 
 def _write_table(out, header: str, texts: list[list[str]], values,
                  keys: list[str], n_rows: int) -> None:
-    """Write the header and every row to ``out``, on up to one process per
-    usable CPU; ``values`` is as for :func:`_write_rows`.
-
-    Rows split into contiguous ranges of at least ``_TABLE_CHUNK_ROWS``.
-    A forked child evaluates and writes each range after the first to a
-    temporary file while this process does the first; the files are then
-    appended in order, so ``out`` gets the bytes one process would write.
-    No child outlives the call.
-    """
+    """Write the header and every row to ``out``; ``values`` is as for
+    :func:`_write_rows`.  Rows split into contiguous ranges of at least
+    ``_TABLE_CHUNK_ROWS``, one per usable CPU at most.  A forked child
+    writes each range after the first to a file while this process writes
+    the first, and the files are appended in order: ``out`` gets the bytes
+    one process would write."""
     parts = 1
     if hasattr(os, "fork"):
         parts = max(1, min(core.usable_cpus(), n_rows // _TABLE_CHUNK_ROWS))
     bounds = [n_rows * i // parts for i in range(parts + 1)]
-    children = []   # (pid, spool, first row) of each child not yet reaped
-    spools = []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            import tempfile   # only on the fork path, as shutil in _append
-            spools.append(tempfile.TemporaryFile())
-            children.append((_fork_rows(texts, values, keys, start, stop, spools[-1]),
-                             spools[-1], start))
-        out.write(header)
-        _write_rows(out.write, texts, values, keys, 0, bounds[1])
-        while children:
-            pid, spool, start = children[0]
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]     # reaped: its pid may be reused from here on
-            if status != 0:
-                raise ChildProcessError(f"the process writing table rows from {start} "
-                                        f"on failed with exit status {status}")
-            _append(out, spool)
-    finally:
-        if children:
-            import signal   # only on this error path: the CLI's start-up does without
-            for pid, _, _ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for spool in spools:
-            spool.close()
+    out.write(header)
+    core._fork_jobs(functools.partial(_write_rows, out.write, texts, values, keys, 0, bounds[1]),
+                    [(f"writing table rows from {start} on",
+                      functools.partial(_spool_rows, texts, values, keys, start, stop))
+                     for start, stop in zip(bounds[1:-1], bounds[2:])],
+                    functools.partial(_append, out))
 
 
 def cmd_table(args: argparse.Namespace) -> int:

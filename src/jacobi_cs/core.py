@@ -263,3 +263,50 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fork_jobs(here, jobs, take):
+    """Return ``here()``, run in this process while a forked child runs each
+    of ``jobs``, (description, function of a binary file) pairs, into an
+    unlinked temporary file; then reap the children in order and give each
+    file, rewound, to ``take``.  Not part of the library's surface.
+
+    A child leaves through ``os._exit``, flushing none of the stdio buffers
+    copied at the fork, with status 0 once its job returned, else 1, which
+    raises a ChildProcessError naming it.  On any error, every child not
+    yet reaped is killed and reaped.
+    """
+    files, children = [], []    # children: (pid, file, description), not yet reaped
+    try:
+        for doing, job in jobs:
+            import tempfile     # only on the fork path: the CLI's start-up does without
+            files.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    job(files[-1])
+                    files[-1].flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, files[-1], doing))
+        result = here()
+        while children:
+            pid, file, doing = children[0]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]     # reaped: its pid may be reused from here on
+            if status != 0:
+                raise ChildProcessError(f"the process {doing} failed with "
+                                        f"exit status {status}")
+            file.seek(0)
+            take(file)
+        return result
+    finally:
+        if children:
+            import signal       # only on this error path
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for file in files:
+            file.close()

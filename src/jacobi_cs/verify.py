@@ -7,8 +7,8 @@ seed with :func:`random_points` and :func:`random_elements`, runs the checks
 and returns a list of records {check, identity, deviation, tolerance, pass};
 a report aggregates suites in name order.  A suite is one or more parts
 (the quadrature suite has three) that seed their own generators, so a
-report runs the parts on up to one process per usable CPU
-(:func:`run_suites`).
+report runs them on up to one process per usable CPU: this one and
+children forked from it (:func:`run_suites`).
 The acceptance tests call the same check functions on their own seeds and
 domains.  Tolerances can be overridden per check name through the
 configuration, which is how the sensitivity of the finite-difference gates
@@ -777,12 +777,7 @@ def _run_part(part: tuple[str, int], cfg: VerifyConfig) -> list[dict]:
 
 
 def _run_caught(part: tuple[str, int], cfg: VerifyConfig) -> tuple:
-    """(records or the error raised, warnings issued) of :func:`_run_part`.
-
-    A worker is sent this function and the part's (suite name, index),
-    never a part function: pickle sends functions by module name, where a
-    tracer may have put a wrapper in place of the function.
-    """
+    """(records or the error raised, warnings issued) of :func:`_run_part`."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             return _run_part(part, cfg), caught
@@ -790,33 +785,14 @@ def _run_caught(part: tuple[str, int], cfg: VerifyConfig) -> tuple:
             return exc, caught
 
 
-def _run_forked(order: list[tuple[str, int]], cfg: VerifyConfig, workers: int) -> dict:
-    """:func:`_run_caught` of each part: order[0] in this process, the rest
-    in ``workers`` forked processes meanwhile.
-
-    Forked, not spawned: a worker starts from this process's memory with
-    the package imported, where a fresh interpreter would spend about as
-    long importing it as the parts it runs take.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # a forked worker flushes the stdio buffers it inherited when it exits;
-    # multiprocessing flushes sys.stdout and sys.stderr before each fork
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {part: pool.submit(_run_caught, part, cfg) for part in order[1:]}
-        outcomes = {order[0]: _run_caught(order[0], cfg)}
-        outcomes.update((part, future.result()) for part, future in futures.items())
-    return outcomes
-
-
 def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     """Run the requested suites and aggregate their records in name order.
 
     The unit of work is a suite part.  With more than one usable CPU and
     more than one part, the longest part runs in this process while forked
-    worker processes run the others, up to one process per usable CPU in
-    all; no worker outlives the call.  Each part seeds its own generators,
+    children (:func:`core._fork_jobs`), up to one per usable CPU in all
+    but this one, each run the parts dealt to them round-robin, longest
+    first, and pickle their outcomes.  Each part seeds its own generators,
     so the report is the one a single process gives, and a failing run
     raises the error that running the parts one by one in (suite name,
     part) order raises first.
@@ -832,7 +808,16 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
         for part in parts:
             suites[part[0]] += _run_part(part, cfg)
     else:
-        outcomes = _run_forked(sorted(parts, key=_LONGEST_FIRST.index), cfg, workers)
+        import pickle   # only on the fork path
+        order = sorted(parts, key=_LONGEST_FIRST.index)
+        hands = [order[i::workers] for i in range(1, workers + 1)]   # round-robin
+        outcomes = {}
+        outcomes[order[0]] = core._fork_jobs(
+            lambda: _run_caught(order[0], cfg),
+            [("running " + ", ".join(f"{name}[{index}]" for name, index in hand),
+              lambda file, hand=hand: pickle.dump({p: _run_caught(p, cfg) for p in hand}, file))
+             for hand in hands],
+            lambda file: outcomes.update(pickle.load(file)))
         # warnings and errors surface as a run in part order shows them
         for name, index in parts:
             result, caught = outcomes[name, index]

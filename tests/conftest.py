@@ -1,6 +1,5 @@
 import cmath
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -47,7 +46,6 @@ def run_python(script: str) -> subprocess.CompletedProcess:
 
 def assert_no_children():
     """No child process of this one is running or left unreaped."""
-    assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -55,16 +53,17 @@ def assert_no_children():
 @pytest.fixture
 def forked(monkeypatch):
     """Three usable CPUs whatever the machine has, so a report of three or
-    more suite parts forks two workers; yields the worker count of each pool
-    made, and checks that no worker is left once the test is over."""
+    more suite parts forks two children; yields the number of children of
+    each call of the fork helper, and checks that no child is left once the
+    test is over."""
     monkeypatch.setattr(core, "usable_cpus", lambda: 3)
-    pools = []
-    run_forked = verify._run_forked
+    forks = []
+    fork_jobs = core._fork_jobs
 
-    def counted(order, cfg, workers):
-        pools.append(workers)
-        return run_forked(order, cfg, workers)
+    def counted(here, jobs, take):
+        forks.append(len(jobs))
+        return fork_jobs(here, jobs, take)
 
-    monkeypatch.setattr(verify, "_run_forked", counted)
-    yield pools
+    monkeypatch.setattr(core, "_fork_jobs", counted)
+    yield forks
     assert_no_children()

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import sys
 import tracemalloc
 
@@ -447,6 +448,22 @@ class TestVerifyCommand:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: the operator realization needs mu > 0\n"
 
+    @pytest.mark.parametrize("cpus, parts", [
+        (2, "geodesics[0], quadrature[2], quadrature[0], geometry[0], algebra[0], "
+            "embedding[0], kernels[0], bargmann[0], group[0]"),
+        (3, "geodesics[0], quadrature[0], algebra[0], kernels[0], group[0]"),
+    ])
+    def test_killed_worker_exits_2_naming_it(self, monkeypatch, capfd, cpus, parts):
+        # the group suite, run in a child, is killed as the OOM killer would
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        monkeypatch.setitem(verify._SUITES, "group",
+                            (lambda cfg: os.kill(os.getpid(), signal.SIGKILL),))
+        code = main(["verify", "all", "--mc-samples", "10000"])
+        assert_no_children()
+        out, err = capfd.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: the process running {parts} failed with exit status -9\n"
+
     def test_quadrature_reproducible(self, capsys):
         code1, out1, _ = run(capsys, "verify", "quadrature", "--seed", "42",
                              "--mc-samples", "50000")
@@ -614,10 +631,10 @@ class TestParallelTable:
 
     @pytest.mark.parametrize("quantity", cli._EVAL_QUANTITIES)
     def test_same_bytes_on_any_number_of_processes(self, monkeypatch, tmp_path, quantity):
-        forks = []
-        fork_rows = cli._fork_rows
-        monkeypatch.setattr(cli, "_fork_rows",
-                            lambda *a: forks.append(a[3:5]) or fork_rows(*a))
+        forks = []      # (first row, stop) of each child's range
+        fork_jobs = core._fork_jobs
+        monkeypatch.setattr(core, "_fork_jobs", lambda here, jobs, take: forks.extend(
+            job.args[3:5] for _, job in jobs) or fork_jobs(here, jobs, take))
         want = self.table(monkeypatch, 1, quantity, tmp_path / "one.csv")
         assert forks == []
         assert want.count(b"\n") == 1 + 7 * 11 * 17 * 19
@@ -647,10 +664,13 @@ class TestParallelTable:
         if not fork:
             monkeypatch.delattr(os, "fork")
 
-        def no_fork(*args):
-            raise AssertionError("a child was forked")
+        fork_jobs = core._fork_jobs
 
-        monkeypatch.setattr(cli, "_fork_rows", no_fork)
+        def no_fork(here, jobs, take):
+            assert jobs == [], "a child was forked"
+            return fork_jobs(here, jobs, take)
+
+        monkeypatch.setattr(core, "_fork_jobs", no_fork)
         out = tmp_path / "t.csv"
         assert main(["table", "volume", f"--re-w=0:0.5:{rows}", "--out", str(out)]) == 0
         assert out.read_text().count("\n") == rows + 1
@@ -671,12 +691,12 @@ class TestParallelTable:
 
         monkeypatch.setattr(core, "usable_cpus", lambda: 3)
         forks = []
-        fork_rows = cli._fork_rows
-        monkeypatch.setattr(cli, "_fork_rows",
-                            lambda *a: forks.append(fork_rows(*a)) or forks[-1])
+        fork_jobs = core._fork_jobs
+        monkeypatch.setattr(core, "_fork_jobs", lambda here, jobs, take: forks.append(
+            len(jobs)) or fork_jobs(here, jobs, take))
         monkeypatch.setattr(sys, "stdout", FailingOut())
         assert main(["table", "christoffel", *PARALLEL_GRID]) == 2
-        assert len(forks) == 2
+        assert forks == [2]
         assert capsys.readouterr().err == "error: no space left on device\n"
         assert_no_children()
 

@@ -1,8 +1,10 @@
 import pickle
+import time
 
 import numpy as np
 import pytest
 
+from conftest import assert_no_children
 from jacobi_cs import (
     BoundaryViolation,
     HermitianMetric2,
@@ -134,3 +136,18 @@ def test_errors_survive_pickle(error):
     assert type(copy) is type(error)
     assert str(copy) == str(error)
     assert vars(copy) == vars(error)
+
+
+def test_fork_jobs_names_a_failed_child_and_kills_the_later_ones():
+    def fail(file):
+        raise OSError("no space left on device")
+
+    jobs = [("writing", lambda file: file.write(b"one")), ("failing", fail),
+            ("sleeping", lambda file: time.sleep(60))]
+    taken, start = [], time.monotonic()
+    with pytest.raises(ChildProcessError, match="^the process failing failed with "
+                                                "exit status 1$"):
+        core._fork_jobs(lambda: None, jobs, lambda file: taken.append(file.read()))
+    assert taken == [b"one"]
+    assert time.monotonic() - start < 30      # the sleeping child was killed
+    assert_no_children()

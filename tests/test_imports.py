@@ -54,6 +54,16 @@ def test_command_loads_only_what_it_runs(argv, tempfile):
         assert "tempfile" not in modules
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_verify_loads_no_process_pool(cpus):
+    modules = loaded_by("from jacobi_cs import cli, core\n"
+                        f"core.usable_cpus = lambda: {cpus}\n"
+                        "assert cli.main(['verify', 'all']) == 0")
+    assert "jacobi_cs.quadrature" in modules
+    assert not {m for m in modules
+                if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent")}
+
+
 def test_verify_loads_the_suites():
     modules = loaded_by("from jacobi_cs import cli\n"
                         "assert cli.main(['verify', 'group']) == 0")

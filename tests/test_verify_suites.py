@@ -91,10 +91,10 @@ def test_no_pool_without_a_worker(monkeypatch, cpus, names, fork):
     if not fork:
         monkeypatch.delattr(os, "fork")
 
-    def no_pool(*args):
-        raise AssertionError("a pool was made")
+    def no_fork(*args):
+        raise AssertionError("a child was forked")
 
-    monkeypatch.setattr(verify, "_run_forked", no_pool)
+    monkeypatch.setattr(core, "_fork_jobs", no_fork)
     cfg = VerifyConfig()
     assert run_suites(names, cfg) == _name_order_report(names, cfg)
     assert_no_children()
