@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -352,30 +351,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
-def _coords(texts: list[list[str]], start: int):
-    """Comma-joined coordinates of rows ``start``, ``start`` + 1, ... of the
-    product of the formatted axes ``texts`` in ij order (``start`` below
-    the row count, or 0).
-
-    The row's index on each axis comes from index arithmetic, so no row
-    before ``start`` is generated: one product per axis finishes the
-    partial row counter, innermost axis first.
-    """
-    index = []
-    for axis in reversed(texts):
-        start, i = divmod(start, len(axis) or 1)
-        index.insert(0, i)
-    last = len(texts) - 1
-    pieces = (itertools.product(*(t[i:i + 1] for t, i in zip(texts[:d], index)),
-                                texts[d][index[d] + (d < last):], *texts[d + 1:])
-              for d in range(last, -1, -1))
-    return map(",".join, itertools.chain.from_iterable(pieces))
-
-
 def _nodes(axes: list[np.ndarray], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(z, w) of rows ``lo`` to ``hi`` - 1 of the grid over ``axes`` =
-    [re_z, im_z, re_w, im_w] in ij order, by the index arithmetic of
-    :func:`_coords`; no other row is built."""
+    [re_z, im_z, re_w, im_w] in ij order, from each row's index on each axis
+    (as :func:`_write_rows` indexes the coordinate text); no other row is
+    built."""
     index = np.unravel_index(np.arange(lo, hi), [axis.size for axis in axes])
     re_z, im_z, re_w, im_w = (axis[i] for axis, i in zip(axes, index))
     return _complex_grid(re_z, im_z), _complex_grid(re_w, im_w)
@@ -402,25 +382,47 @@ def _check_grid(quantity: str, axes: list[np.ndarray], params: ModelParams) -> N
             check(*_nodes(grid, lo, min(lo + _TABLE_CHUNK_ROWS, n)))
 
 
-def _write_rows(write, texts: list[list[str]], values, keys: list[str],
+def _write_rows(write, axes: list[np.ndarray], values, keys: list[str],
                 start: int, stop: int) -> None:
-    """Rows ``start`` to ``stop`` - 1 of a table, ``_TABLE_CHUNK_ROWS`` per
-    write; ``values(lo, hi)`` gives the value columns of rows ``lo`` to
-    ``hi`` - 1 by key."""
-    coords = _coords(texts, start)
+    """Rows ``start`` to ``stop`` - 1 of the table over ``axes`` =
+    [re_z, im_z, re_w, im_w] in ij order, ``_TABLE_CHUNK_ROWS`` per write;
+    ``values(lo, hi)`` gives the value columns of rows ``lo`` to ``hi`` - 1
+    by key.
+
+    A chunk's text is built column by column and joined once by
+    :func:`core._join_rows`.  A chunk touches one index range of each axis,
+    modulo its length, and only that range is formatted.  The w-plane runs
+    innermost, so a column that repeats bit for bit with its period, ``nw``
+    rows, has its first ``nw`` cells formatted and their text repeated:
+    equal bits give equal reprs, where 0.0 == -0.0 does not.
+    """
+    shape = [axis.size for axis in axes]
+    nw = shape[2] * shape[3]
     for lo in range(start, stop, _TABLE_CHUNK_ROWS):
         hi = min(lo + _TABLE_CHUNK_ROWS, stop)
         columns = values(lo, hi)
-        rows = zip(itertools.islice(coords, hi - lo),
-                   *(map(repr, columns[key].tolist()) for key in keys))
-        write("".join([",".join(row) + "\n" for row in rows]))
+        texts = []
+        for axis, index in zip(axes, np.unravel_index(np.arange(lo, hi), shape)):
+            # the chunk's values on this axis run from index[0] on, wrapping
+            touched = (index - index[0]) % axis.size
+            text = map(repr, np.take(axis, index[0] + np.arange(touched.max() + 1),
+                                     mode="wrap").tolist())
+            texts.append(np.array(list(text), dtype=object)[touched].tolist())
+        rows = hi - lo
+        for key in keys:
+            col = columns[key]
+            bits = np.ascontiguousarray(col).view(np.uint64).reshape(rows, -1)
+            period = nw if np.array_equal(bits[nw:], bits[:-nw]) else rows
+            cells = list(map(repr, col[:period].tolist()))
+            texts.append(cells * (rows // period) + cells[:rows % period])
+        write(core._join_rows(texts, "\n"))
 
 
-def _spool_rows(texts: list[list[str]], values, keys: list[str], start: int,
+def _spool_rows(axes: list[np.ndarray], values, keys: list[str], start: int,
                 stop: int, spool) -> None:
     """:func:`_write_rows` to the binary file ``spool``, in ASCII."""
     _write_rows(lambda text: spool.write(text.encode("ascii")),
-                texts, values, keys, start, stop)
+                axes, values, keys, start, stop)
 
 
 def _append(out, spool) -> None:
@@ -434,7 +436,7 @@ def _append(out, spool) -> None:
             out.write(chunk.decode("ascii"))
 
 
-def _write_table(out, header: str, texts: list[list[str]], values,
+def _write_table(out, header: str, axes: list[np.ndarray], values,
                  keys: list[str], n_rows: int) -> None:
     """Write the header and every row to ``out``; ``values`` is as for
     :func:`_write_rows`.  Rows split into contiguous ranges of at least
@@ -447,9 +449,9 @@ def _write_table(out, header: str, texts: list[list[str]], values,
         parts = max(1, min(core.usable_cpus(), n_rows // _TABLE_CHUNK_ROWS))
     bounds = [n_rows * i // parts for i in range(parts + 1)]
     out.write(header)
-    core._fork_jobs(functools.partial(_write_rows, out.write, texts, values, keys, 0, bounds[1]),
+    core._fork_jobs(functools.partial(_write_rows, out.write, axes, values, keys, 0, bounds[1]),
                     [(f"writing table rows from {start} on",
-                      functools.partial(_spool_rows, texts, values, keys, start, stop))
+                      functools.partial(_spool_rows, axes, values, keys, start, stop))
                      for start, stop in zip(bounds[1:-1], bounds[2:])],
                     functools.partial(_append, out))
 
@@ -471,11 +473,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     # the keys of the quantity, from one valid node: the grid may have none
     keys = sorted(_values(args.quantity, origin, origin, origin, origin, params))
     header = ",".join(["re_z", "im_z", "re_w", "im_w"] + keys) + "\n"
-    # each coordinate is formatted once per axis value, not once per row
-    texts = [[repr(x) for x in axis.tolist()] for axis in axes]
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
-        _write_table(out, header, texts, values, keys, n_rows)
+        _write_table(out, header, axes, values, keys, n_rows)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -40,6 +40,7 @@ from .core import (
     NonFinite,
     TangentVector,
     ZeroDirection,
+    _join_rows,
     check_points,
     eta_at,
     make_jacobi_point,
@@ -111,15 +112,11 @@ class GeodesicPath:
         """Write the samples and their ``speeds`` as CSV rows with CRLF line
         ends, ``_PATH_BLOCK`` rows at a time."""
         stream.write("t,re_z,im_z,re_w,im_w,re_dz,im_dz,re_dw,im_dw,speed\r\n")
-        table = np.empty((_PATH_BLOCK, 10))
         for lo in range(0, len(self), _PATH_BLOCK):
-            block = table[:min(_PATH_BLOCK, len(self) - lo)]
-            hi = lo + len(block)
-            block[:, 0] = self.t[lo:hi]
-            block[:, 1:9] = self.y[lo:hi].view(float)
-            block[:, 9] = speeds[lo:hi]
-            stream.write("".join([",".join(map(repr, row)) + "\r\n"
-                                  for row in block.tolist()]))
+            hi = lo + _PATH_BLOCK
+            columns = [self.t[lo:hi], *self.y[lo:hi].view(float).T, speeds[lo:hi]]
+            stream.write(_join_rows([list(map(repr, col.tolist())) for col in columns],
+                                    "\r\n"))
 
 
 def christoffel_at(z, w, p, params: ModelParams):

@@ -535,6 +535,24 @@ class TestTable:
         small, large = map(int, proc.stdout.split())
         assert large <= 1.1 * small
 
+    def test_peak_memory_of_one_long_axis(self):
+        # a chunk formats only the axis values it touches, so a long axis
+        # costs little more than its own 8 B per node; formatting the whole
+        # axis first cost about 130 B per node in the writing process
+        proc = run_python(
+            "import os, resource\n"
+            "from jacobi_cs import cli\n"
+            "for n in (250_000, 4_000_000):\n"
+            "    assert cli.main(['table', 'potential', f'--re-z=-1:1:{n}',\n"
+            "                     '--out', os.devnull]) == 0\n"
+            "    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):\n"
+            "        print(resource.getrusage(who).ru_maxrss)\n")
+        assert proc.returncode == 0, proc.stderr
+        self_small, children_small, self_large, children_large = map(int, proc.stdout.split())
+        per_node = 16 * (4_000_000 - 250_000) / 1024      # ru_maxrss is in KiB
+        assert self_large - self_small <= per_node
+        assert children_large - children_small <= per_node
+
     def test_node_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_TABLE_NODES", 12)
         code, _, _ = run(capsys, "table", "potential", "--re-z", "0:1:3",
@@ -613,6 +631,32 @@ PARALLEL_GRID = ("--re-z=-1.5:1.5:7", "--im-z=-1.5:1.5:11", "--re-w=-0.6:0.6:17"
                  "--im-w=-0.6:0.6:19")
 
 
+def oracle_rows(axes, columns, keys, start=0, stop=None):
+    """Rows ``start`` to ``stop`` - 1 of the table over ``axes`` with whole
+    value ``columns``, formatted one row at a time."""
+    texts = [[repr(x) for x in axis.tolist()] for axis in axes]
+    coords = itertools.islice(itertools.product(*texts), start, stop)
+    rows = zip(map(",".join, coords),
+               *(map(repr, columns[key][start:stop].tolist()) for key in keys))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def oracle_table(quantity, flags):
+    """The bytes of ``table quantity *flags`` from one evaluation of the
+    whole grid, formatted one row at a time."""
+    given = dict(flag.split("=", 1) for flag in flags)
+    axes = [parse_range(given.get(flag, "0"))
+            for flag in ("--re-z", "--im-z", "--re-w", "--im-w")]
+    grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    origin = np.zeros(1, dtype=complex)
+    columns = cli.evaluate(quantity, cli._complex_grid(*grid[:2]),
+                           cli._complex_grid(*grid[2:]), origin, origin,
+                           core.ModelParams(1.0, 1.0))
+    keys = sorted(columns)
+    header = ",".join(["re_z", "im_z", "re_w", "im_w"] + keys) + "\n"
+    return (header + oracle_rows(axes, columns, keys)).encode()
+
+
 class TestParallelTable:
     @staticmethod
     def table(monkeypatch, cpus, quantity, out):
@@ -637,6 +681,7 @@ class TestParallelTable:
             job.args[3:5] for _, job in jobs) or fork_jobs(here, jobs, take))
         want = self.table(monkeypatch, 1, quantity, tmp_path / "one.csv")
         assert forks == []
+        assert want == oracle_table(quantity, PARALLEL_GRID)
         assert want.count(b"\n") == 1 + 7 * 11 * 17 * 19
         for cpus, parts in ((2, [(12435, 24871)]),
                             (3, [(8290, 16580), (16580, 24871)])):
@@ -675,12 +720,60 @@ class TestParallelTable:
         assert main(["table", "volume", f"--re-w=0:0.5:{rows}", "--out", str(out)]) == 0
         assert out.read_text().count("\n") == rows + 1
 
-    def test_coordinates_start_at_any_row(self):
-        texts = [["a", "b", "c"], ["d"], ["e", "f", "g", "h"], ["i", "j"]]
-        rows = list(map(",".join, itertools.product(*texts)))
-        for start in range(len(rows)):
-            assert list(cli._coords(texts, start)) == rows[start:]
-        assert list(cli._coords([["a"], []], 0)) == []
+    def test_coordinates_start_at_any_row(self, monkeypatch):
+        # chunks of 5 rows start anywhere on an axis and wrap around it
+        monkeypatch.setattr(cli, "_TABLE_CHUNK_ROWS", 5)
+        axes = [np.array([0.1, -0.0, 2.5]), np.array([1e300]),
+                np.array([0.0, 0.25, -1.5, 3.0]), np.array([np.inf, -7.0])]
+        rows = oracle_rows(axes, {}, []).splitlines(keepends=True)
+        assert len(rows) == 24
+        for start in range(len(rows) + 1):
+            out = io.StringIO()
+            cli._write_rows(out.write, axes, lambda lo, hi: {}, [], start, len(rows))
+            assert out.getvalue() == "".join(rows[start:])
+
+    @pytest.mark.parametrize("chunk", [5, 8, 24, 8192])
+    def test_rows_of_synthetic_columns(self, monkeypatch, chunk):
+        # w-planes of 8 rows; the repeat test compares bits, so the one
+        # -0.0 among the 0.0 of a periodic column is written as it is
+        monkeypatch.setattr(cli, "_TABLE_CHUNK_ROWS", chunk)
+        axes = [np.array([0.5, 1.5, 2.5]), np.array([-1.0]),
+                np.array([0.0, 0.1, 0.2, 0.3]), np.array([-0.2, 0.2])]
+        plane = np.array([0.0, 1.5, -2.0, 1e-300, 0.25, 0.0, 3.0, -np.inf])
+        flip = np.tile(plane, 3)
+        flip[13] = -0.0
+        cx = np.tile(plane, 3).astype(complex)
+        cx.imag = np.tile([np.nan, *plane[1:]], 3)
+        columns = {
+            "constant": np.broadcast_to(2.25, 24),
+            "periodic": np.tile(plane, 3),
+            "flip": flip,
+            "complex": cx,
+            "varying": np.concatenate([plane, -plane, np.arange(8.0) / 3]),
+            "non-finite": np.array([np.nan, np.inf, -np.inf] * 8),
+        }
+        keys = list(columns)
+        for start in range(24):
+            out = io.StringIO()
+            cli._write_rows(out.write, axes,
+                            lambda lo, hi: {key: col[lo:hi] for key, col in columns.items()},
+                            keys, start, 24)
+            assert out.getvalue() == oracle_rows(axes, columns, keys, start)
+        assert oracle_rows(axes, columns, keys).splitlines()[13].split(",")[6] == "-0.0"
+
+    @pytest.mark.parametrize("quantity, flags", [
+        # a w-plane of one node: a column of w alone is constant
+        ("christoffel", ("--re-z=-1:1:131", "--im-z=-0.5:0.5:127", "--re-w=0.3",
+                         "--im-w=-0.2")),
+        ("volume", ("--re-z=-1:1:131", "--im-z=-0.5:0.5:127", "--re-w=0.3")),
+        ("metric", ("--re-z=-1:1:131", "--im-z=0:1:0", "--re-w=0.3")),    # an empty axis
+    ])
+    def test_bytes_match_the_row_oracle(self, monkeypatch, tmp_path, quantity, flags):
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        out = tmp_path / "t.csv"
+        assert main(["table", quantity, *flags, "--out", str(out)]) == 0
+        assert_no_children()
+        assert out.read_bytes() == oracle_table(quantity, flags)
 
     def test_failing_parent_write_reaps_every_child(self, monkeypatch, capsys):
         class FailingOut(io.StringIO):

@@ -318,6 +318,20 @@ class TestPathsAndLength:
         assert first[7] == 0.5   # re_dw
         assert first[9] == pytest.approx(math.sqrt(2) * 0.5)
 
+    def test_csv_matches_row_oracle(self, rng):
+        # 2,500 samples: written in blocks of 1,024 rows, the last one partial
+        n = 2500
+        y = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        y[7] = [-0.0, 0.0, 1e-300j, complex(np.nan, -np.inf)]
+        path = GeodesicPath(np.linspace(0.0, 3.0, n), y)
+        speeds = rng.exponential(size=n)
+        buf = io.StringIO()
+        path.write_csv(buf, speeds)
+        rows = np.column_stack([path.t, path.y.view(float), speeds]).tolist()
+        assert buf.getvalue() == ("t,re_z,im_z,re_w,im_w,re_dz,im_dz,re_dw,im_dw,speed\r\n"
+                                  + "".join(",".join(map(repr, row)) + "\r\n"
+                                            for row in rows))
+
 
 class TestStepCount:
     def test_rounds_and_keeps_one_step(self):
