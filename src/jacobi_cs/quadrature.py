@@ -50,6 +50,9 @@ _GRAM_Z_INFLATION = 3.0
 # Gauss-Legendre nodes per polar axis of disk_inner_product_gl.
 _GL_NODES = 64
 
+# The fewest samples a Monte Carlo estimate takes.
+MIN_MC_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -59,8 +62,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1000:
-            raise ValueError("n_samples must be at least 1000")
+        if self.n_samples < MIN_MC_SAMPLES:
+            raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

@@ -2,17 +2,20 @@
 
 Each identity is measured by one check function: it takes explicit inputs
 (points, group elements, parameters, a truncation, path settings) and
-returns the worst deviation.  A suite draws its inputs from the configured
-seed with :func:`random_points` and :func:`random_elements`, runs the checks
-and returns a list of records {check, identity, deviation, tolerance, pass};
-a report aggregates suites in name order.  A suite is one or more parts
-(the quadrature suite has three) that seed their own generators, so a
-report runs them on up to one process per usable CPU: this one and
-children forked from it (:func:`run_suites`).
-The acceptance tests call the same check functions on their own seeds and
-domains.  Tolerances can be overridden per check name through the
-configuration, which is how the sensitivity of the finite-difference gates
-can be demonstrated from the command line.
+returns the worst deviation.  :data:`CHECKS` lists the checks in report
+order with their identities and default tolerances, the one place either
+is written.  A suite is one or more parts (the quadrature suite has three);
+each part is a generator that draws its inputs from the configured seed
+with :func:`random_points` and :func:`random_elements`, runs the checks and
+yields (check, deviation) pairs, plus the tolerance where that depends on
+the data.  :func:`_run_part` builds the records {check, identity,
+deviation, tolerance, pass}, and a report aggregates suites in name order.
+Each part seeds its own generators, so a report runs them on up to one
+process per usable CPU: this one and children forked from it
+(:func:`run_suites`).  The acceptance tests call the same check functions
+on their own seeds and domains.  A configured tolerance overrides a check's
+default, which is how the sensitivity of the finite-difference gates can be
+demonstrated from the command line; a name not in :data:`CHECKS` is refused.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,7 @@ from .core import SUITE_NAMES  # noqa: F401  (re-exported; the keys of _SUITES)
 from .core import JacobiPoint, ModelParams, TangentVector, hermitian_det, make_jacobi_point, p_at
 from .geometry import WirtingerStencil
 from .kernels import BasisIndex, TruncationOrder
+from .quadrature import MIN_MC_SAMPLES
 
 # Suite parts, as (suite name, index into its tuple in _SUITES), by run time
 # at the default settings, longest first (medians of seven in-process runs at
@@ -41,11 +46,69 @@ _GEODESIC_SPAN = 2.0
 # the embedding and quadrature suites need a basis, so they run at this k
 # whatever the configuration says
 _BASIS_K = 1.25
-_AT_BASIS_K = f" (k = {_BASIS_K})"
 # The quadrature suite's inner products draw mc_samples / 10 samples in one
-# array, 32 B each: 0.32 GB at this limit.  The floor is McConfig's.
-MIN_MC_SAMPLES = 1000
+# array, 32 B each: 0.32 GB at this limit.  The floor is quadrature's.
 MAX_MC_SAMPLES = 10**8
+
+# check name -> (identity, default tolerance), in report order.  A default
+# of None is data-dependent: the suite part yields it with the deviation.
+CHECKS: dict[str, tuple[str, float | None]] = {
+    "commutation-relations": ("structure constants on monomials of degree <= 8", 1e-12),
+    "lowest-weight": ("a 1 = 0, K- 1 = 0, K0 1 = k", 1e-12),
+    "reproducing-identity": ("pairing the kernel with itself gives the flat kernel", 1e-9),
+    "state-orthonormality": ("oscillator states are orthonormal under quadrature", 1e-10),
+    "monomial-images": ("states map to normalized monomials", 1e-8),
+    "projective-pairing":
+        (f"normalized kernel equals the embedded pairing (k = {_BASIS_K})", 1e-8),
+    "angle-vs-projective-distance":
+        (f"kernel angle equals the projective distance (k = {_BASIS_K})", 1e-8),
+    "projective-metric-pullback":
+        (f"metric equals the Hessian of ln |embedding|^2 (k = {_BASIS_K})", 1e-5),
+    "embedding-norm-convergence":
+        (f"squared embedding norm converges to the diagonal kernel (k = {_BASIS_K})", 1e-8),
+    "length-dominates-angle":
+        (f"admissible curve length bounds the projective angle (k = {_BASIS_K})", 1e-9),
+    "acceleration-two-routes": ("direct accelerations equal the connection contraction", 1e-12),
+    "connection-defining-relation": ("sum_a h_(a e~) G^a_(bc) = d h_(b e~) / dz_c", 1e-6),
+    "flat-limit-closed-form": ("integrated flat-limit paths match the tanh solution", 1e-8),
+    "energy-conservation": ("speed is constant along integrated paths", 1e-8),
+    "constant-eta-residual": ("the constant-eta family solves the geodesic system", 1e-9),
+    "action-covariance": ("the action maps integrated paths to integrated paths", 1e-6),
+    "metric-vs-potential": ("closed metric equals the potential Hessian", 1e-6),
+    "determinant-closed-form": ("det h = 2 k mu / P^3", 1e-12),
+    "scalar-curvature-constant": ("s = -3/(2k) everywhere", 1e-10),
+    "ricci-closed-vs-fd": ("Ricci equals minus the Hessian of ln det h", 1e-6),
+    "kahler-condition": ("d h_(a b~)/dz_c symmetric in (a, c)", 1e-6),
+    "non-einstein-witness": ("Ric_zz = 0 while h_zz > 0 and Ric_ww < 0", 1e-12),
+    "volume-density-ratio": ("volume density = 2 det h", 1e-12),
+    "kernel-equivariance": ("K(act a, conj(act b)) lam(a) conj(lam(b)) = K(a, conj(b))", 1e-10),
+    "berezin-invariance": ("b(act a, act b) = b(a, b)", 1e-10),
+    "diastasis-invariance": ("D(act a, act b) = D(a, b)", 1e-10),
+    "metric-invariance": ("pullback of the metric under the action is the metric", 1e-5),
+    "split-coordinates-cross-term":
+        ("two-form pullback through z = eta - w conj(eta) has no mixed term", 1e-10),
+    "split-coordinates-blocks": ("two-form pullback blocks are (mu, 2k/P^2)", 1e-8),
+    "split-form-invariance":
+        ("the split form is preserved by the action in split coordinates", 1e-5),
+    "split-roundtrip": ("forward and inverse coordinate change compose to the identity", 1e-12),
+    "mobius-composition": ("fractional action composes with the matrix product", 1e-12),
+    "split-action-consistency": ("the action commutes with the coordinate change", 1e-10),
+    "hermitian-symmetry": ("K(a, conj(b)) = conj(K(b, conj(a)))", 1e-12),
+    "diagonal-positivity": ("K(a, conj(a)) > 0", 1e-12),
+    "series-vs-closed-form":
+        ("basis expansion matches the closed kernel (quarter-shifted index)", 1e-8),
+    "series-vs-closed-form-wide-mu": ("deeper expansion covers the wider flat-scale grid", 1e-8),
+    "factorization-limits": ("kernel reduces to flat / disk factors on the axes", 1e-12),
+    "normalized-kernel-bound": ("|normalized kernel| <= 1", 1e-12),
+    "diastasis-two-routes": ("-ln b equals the split disk + flat form", 1e-10),
+    "weight-kernel-product": (f"rho * K is the normalization constant (k = {_BASIS_K})", 1e-12),
+    "unit-normalization": (f"mean importance weight is 1 (k = {_BASIS_K})", None),
+    "orthonormality-matrix":
+        (f"basis Gram matrix is the identity (units of standard error) (k = {_BASIS_K})", 3.0),
+    "orthonormality-precision": (f"standard errors below 1e-2 (k = {_BASIS_K})", 1e-2),
+    "disk-marginal": ("pure-disk pairings are orthonormal under exact quadrature (k = 1)", 1e-6),
+    "determinism": (f"same seed reproduces the same estimate (k = {_BASIS_K})", 0.0),
+}
 
 
 @dataclass
@@ -65,9 +128,9 @@ class VerifyConfig:
         if not MIN_MC_SAMPLES <= self.mc_samples <= MAX_MC_SAMPLES:
             raise ValueError(f"mc_samples must be between {MIN_MC_SAMPLES} and "
                              f"{MAX_MC_SAMPLES}, got {self.mc_samples}")
-
-    def tol(self, check: str, default: float) -> float:
-        return self.tolerances.get(check, default)
+        unknown = [check for check in self.tolerances if check not in CHECKS]
+        if unknown:
+            raise ValueError(f"tolerances name unknown checks: {unknown}")
 
     def stencil(self) -> WirtingerStencil:
         return WirtingerStencil(step=self.fd_step)
@@ -76,9 +139,11 @@ class VerifyConfig:
         return ModelParams(self.k, self.mu)
 
 
-def _record(cfg: VerifyConfig, check: str, identity: str, deviation: float,
-            default_tol: float) -> dict:
-    tol = cfg.tol(check, default_tol)
+def _record(cfg: VerifyConfig, check: str, deviation: float,
+            tol: float | None = None) -> dict:
+    """A check's record: a configured tolerance wins over ``tol``, ``tol`` over CHECKS."""
+    identity, default = CHECKS[check]
+    tol = cfg.tolerances.get(check, default if tol is None else tol)
     return {"check": check, "identity": identity,
             "deviation": float(deviation), "tolerance": tol,
             "pass": bool(deviation <= tol)}
@@ -393,27 +458,21 @@ def disk_marginal_deviation() -> float:
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_algebra(cfg: VerifyConfig) -> list[dict]:
-    records = [_record(cfg, "commutation-relations",
-                       "structure constants on monomials of degree <= 8",
-                       commutation_deviation(_PARAM_GRID), 1e-12)]
+def suite_algebra(cfg: VerifyConfig) -> Iterator[tuple]:
+    yield "commutation-relations", commutation_deviation(_PARAM_GRID)
     params = cfg.params()
     one = algebra.BiPolynomial.one()
-    lowest = max(
+    yield "lowest-weight", max(
         algebra.apply_generator(algebra.Generator.A, one, params).max_abs(),
         algebra.apply_generator(algebra.Generator.K_MINUS, one, params).max_abs(),
         algebra.max_coeff_deviation(
             algebra.apply_generator(algebra.Generator.K_ZERO, one, params),
             one.scaled(params.k)),
     )
-    records.append(_record(cfg, "lowest-weight",
-                           "a 1 = 0, K- 1 = 0, K0 1 = k", lowest, 1e-12))
-    return records
 
 
-def suite_kernels(cfg: VerifyConfig) -> list[dict]:
+def suite_kernels(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
-    records = []
     params = cfg.params()
     pts = random_points(rng, 60)
     z, w = _zw(pts)
@@ -422,32 +481,24 @@ def suite_kernels(cfg: VerifyConfig) -> list[dict]:
 
     k12 = kernels.kernel_at(*pairs, params)
     k21 = kernels.kernel_at(*swapped, params)
-    dev = np.max(np.abs(k12 - k21.conjugate()) / np.maximum(1.0, np.abs(k12)))
-    records.append(_record(cfg, "hermitian-symmetry",
-                           "K(a, conj(b)) = conj(K(b, conj(a)))", dev, 1e-12))
+    yield "hermitian-symmetry", np.max(np.abs(k12 - k21.conjugate())
+                                       / np.maximum(1.0, np.abs(k12)))
 
     min_diag = float(np.min(kernels.kernel_at(z, w, z, w, params).real))
-    records.append(_record(cfg, "diagonal-positivity",
-                           "K(a, conj(a)) > 0", max(0.0, -min_diag), 1e-12))
+    yield "diagonal-positivity", max(0.0, -min_diag)
 
     # tail decay goes like (|w1||w2|)^(n/2) with an exp(mu |z|^2)-sized
     # prefactor: the default truncation carries 1e-8 on |w| <= 0.4 at
     # mu = 1; the wider grid needs the deeper expansion
     pts_inner = random_points(rng, 16, w_radius=0.4)
-    dev = kernel_series_deviation(
+    yield "series-vs-closed-form", kernel_series_deviation(
         [(ModelParams(two_kp / 2.0 + 0.25, 1.0), pts_inner) for two_kp in (1, 2, 3, 4)],
         cfg.truncation)
-    records.append(_record(cfg, "series-vs-closed-form",
-                           "basis expansion matches the closed kernel "
-                           "(quarter-shifted index)", dev, 1e-8))
 
     pts_wide = random_points(rng, 12, w_radius=0.45)
-    dev = kernel_series_deviation(
+    yield "series-vs-closed-form-wide-mu", kernel_series_deviation(
         [(ModelParams(two_kp / 2.0 + 0.25, mu), pts_wide)
          for two_kp in (1, 4) for mu in (0.5, 2.0)], TruncationOrder(80, 80))
-    records.append(_record(cfg, "series-vs-closed-form-wide-mu",
-                           "deeper expansion covers the wider flat-scale "
-                           "grid", dev, 1e-8))
 
     dev = 0.0
     for p in pts[:20]:
@@ -457,29 +508,21 @@ def suite_kernels(cfg: VerifyConfig) -> list[dict]:
         disk = make_jacobi_point(0.0, p.w)
         dev = max(dev, abs(kernels.jacobi_kernel(disk, disk, params)
                            - kernels.disk_kernel(p.w, p.w, params.k)))
-    records.append(_record(cfg, "factorization-limits",
-                           "kernel reduces to flat / disk factors on the axes",
-                           dev, 1e-12))
+    yield "factorization-limits", dev
 
     over = np.max(np.abs(kernels.normalized_kernel_at(*pairs, params))) - 1.0
-    records.append(_record(cfg, "normalized-kernel-bound",
-                           "|normalized kernel| <= 1", max(0.0, over), 1e-12))
+    yield "normalized-kernel-bound", max(0.0, over)
 
     split = [kernels.diastasis_split(a, b, params) for a, b in zip(pts[::2], pts[1::2])]
-    dev = np.max(np.abs(kernels.diastasis_at(*pairs, params) - split))
-    records.append(_record(cfg, "diastasis-two-routes",
-                           "-ln b equals the split disk + flat form", dev, 1e-10))
-    return records
+    yield "diastasis-two-routes", np.max(np.abs(kernels.diastasis_at(*pairs, params) - split))
 
 
-def suite_geometry(cfg: VerifyConfig) -> list[dict]:
+def suite_geometry(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
     stencil = cfg.stencil()
 
-    dev = metric_hessian_deviation([(pr, random_points(rng, 20)) for pr in _PARAM_GRID],
-                                   stencil)
-    records = [_record(cfg, "metric-vs-potential",
-                       "closed metric equals the potential Hessian", dev, 1e-6)]
+    yield "metric-vs-potential", metric_hessian_deviation(
+        [(pr, random_points(rng, 20)) for pr in _PARAM_GRID], stencil)
 
     params = cfg.params()
     pts = random_points(rng, 100)
@@ -487,64 +530,39 @@ def suite_geometry(cfg: VerifyConfig) -> list[dict]:
     p = p_at(w)
     det = hermitian_det(*geometry.metric_at(z, w, p, params))
     target = 2.0 * params.k * params.mu / p**3
-    records.append(_record(cfg, "determinant-closed-form",
-                           "det h = 2 k mu / P^3",
-                           np.max(np.abs(det - target) / target), 1e-12))
-
-    dev = scalar_curvature_deviation([(pr, pts[:25]) for pr in _PARAM_GRID])
-    records.append(_record(cfg, "scalar-curvature-constant",
-                           "s = -3/(2k) everywhere", dev, 1e-10))
+    yield "determinant-closed-form", np.max(np.abs(det - target) / target)
+    yield "scalar-curvature-constant", scalar_curvature_deviation(
+        [(pr, pts[:25]) for pr in _PARAM_GRID])
 
     dev = 0.0
     for pt in pts[:10]:
         rc = geometry.ricci_at(pt.p)
         rf = geometry.ricci_fd(pt, params, stencil)
         dev = max(dev, *(abs(c - f) for c, f in zip(rc, rf)))
-    records.append(_record(cfg, "ricci-closed-vs-fd",
-                           "Ricci equals minus the Hessian of ln det h", dev, 1e-6))
-
-    dev = max(geometry.kahler_condition_check(pt, params, stencil)
-              for pt in pts[:10])
-    records.append(_record(cfg, "kahler-condition",
-                           "d h_(a b~)/dz_c symmetric in (a, c)", dev, 1e-6))
-
-    records.append(_record(cfg, "non-einstein-witness",
-                           "Ric_zz = 0 while h_zz > 0 and Ric_ww < 0",
-                           non_einstein_deviation(pts[:25], params), 1e-12))
+    yield "ricci-closed-vs-fd", dev
+    yield "kahler-condition", max(geometry.kahler_condition_check(pt, params, stencil)
+                                  for pt in pts[:10])
+    yield "non-einstein-witness", non_einstein_deviation(pts[:25], params)
 
     ratio = geometry.volume_density_at(p[:25], params) / det[:25]
-    records.append(_record(cfg, "volume-density-ratio",
-                           "volume density = 2 det h", np.max(np.abs(ratio - 2.0)), 1e-12))
-    return records
+    yield "volume-density-ratio", np.max(np.abs(ratio - 2.0))
 
 
-def suite_group(cfg: VerifyConfig) -> list[dict]:
+def suite_group(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
     params = cfg.params()
     pts = random_points(rng, 40, z_scale=1.0, w_radius=0.5)
     elements = random_elements(rng, 20)
 
     dev_eq, dev_b, dev_d = group_invariance_deviation(elements, pts[::2], pts[1::2], params)
-    records = [_record(cfg, "kernel-equivariance",
-                       "K(act a, conj(act b)) lam(a) conj(lam(b)) = K(a, conj(b))",
-                       dev_eq, 1e-10)]
-    records.append(_record(cfg, "berezin-invariance",
-                           "b(act a, act b) = b(a, b)", dev_b, 1e-10))
-    records.append(_record(cfg, "diastasis-invariance",
-                           "D(act a, act b) = D(a, b)", dev_d, 1e-10))
-
-    records.append(_record(cfg, "metric-invariance",
-                           "pullback of the metric under the action is the metric",
-                           metric_invariance_deviation(elements[:10], pts[:10], params),
-                           1e-5))
+    yield "kernel-equivariance", dev_eq
+    yield "berezin-invariance", dev_b
+    yield "diastasis-invariance", dev_d
+    yield "metric-invariance", metric_invariance_deviation(elements[:10], pts[:10], params)
 
     dev_cross, dev_diag = split_coordinates_deviation(pts[:20], params)
-    records.append(_record(cfg, "split-coordinates-cross-term",
-                           "two-form pullback through z = eta - w conj(eta) "
-                           "has no mixed term", dev_cross, 1e-10))
-    records.append(_record(cfg, "split-coordinates-blocks",
-                           "two-form pullback blocks are (mu, 2k/P^2)",
-                           dev_diag, 1e-8))
+    yield "split-coordinates-cross-term", dev_cross
+    yield "split-coordinates-blocks", dev_diag
 
     def split_form(w_disk: complex) -> np.ndarray:
         h = geometry.HermitianMetric2(
@@ -559,13 +577,8 @@ def suite_group(cfg: VerifyConfig) -> list[dict]:
             lambda eta_x, w_x: group.action_eta_coords(e, eta_x, w_x), eta, w)
         pulled = geometry.pullback_real(split_form(w1), jac)
         dev = max(dev, float(np.max(np.abs(pulled - split_form(w)))))
-    records.append(_record(cfg, "split-form-invariance",
-                           "the split form is preserved by the action in "
-                           "split coordinates", dev, 1e-5))
-
-    records.append(_record(cfg, "split-roundtrip",
-                           "forward and inverse coordinate change compose to "
-                           "the identity", split_roundtrip_deviation(pts), 1e-12))
+    yield "split-form-invariance", dev
+    yield "split-roundtrip", split_roundtrip_deviation(pts)
 
     dev = 0.0
     for e1, e2, p in zip(elements[::2], elements[1::2], pts[:10]):
@@ -573,25 +586,19 @@ def suite_group(cfg: VerifyConfig) -> list[dict]:
         stepwise = group.mobius(e1.g, group.mobius(e2.g, p.w))
         dev = max(dev, abs(group.mobius(g12, p.w) - stepwise),
                   abs(abs(g12.a) ** 2 - abs(g12.b) ** 2 - 1.0))
-    records.append(_record(cfg, "mobius-composition",
-                           "fractional action composes with the matrix product",
-                           dev, 1e-12))
+    yield "mobius-composition", dev
 
     dev = 0.0
     for e, p in zip(elements[:10], pts[:10]):
         direct, _ = group.jacobi_action(e, p, params)
         via_split = group.fc_forward(*group.action_eta_coords(e, *group.fc_inverse(p)))
         dev = max(dev, abs(direct.z - via_split.z), abs(direct.w - via_split.w))
-    records.append(_record(cfg, "split-action-consistency",
-                           "the action commutes with the coordinate change",
-                           dev, 1e-10))
-    return records
+    yield "split-action-consistency", dev
 
 
-def suite_geodesics(cfg: VerifyConfig) -> list[dict]:
+def suite_geodesics(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
     params = cfg.params()
-    records = []
     pts = random_points(rng, 20, w_radius=0.5)
 
     dev = 0.0
@@ -602,91 +609,47 @@ def suite_geodesics(cfg: VerifyConfig) -> list[dict]:
         a1 = geodesics.geodesic_rhs(state, params)
         a2 = geodesics.christoffel_rhs(state, params)
         dev = max(dev, abs(a1.dz - a2.dz), abs(a1.dw - a2.dw))
-    records.append(_record(cfg, "acceleration-two-routes",
-                           "direct accelerations equal the connection "
-                           "contraction", dev, 1e-12))
-
-    records.append(_record(cfg, "connection-defining-relation",
-                           "sum_a h_(a e~) G^a_(bc) = d h_(b e~) / dz_c",
-                           connection_deviation(pts[:10], params, cfg.stencil()), 1e-6))
+    yield "acceleration-two-routes", dev
+    yield "connection-defining-relation", connection_deviation(pts[:10], params, cfg.stencil())
 
     n_steps = geodesics.step_count(_GEODESIC_SPAN, cfg.rk4_step)
-    dev = flat_limit_deviation(
+    yield "flat-limit-closed-form", flat_limit_deviation(
         [(0.5 - 0.2j, 0.3 + 0.1j, b) for b in (0.7, 0.4 + 0.3j)],
         ModelParams(params.k, 0.0), _GEODESIC_SPAN, n_steps, max(1, n_steps // 20))
-    records.append(_record(cfg, "flat-limit-closed-form",
-                           "integrated flat-limit paths match the tanh "
-                           "solution", dev, 1e-8))
 
-    state = geodesics.GeodesicState(
-        pts[0], TangentVector(0.4 + 0.2j, 0.2 - 0.1j))
-    records.append(_record(cfg, "energy-conservation",
-                           "speed is constant along integrated paths",
-                           energy_drift(state, params, _GEODESIC_SPAN, n_steps), 1e-8))
-
-    records.append(_record(cfg, "constant-eta-residual",
-                           "the constant-eta family solves the geodesic "
-                           "system", constant_eta_deviation(params), 1e-9))
+    state = geodesics.GeodesicState(pts[0], TangentVector(0.4 + 0.2j, 0.2 - 0.1j))
+    yield "energy-conservation", energy_drift(state, params, _GEODESIC_SPAN, n_steps)
+    yield "constant-eta-residual", constant_eta_deviation(params)
 
     e = random_elements(rng, 1)[0]
     start = geodesics.GeodesicState(pts[1], TangentVector(0.3 + 0.1j, 0.15j))
     n_cov = geodesics.step_count(1.0, cfg.rk4_step)
-    dev = action_covariance_deviation(e, start, params, 1.0, n_cov, max(1, n_cov // 10))
-    records.append(_record(cfg, "action-covariance",
-                           "the action maps integrated paths to integrated "
-                           "paths", dev, 1e-6))
-    return records
+    yield "action-covariance", action_covariance_deviation(
+        e, start, params, 1.0, n_cov, max(1, n_cov // 10))
 
 
-def suite_bargmann(cfg: VerifyConfig) -> list[dict]:
+def suite_bargmann(cfg: VerifyConfig) -> Iterator[tuple]:
     rule = bargmann.QuadratureRule.gauss_hermite(96)
     grid = [complex(a, b) for a in (-1.5, -0.5, 0.5, 1.5)
             for b in (-1.0, 0.0, 1.0)]
-    records = [_record(cfg, "reproducing-identity",
-                       "pairing the kernel with itself gives the flat kernel",
-                       reproducing_deviation(grid[:6], grid[6:], (0.5, 1.0, 2.0), rule),
-                       1e-9)]
-
-    records.append(_record(cfg, "state-orthonormality",
-                           "oscillator states are orthonormal under "
-                           "quadrature", state_orthonormality_deviation(10, 1.0, rule),
-                           1e-10))
-
-    dev = monomial_image_deviation(range(11), (0.5, 1.5, 1j, 1 + 1j, -0.7 + 0.9j), 1.0, rule)
-    records.append(_record(cfg, "monomial-images",
-                           "states map to normalized monomials", dev, 1e-8))
-    return records
+    yield "reproducing-identity", reproducing_deviation(grid[:6], grid[6:], (0.5, 1.0, 2.0), rule)
+    yield "state-orthonormality", state_orthonormality_deviation(10, 1.0, rule)
+    yield "monomial-images", monomial_image_deviation(
+        range(11), (0.5, 1.5, 1j, 1 + 1j, -0.7 + 0.9j), 1.0, rule)
 
 
-def suite_embedding(cfg: VerifyConfig) -> list[dict]:
+def suite_embedding(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(_BASIS_K, cfg.mu)
     trunc = cfg.truncation
     pts = random_points(rng, 30, z_scale=1.0, w_radius=0.5)
 
     dev_pair, dev_angle = pairing_deviation(pts[::2], pts[1::2], params, trunc)
-    records = [_record(cfg, "projective-pairing",
-                       "normalized kernel equals the embedded pairing" + _AT_BASIS_K,
-                       dev_pair, 1e-8)]
-    records.append(_record(cfg, "angle-vs-projective-distance",
-                           "kernel angle equals the projective distance" + _AT_BASIS_K,
-                           dev_angle, 1e-8))
-
-    records.append(_record(cfg, "projective-metric-pullback",
-                           "metric equals the Hessian of ln |embedding|^2" + _AT_BASIS_K,
-                           pullback_deviation(pts[:4], params, trunc, cfg.stencil()),
-                           1e-5))
-
-    records.append(_record(cfg, "embedding-norm-convergence",
-                           "squared embedding norm converges to the diagonal "
-                           "kernel" + _AT_BASIS_K,
-                           embedding_norm_deviation(pts[:10], params, trunc), 1e-8))
-
-    records.append(_record(cfg, "length-dominates-angle",
-                           "admissible curve length bounds the projective "
-                           "angle" + _AT_BASIS_K,
-                           angle_bound_violation(pts[::2], pts[1::2], params), 1e-9))
-    return records
+    yield "projective-pairing", dev_pair
+    yield "angle-vs-projective-distance", dev_angle
+    yield "projective-metric-pullback", pullback_deviation(pts[:4], params, trunc, cfg.stencil())
+    yield "embedding-norm-convergence", embedding_norm_deviation(pts[:10], params, trunc)
+    yield "length-dominates-angle", angle_bound_violation(pts[::2], pts[1::2], params)
 
 
 def _small_mc(cfg: VerifyConfig) -> quadrature.McConfig:
@@ -694,7 +657,7 @@ def _small_mc(cfg: VerifyConfig) -> quadrature.McConfig:
     return quadrature.McConfig(max(MIN_MC_SAMPLES, cfg.mc_samples // 10), cfg.seed)
 
 
-def _quadrature_head(cfg: VerifyConfig) -> list[dict]:
+def _quadrature_head(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(_BASIS_K, cfg.mu)
     z, w = _zw(random_points(rng, 25))
@@ -702,50 +665,30 @@ def _quadrature_head(cfg: VerifyConfig) -> list[dict]:
     lam = quadrature.normalization_constant(params.k)
     product = (quadrature.weight_rho_at(z, w, p, params)
                * kernels.kernel_at(z, w, z, w, params).real)
+    yield "weight-kernel-product", np.max(np.abs(product - lam) / lam)
     est = quadrature.inner_product_mc(BasisIndex(0, 0), BasisIndex(0, 0),
                                       params, _small_mc(cfg))
-    return [_record(cfg, "weight-kernel-product",
-                    "rho * K is the normalization constant" + _AT_BASIS_K,
-                    np.max(np.abs(product - lam) / lam), 1e-12),
-            _record(cfg, "unit-normalization",
-                    "mean importance weight is 1" + _AT_BASIS_K,
-                    abs(est.value - 1.0), 3.0 * est.std_error)]
+    yield "unit-normalization", abs(est.value - 1.0), 3.0 * est.std_error
 
 
-def _quadrature_gram(cfg: VerifyConfig) -> list[dict]:
+def _quadrature_gram(cfg: VerifyConfig) -> Iterator[tuple]:
     sigmas, se = gram_deviation(ModelParams(_BASIS_K, cfg.mu),
                                 quadrature.McConfig(cfg.mc_samples, cfg.seed))
-    return [_record(cfg, "orthonormality-matrix",
-                    "basis Gram matrix is the identity (units of "
-                    "standard error)" + _AT_BASIS_K, sigmas, 3.0),
-            _record(cfg, "orthonormality-precision",
-                    "standard errors below 1e-2" + _AT_BASIS_K, se, 1e-2)]
+    yield "orthonormality-matrix", sigmas
+    yield "orthonormality-precision", se
 
 
-def _quadrature_tail(cfg: VerifyConfig) -> list[dict]:
+def _quadrature_tail(cfg: VerifyConfig) -> Iterator[tuple]:
+    yield "disk-marginal", disk_marginal_deviation()
     params = ModelParams(_BASIS_K, cfg.mu)
-    records = [_record(cfg, "disk-marginal",
-                       "pure-disk pairings are orthonormal under exact "
-                       "quadrature (k = 1)", disk_marginal_deviation(), 1e-6)]
     rep1, rep2 = (quadrature.inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1),
                                               params, _small_mc(cfg))
                   for _ in range(2))
-    records.append(_record(cfg, "determinism",
-                           "same seed reproduces the same estimate" + _AT_BASIS_K,
-                           abs(rep1.value - rep2.value), 0.0))
-    return records
+    yield "determinism", abs(rep1.value - rep2.value)
 
 
-# Each part seeds its own generators from the configured seed, so the parts
-# can run in any order, in any process.
-_QUADRATURE_PARTS = (_quadrature_head, _quadrature_gram, _quadrature_tail)
-
-
-def suite_quadrature(cfg: VerifyConfig) -> list[dict]:
-    return [rec for part in _QUADRATURE_PARTS for rec in part(cfg)]
-
-
-# each suite's parts, whose records concatenate in this order to the suite's
+# Each suite's parts, whose records concatenate in this order to the suite's;
+# each seeds its own generators, so the parts run in any order and process.
 _SUITES = {
     "algebra": (suite_algebra,),
     "bargmann": (suite_bargmann,),
@@ -754,12 +697,13 @@ _SUITES = {
     "geometry": (suite_geometry,),
     "group": (suite_group,),
     "kernels": (suite_kernels,),
-    "quadrature": _QUADRATURE_PARTS,
+    "quadrature": (_quadrature_head, _quadrature_gram, _quadrature_tail),
 }
 
 
 def _run_part(part: tuple[str, int], cfg: VerifyConfig) -> list[dict]:
-    """Records of one suite part, given as (suite name, index).
+    """Records of the (check, deviation) pairs of one suite part, given as
+    (suite name, index).
 
     numpy's floating-point warnings are off: an overflow shows as a
     deviation that is not finite, which the caller reports, while warnings
@@ -769,7 +713,7 @@ def _run_part(part: tuple[str, int], cfg: VerifyConfig) -> list[dict]:
     name, index = part
     try:
         with np.errstate(all="ignore"):
-            return _SUITES[name][index](cfg)
+            return [_record(cfg, *pair) for pair in _SUITES[name][index](cfg)]
     except OverflowError as exc:
         detail = exc.args[-1] if exc.args else "a value left the floating-point range"
         raise OverflowError(f"the {name} suite overflowed at these settings: "

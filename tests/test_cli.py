@@ -395,6 +395,16 @@ class TestVerifyCommand:
         assert err == (f"error: mc_samples must be between {verify.MIN_MC_SAMPLES} and "
                        f"{verify.MAX_MC_SAMPLES}, got {mc_samples}\n")
 
+    def test_unknown_tolerance_name_exits_2_before_any_suite(self, capsys, monkeypatch,
+                                                              tmp_path):
+        monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"scalar-curvature-constnat": 1e-300}}))
+        code, out, err = run(capsys, "verify", "geometry", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == ("error: tolerances name unknown checks: "
+                       "['scalar-curvature-constnat']\n")
+
     @pytest.mark.parametrize("key", ["n_max", "m_max"])
     def test_truncation_order_over_limit_exits_2_before_any_suite(self, capsys, monkeypatch,
                                                                   tmp_path, key):

@@ -11,6 +11,7 @@ from conftest import assert_no_children, run_python
 from jacobi_cs import core, verify
 from jacobi_cs.core import BoundaryEscape
 from jacobi_cs.verify import (
+    CHECKS,
     SUITE_NAMES,
     VerifyConfig,
     random_elements,
@@ -26,6 +27,8 @@ def test_all_suites_pass():
                for rec in recs if not rec["pass"]]
     assert report["pass"], f"failing checks: {failing}"
     assert set(report["suites"]) == set(SUITE_NAMES)
+    # the table lists every check of a report, in report order, and no other
+    assert [rec["check"] for recs in report["suites"].values() for rec in recs] == list(CHECKS)
     # the report is a stable, JSON-serializable interface
     for recs in report["suites"].values():
         for rec in recs:
@@ -40,6 +43,9 @@ def test_tolerance_overrides_apply():
     by_name = {rec["check"]: rec for rec in report["suites"]["geometry"]}
     assert not by_name["scalar-curvature-constant"]["pass"]
     assert not report["pass"]
+    # a misspelled name is refused, not silently left at its default
+    with pytest.raises(ValueError, match="scalar-curvature-constnat"):
+        VerifyConfig(tolerances={"scalar-curvature-constnat": 1e-300})
 
 
 def test_unknown_suite_rejected():
@@ -63,8 +69,10 @@ def test_random_streams_pinned():
 
 
 def _name_order_report(names, cfg):
-    """A report assembled from each suite function called here, in name order."""
-    suites = {name: getattr(verify, f"suite_{name}")(cfg) for name in sorted(names)}
+    """A report assembled from each suite part run here, in (suite name, part) order."""
+    suites = {name: [rec for index in range(len(verify._SUITES[name]))
+                     for rec in verify._run_part((name, index), cfg)]
+              for name in sorted(names)}
     return {"suites": suites,
             "pass": all(rec["pass"] for recs in suites.values() for rec in recs)}
 
@@ -100,23 +108,23 @@ def test_no_pool_without_a_worker(monkeypatch, cpus, names, fork):
     assert_no_children()
 
 
-def _fake_part(part, error=None, warning=None):
+def _fake_part(error=None, warning=None):
     def run(cfg):
         if warning:
             warnings.warn(warning)
         if error:
             raise error
-        return [{"check": "/".join(map(str, part)), "pass": True}]
+        yield "lowest-weight", 0.0
     return run
 
 
 def _fake_suites(monkeypatch, errors=None, warns=None):
     """Replace every suite part by one that warns ``warns[part]``, raises
-    ``errors[part]`` or returns one record; each suite keeps its number of
+    ``errors[part]`` or yields one check; each suite keeps its number of
     parts, so the parts run where the real ones would."""
     errors, warns = errors or {}, warns or {}
     monkeypatch.setattr(verify, "_SUITES", {
-        name: tuple(_fake_part((name, i), errors.get((name, i)), warns.get((name, i)))
+        name: tuple(_fake_part(errors.get((name, i)), warns.get((name, i)))
                     for i in range(len(parts)))
         for name, parts in verify._SUITES.items()})
 
