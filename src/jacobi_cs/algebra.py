@@ -75,12 +75,6 @@ class BiPolynomial:
         else:
             self.coeffs[key] = new
 
-    def __add__(self, other: "BiPolynomial") -> "BiPolynomial":
-        out = BiPolynomial(dict(self.coeffs))
-        for (i, j), c in other.coeffs.items():
-            out.add_term(i, j, c)
-        return out
-
     def __sub__(self, other: "BiPolynomial") -> "BiPolynomial":
         out = BiPolynomial(dict(self.coeffs))
         for (i, j), c in other.coeffs.items():

@@ -262,25 +262,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _closed_form_residual(path: geodesics.GeodesicPath, s0: GeodesicState,
-                          params: ModelParams) -> float | None:
-    """Residual against a closed-form solution when one covers the start state."""
-    z0, w0 = s0.pos.z, s0.pos.w
-    dz0, dw0 = s0.vel.dz, s0.vel.dw
-    if abs(w0) > 0:
-        return None
-    reference = None
-    if params.mu == 0.0 and dw0 != 0:
-        reference = lambda t: geodesics.mu_zero_solution(dz0, z0, dw0, t)
-    elif abs(dz0 + z0.conjugate() * dw0) < 1e-14:
-        # constant-eta family: z0 = eta0 at w0 = 0, velocity locked to it
-        reference = lambda t: geodesics.fc_particular_solution(z0, dw0, t)
-    if reference is None:
+def _closed_form_residual(path: geodesics.GeodesicPath, s0: GeodesicState) -> float | None:
+    """Residual against the constant-eta family when the start state is in it."""
+    z0, dz0, dw0 = s0.pos.z, s0.vel.dz, s0.vel.dw
+    # the family starts at w0 = 0 with z0 = eta0 and the velocity locked to it
+    if abs(s0.pos.w) > 0 or not abs(dz0 + z0.conjugate() * dw0) < 1e-14:
         return None
     residual = 0.0
     stride = max(1, len(path) // 50)
     for t, (z, w) in zip(path.t[::stride].tolist(), path.y[::stride, :2].tolist()):
-        ref = reference(t)
+        ref = geodesics.fc_particular_solution(z0, dw0, t)
         residual = max(residual, abs(z - ref.pos.z), abs(w - ref.pos.w))
     return residual
 
@@ -318,7 +309,7 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
         "final": {"t": path.t[-1].item(), "z": [z.real, z.imag], "w": [w.real, w.imag]},
         "length": path.length(speeds),
         "energy_drift": float(np.max(np.abs(speeds - speeds[0]))),
-        "closed_form_residual": _closed_form_residual(path, state, params),
+        "closed_form_residual": _closed_form_residual(path, state),
         "csv": args.out,
         "min_p": float(np.min(p_at(path.y[:, 1]))),
     }

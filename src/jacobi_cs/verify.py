@@ -11,11 +11,12 @@ yields (check, deviation) pairs, plus the tolerance where that depends on
 the data.  :func:`_run_part` builds the records {check, identity,
 deviation, tolerance, pass}, and a report aggregates suites in name order.
 Each part seeds its own generators, so a report runs them on up to one
-process per usable CPU: this one and children forked from it
-(:func:`run_suites`).  The acceptance tests call the same check functions
-on their own seeds and domains.  A configured tolerance overrides a check's
-default, which is how the sensitivity of the finite-difference gates can be
-demonstrated from the command line; a name not in :data:`CHECKS` is refused.
+process per usable CPU (:func:`run_suites`): this one runs the quadrature
+Gram, about 0.5 s and twice the other parts together, and forked children
+the rest.  The acceptance tests call the same check functions on their own
+seeds and domains.  A configured tolerance overrides a check's default,
+which is how the sensitivity of the finite-difference gates can be shown
+from the command line; a name not in :data:`CHECKS` is refused.
 """
 
 from __future__ import annotations
@@ -35,18 +36,16 @@ from .geometry import WirtingerStencil
 from .kernels import BasisIndex, TruncationOrder
 from .quadrature import MIN_MC_SAMPLES
 
-# Suite parts, as (suite name, index into its tuple in _SUITES), by run time
-# at the default settings, longest first (medians of seven in-process runs at
-# seed 0 on a 2-vCPU Xeon VM): the quadrature Gram part 0.45 s, geodesics
-# 75 ms, the quadrature tail 62 ms and head 31 ms, each other suite 4-20 ms.
-_LONGEST_FIRST = (("quadrature", 1), ("geodesics", 0), ("quadrature", 2),
-                  ("quadrature", 0), ("geometry", 0), ("algebra", 0),
-                  ("embedding", 0), ("kernels", 0), ("bargmann", 0), ("group", 0))
+# The quadrature Gram part takes longer than the other nine parts together
+# (in-process medians of five at seed 0 on a 2-vCPU Xeon VM, two runs: the
+# Gram 0.50-0.59 s, the others 0.22-0.29 s, of which geodesics 93-124 ms),
+# so it is the critical path at any CPU count and runs in this process.
+_GRAM = ("quadrature", 1)
 _GEODESIC_SPAN = 2.0
 # the embedding and quadrature suites need a basis, so they run at this k
 # whatever the configuration says
 _BASIS_K = 1.25
-# The quadrature suite's inner products draw mc_samples / 10 samples in one
+# The quadrature suite's inner product draws mc_samples / 10 samples in one
 # array, 32 B each: 0.32 GB at this limit.  The floor is quadrature's.
 MAX_MC_SAMPLES = 10**8
 
@@ -107,7 +106,6 @@ CHECKS: dict[str, tuple[str, float | None]] = {
         (f"basis Gram matrix is the identity (units of standard error) (k = {_BASIS_K})", 3.0),
     "orthonormality-precision": (f"standard errors below 1e-2 (k = {_BASIS_K})", 1e-2),
     "disk-marginal": ("pure-disk pairings are orthonormal under exact quadrature (k = 1)", 1e-6),
-    "determinism": (f"same seed reproduces the same estimate (k = {_BASIS_K})", 0.0),
 }
 
 
@@ -131,6 +129,8 @@ class VerifyConfig:
         unknown = [check for check in self.tolerances if check not in CHECKS]
         if unknown:
             raise ValueError(f"tolerances name unknown checks: {unknown}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def stencil(self) -> WirtingerStencil:
         return WirtingerStencil(step=self.fd_step)
@@ -652,11 +652,6 @@ def suite_embedding(cfg: VerifyConfig) -> Iterator[tuple]:
     yield "length-dominates-angle", angle_bound_violation(pts[::2], pts[1::2], params)
 
 
-def _small_mc(cfg: VerifyConfig) -> quadrature.McConfig:
-    """The sampler of the single inner products: a tenth of the Gram's."""
-    return quadrature.McConfig(max(MIN_MC_SAMPLES, cfg.mc_samples // 10), cfg.seed)
-
-
 def _quadrature_head(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(_BASIS_K, cfg.mu)
@@ -666,8 +661,9 @@ def _quadrature_head(cfg: VerifyConfig) -> Iterator[tuple]:
     product = (quadrature.weight_rho_at(z, w, p, params)
                * kernels.kernel_at(z, w, z, w, params).real)
     yield "weight-kernel-product", np.max(np.abs(product - lam) / lam)
-    est = quadrature.inner_product_mc(BasisIndex(0, 0), BasisIndex(0, 0),
-                                      params, _small_mc(cfg))
+    est = quadrature.inner_product_mc(     # on a tenth of the Gram's samples
+        BasisIndex(0, 0), BasisIndex(0, 0), params,
+        quadrature.McConfig(max(MIN_MC_SAMPLES, cfg.mc_samples // 10), cfg.seed))
     yield "unit-normalization", abs(est.value - 1.0), 3.0 * est.std_error
 
 
@@ -680,11 +676,6 @@ def _quadrature_gram(cfg: VerifyConfig) -> Iterator[tuple]:
 
 def _quadrature_tail(cfg: VerifyConfig) -> Iterator[tuple]:
     yield "disk-marginal", disk_marginal_deviation()
-    params = ModelParams(_BASIS_K, cfg.mu)
-    rep1, rep2 = (quadrature.inner_product_mc(BasisIndex(1, 1), BasisIndex(1, 1),
-                                              params, _small_mc(cfg))
-                  for _ in range(2))
-    yield "determinism", abs(rep1.value - rep2.value)
 
 
 # Each suite's parts, whose records concatenate in this order to the suite's;
@@ -733,10 +724,11 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     """Run the requested suites and aggregate their records in name order.
 
     The unit of work is a suite part.  With more than one usable CPU and
-    more than one part, the longest part runs in this process while forked
-    children (:func:`core._fork_jobs`), up to one per usable CPU in all
-    but this one, each run the parts dealt to them round-robin, longest
-    first, and pickle their outcomes.  Each part seeds its own generators,
+    more than one part, the quadrature Gram part (or, without it, the first
+    part) runs in this process while forked children
+    (:func:`core._fork_jobs`), up to one per usable CPU in all but this one,
+    each run the other parts dealt to them round-robin in report order, and
+    pickle their outcomes.  Each part seeds its own generators,
     so the report is the one a single process gives, and a failing run
     raises the error that running the parts one by one in (suite name,
     part) order raises first.
@@ -753,7 +745,7 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
             suites[part[0]] += _run_part(part, cfg)
     else:
         import pickle   # only on the fork path
-        order = sorted(parts, key=_LONGEST_FIRST.index)
+        order = sorted(parts, key=lambda part: part != _GRAM)
         hands = [order[i::workers] for i in range(1, workers + 1)]   # round-robin
         outcomes = {}
         outcomes[order[0]] = core._fork_jobs(

@@ -87,6 +87,15 @@ class TestCommutators:
 class TestCheckRelations:
     def test_degree_zero(self):
         assert check_relations(0, P1).passed
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            check_relations(-1, P1)
+
+    def test_operators_need_positive_mu(self):
+        flat = ModelParams(1.0, 0.0)
+        with pytest.raises(ValueError, match="needs mu > 0"):
+            check_relations(2, flat)
+        with pytest.raises(ValueError, match="needs mu > 0"):
+            apply_generator(Generator.A, BiPolynomial.one(), flat)
 
     def test_exact_on_degree_six(self):
         report = check_relations(6, ModelParams(1.5, 2.0))

@@ -81,6 +81,17 @@ class TestParsing:
         with pytest.raises(argparse.ArgumentTypeError, match=re.escape(repr(text))):
             parse_range(text)
 
+    @pytest.mark.parametrize("text", ["0:1:-1", "0:1"])
+    def test_range_of_bad_form_exits_2(self, capsys, tmp_path, text):
+        out_file = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "potential", "--re-z", text, "--out", str(out_file)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "jacobi-cs table: error: argument --re-z: expected 'value' or "
+            f"'start:stop:count', got {text!r}")
+        assert not out_file.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_span_exits_2_naming_the_range(self, capsys, tmp_path):
         out_file = tmp_path / "t.csv"
@@ -209,6 +220,11 @@ class TestGeodesic:
         assert summary["closed_form_residual"] < 1e-8
         assert summary["energy_drift"] < 1e-8
         assert summary["final"]["w"][0] == pytest.approx(math.tanh(0.6), rel=1e-6)
+        # at w = 0 but with dz + conj(z) dw != 0 the start is outside the family
+        code, out, _ = run(capsys, "geodesic", "--z", "0.5", "--dz", "0.1", "--dw", "0.6",
+                           "--t-end", "1", "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out)["closed_form_residual"] is None
 
     @pytest.mark.parametrize("t_end", ["inf", "-inf", "nan"])
     def test_non_finite_t_end_exits_2(self, capsys, tmp_path, t_end):
@@ -395,6 +411,14 @@ class TestVerifyCommand:
         assert err == (f"error: mc_samples must be between {verify.MIN_MC_SAMPLES} and "
                        f"{verify.MAX_MC_SAMPLES}, got {mc_samples}\n")
 
+    def test_negative_seed_exits_2_before_any_suite(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run, no sample is drawn
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        for argv in (["--seed", "-1"], ["--config", str(cfg)]):
+            code, out, err = run(capsys, "verify", "all", *argv)
+            assert (code, out, err) == (2, "", "error: seed must be non-negative, got -1\n")
+
     def test_unknown_tolerance_name_exits_2_before_any_suite(self, capsys, monkeypatch,
                                                               tmp_path):
         monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run
@@ -459,9 +483,9 @@ class TestVerifyCommand:
         assert proc.stderr == "error: the operator realization needs mu > 0\n"
 
     @pytest.mark.parametrize("cpus, parts", [
-        (2, "geodesics[0], quadrature[2], quadrature[0], geometry[0], algebra[0], "
-            "embedding[0], kernels[0], bargmann[0], group[0]"),
-        (3, "geodesics[0], quadrature[0], algebra[0], kernels[0], group[0]"),
+        (2, "algebra[0], bargmann[0], embedding[0], geodesics[0], geometry[0], "
+            "group[0], kernels[0], quadrature[0], quadrature[2]"),
+        (3, "bargmann[0], geodesics[0], group[0], quadrature[0]"),
     ])
     def test_killed_worker_exits_2_naming_it(self, monkeypatch, capfd, cpus, parts):
         # the group suite, run in a child, is killed as the OOM killer would

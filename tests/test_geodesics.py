@@ -103,6 +103,8 @@ class TestIntegrate:
         end = path.endpoint()
         assert end.pos.z == s0.pos.z and end.pos.w == s0.pos.w
         assert curve_length(path, P1) == 0.0
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            integrate(s0, 1.0, 0, P1)
 
     def test_flat_limit_matches_tanh_form(self):
         worst = verify.flat_limit_deviation([(0.4 - 0.3j, 0.2 + 0.1j, 0.8)],
@@ -248,6 +250,9 @@ class TestClosedFormSolutions:
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroDirection):
             mu_zero_solution(1.0, 0.0, 0.0, 1.0)
+        # without a flat direction either, the solution is constant
+        s = mu_zero_solution(0.0, 0.3 - 0.1j, 0.0, 1.0)
+        assert (s.pos.z, s.pos.w, s.vel.dz, s.vel.dw) == (0.3 - 0.1j, 0.0, 0.0, 0.0)
 
     def test_disk_map_solves_disk_equation(self, rng):
         # w(t) = (z/|z|) tanh(t|z|) has residual ddw + 2 conj(w) dw^2 / P = 0
@@ -296,6 +301,11 @@ class TestPathsAndLength:
     def test_path_requires_increasing_t(self):
         with pytest.raises(ValueError):
             GeodesicPath(np.array([0.0, 0.0]), np.zeros((2, 4), dtype=complex))
+        with pytest.raises(ValueError, match=r"need t of shape \(n,\)"):
+            GeodesicPath(np.array([0.0, 1.0]), np.zeros((3, 4), dtype=complex))
+        one = GeodesicPath(np.array([0.0]), np.zeros((1, 4), dtype=complex))
+        with pytest.raises(ValueError, match="at least two samples"):
+            one.length(np.zeros(1))
 
     def test_interpolation_path_endpoints(self):
         p1 = make_jacobi_point(0.2, 0.1)
@@ -303,6 +313,8 @@ class TestPathsAndLength:
         path = interpolation_path(p1, p2, 100)
         assert path.y[0, :2].tolist() == [p1.z, p1.w]
         assert abs(path.endpoint().pos.z - p2.z) <= 1e-15
+        with pytest.raises(ValueError, match="at least two samples"):
+            interpolation_path(p1, p2, 1)
 
     def test_csv_export(self):
         s0 = GeodesicState(make_jacobi_point(0, 0), TangentVector(0.0, 0.5))

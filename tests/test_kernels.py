@@ -281,6 +281,10 @@ class TestBasisFunctions:
         got = basis_function(BasisIndex(2, 0), p, ModelParams(1.25, 1.0))
         assert got == pytest.approx(1 / math.sqrt(2))
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            BasisIndex(-1, 0)
+
     def test_quarter_shift_enforced(self):
         p = make_jacobi_point(0.0, 0.0)
         with pytest.raises(InvalidK):

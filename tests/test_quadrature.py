@@ -106,6 +106,8 @@ class TestSampler:
             McConfig(100)
         with pytest.raises(ValueError):
             McConfig(10_000, -1)
+        with pytest.raises(ValueError, match="sampling needs mu > 0"):
+            sample_point(ModelParams(1.25, 0.0), np.random.default_rng(0))
 
 
 class TestInnerProducts:

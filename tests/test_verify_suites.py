@@ -185,7 +185,7 @@ def test_quadrature_alone_forks_one_worker_on_two_cpus(forked, monkeypatch, seed
     assert forked == [1]
     assert [rec["check"] for rec in report["suites"]["quadrature"]] == [
         "weight-kernel-product", "unit-normalization", "orthonormality-matrix",
-        "orthonormality-precision", "disk-marginal", "determinism"]
+        "orthonormality-precision", "disk-marginal"]
     assert json.dumps(report) == json.dumps(_name_order_report(["quadrature"], cfg))
 
 
