@@ -483,9 +483,9 @@ class TestVerifyCommand:
         assert proc.stderr == "error: the operator realization needs mu > 0\n"
 
     @pytest.mark.parametrize("cpus, parts", [
-        (2, "algebra[0], bargmann[0], embedding[0], geodesics[0], geometry[0], "
-            "group[0], kernels[0], quadrature[0], quadrature[2]"),
-        (3, "bargmann[0], geodesics[0], group[0], quadrature[0]"),
+        pytest.param(2, "algebra[0], bargmann[0], embedding[0], geodesics[0], geometry[0], "
+                        "group[0], kernels[0], quadrature[0], quadrature[2]", id="2cpus"),
+        pytest.param(3, "bargmann[0], geodesics[0], group[0], quadrature[0]", id="3cpus"),
     ])
     def test_killed_worker_exits_2_naming_it(self, monkeypatch, capfd, cpus, parts):
         # the group suite, run in a child, is killed as the OOM killer would
