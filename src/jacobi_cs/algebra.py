@@ -66,8 +66,6 @@ class BiPolynomial:
         return cls({(deg_z, deg_w): coeff})
 
     def add_term(self, deg_z: int, deg_w: int, coeff: complex) -> None:
-        if coeff == 0:
-            return
         key = (deg_z, deg_w)
         new = self.coeffs.get(key, 0.0) + coeff
         if new == 0:
@@ -89,10 +87,6 @@ class BiPolynomial:
 
     def __call__(self, z: complex, w: complex) -> complex:
         return sum(c * z**i * w**j for (i, j), c in self.coeffs.items())
-
-    def __repr__(self):
-        terms = sorted(self.coeffs.items())
-        return "BiPolynomial({%s})" % ", ".join(f"{k}: {c}" for k, c in terms)
 
 
 def max_coeff_deviation(p: BiPolynomial, q: BiPolynomial) -> float:

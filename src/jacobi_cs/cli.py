@@ -2,11 +2,13 @@
 
 Exit codes are stable across commands: 0 success, 1 verification failure,
 2 invalid input, 3 runtime domain escape.  Complex values are passed as a
-single flag with comma-separated real and imaginary parts ("--z 1.0,0.5");
-a JSON config file (flag --config or the JACOBI_CS_CONFIG environment
-variable) provides defaults that individual flags override.  `verify` and
-`table` run on up to one process per usable CPU, forking children through
-:func:`core._fork_jobs`; a child that fails makes them exit 2.
+single flag with comma-separated real and imaginary parts ("--z 1.0,0.5").
+A command has a flag for each setting it reads (``_COMMAND_SETTINGS``) and
+for no other; a JSON config file (flag --config or the JACOBI_CS_CONFIG
+environment variable) provides defaults that these flags override.
+`verify` and `table` run on up to one process per usable CPU, forking
+children through :func:`core._fork_jobs`; a child that fails makes them
+exit 2.
 """
 
 from __future__ import annotations
@@ -25,11 +27,8 @@ from . import core, geodesics, geometry, kernels
 from .core import (
     SUITE_NAMES,
     BoundaryEscape,
-    BoundaryViolation,
     DegenerateAction,
-    InvalidK,
     ModelParams,
-    NonFinite,
     TangentVector,
     check_metric,
     check_points,
@@ -64,6 +63,18 @@ _DEFAULTS = {
     "seed": 0,
     "mc_samples": 1_000_000,
     "tolerances": {},
+}
+# The settings each command reads, each a flag and a config key of the same
+# name; a command has no flag for any other setting.
+_COMMAND_SETTINGS = {
+    "eval": ("k", "mu"),
+    "table": ("k", "mu"),
+    "geodesic": ("k", "mu", "rk4_step"),
+    "verify": ("k", "mu", "n_max", "m_max", "fd_step", "rk4_step", "seed", "mc_samples"),
+}
+_SETTING_HELP = {
+    "n_max": "series truncation in the flat index; convergence is governed by mu |z|^2",
+    "m_max": "series truncation in the disk index; convergence is governed by |w|",
 }
 
 
@@ -131,10 +142,9 @@ def load_config(path: str | None) -> dict:
 
 
 def _settings(args: argparse.Namespace) -> dict:
-    cfg = load_config(getattr(args, "config", None))
-    for key in ("k", "mu", "fd_step", "rk4_step", "seed", "mc_samples",
-                "n_max", "m_max"):
-        override = getattr(args, key, None)
+    cfg = load_config(args.config)
+    for key in _COMMAND_SETTINGS[args.command]:
+        override = getattr(args, key)
         if override is not None:
             cfg[key] = override
     for key in ("n_max", "m_max"):
@@ -147,6 +157,7 @@ def _settings(args: argparse.Namespace) -> dict:
 _EVAL_QUANTITIES = ("kernel", "potential", "metric", "ricci",
                     "scalar-curvature", "diastasis", "berezin",
                     "christoffel", "volume", "eta")
+_TWO_POINT_QUANTITIES = ("kernel", "diastasis", "berezin")
 # quantities whose evaluation validates the metric
 _METRIC_QUANTITIES = ("metric", "scalar-curvature")
 _TABLE_CHUNK_ROWS = 8192
@@ -234,6 +245,12 @@ def _complex_grid(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.quantity not in _TWO_POINT_QUANTITIES:
+        for flag in ("z2", "w2"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} is read by the two-point quantities "
+                                 f"({', '.join(_TWO_POINT_QUANTITIES)}) only, "
+                                 f"not by {args.quantity}")
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
     z2 = args.z2 if args.z2 is not None else args.z
@@ -255,7 +272,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                    "w": [args.w.real, args.w.imag]},
         "value": value,
     }
-    if args.quantity in ("kernel", "diastasis", "berezin"):
+    if args.quantity in _TWO_POINT_QUANTITIES:
         record["inputs"]["z2"] = [z2.real, z2.imag]
         record["inputs"]["w2"] = [w2.real, w2.imag]
     print(json.dumps(record, allow_nan=False))
@@ -483,33 +500,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "geometry of the product of the plane and the disk.")
     parser.add_argument("--config", help="JSON config file "
                         "(also via JACOBI_CS_CONFIG)")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help=argparse.SUPPRESS)
-    common.add_argument("--k", type=float, default=None)
-    common.add_argument("--mu", type=float, default=None)
-    common.add_argument("--fd-step", dest="fd_step", type=float, default=None)
-    common.add_argument("--rk4-step", dest="rk4_step", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    common.add_argument("--n-max", dest="n_max", type=int, default=None,
-                        help="series truncation in the flat index; "
-                        "convergence is governed by mu |z|^2")
-    common.add_argument("--m-max", dest="m_max", type=int, default=None,
-                        help="series truncation in the disk index; "
-                        "convergence is governed by |w|")
-
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("eval", "evaluate one quantity at a point"),
+        ("geodesic", "integrate the geodesic system to CSV"),
+        ("verify", "run a verification suite"),
+        ("table", "tabulate a quantity over a coordinate grid"))}
+    for name, command in commands.items():
+        # left unset when not given, so a --config before the command stands
+        command.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        for key in _COMMAND_SETTINGS[name]:
+            command.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 type=type(_DEFAULTS[key]), help=_SETTING_HELP.get(key))
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate one quantity at a point")
+    p_eval = commands["eval"]
     p_eval.add_argument("quantity", choices=_EVAL_QUANTITIES)
     p_eval.add_argument("--z", type=parse_complex, default=0j)
     p_eval.add_argument("--w", type=parse_complex, default=0j)
     p_eval.add_argument("--z2", type=parse_complex, default=None)
     p_eval.add_argument("--w2", type=parse_complex, default=None)
 
-    p_geo = sub.add_parser("geodesic", parents=[common],
-                           help="integrate the geodesic system to CSV")
+    p_geo = commands["geodesic"]
     p_geo.add_argument("--z", type=parse_complex, default=0j)
     p_geo.add_argument("--w", type=parse_complex, default=0j)
     p_geo.add_argument("--dz", type=parse_complex, default=0j)
@@ -518,12 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--steps", type=int, default=None)
     p_geo.add_argument("--out", default="geodesic.csv")
 
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="run a verification suite")
-    p_ver.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
+    commands["verify"].add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
 
-    p_tab = sub.add_parser("table", parents=[common],
-                           help="tabulate a quantity over a coordinate grid")
+    p_tab = commands["table"]
     p_tab.add_argument("quantity", choices=_EVAL_QUANTITIES)
     p_tab.add_argument("--re-z", dest="re_z", type=parse_range,
                        default=np.array([0.0]))
@@ -564,10 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.argv[1:] if argv is None else argv))
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (BoundaryViolation, NonFinite, InvalidK, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:   # a failed child raises ChildProcessError, an OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BoundaryEscape, DegenerateAction, OverflowError) as exc:

@@ -6,9 +6,12 @@ import json
 import math
 import os
 import re
+import shlex
 import signal
 import sys
 import tracemalloc
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -51,9 +54,293 @@ PINNED_CSV = (
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:           # argparse refused the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+JSON = object()     # a stdout rule: strict JSON, with no NaN or Infinity
+
+
+def _eval_out(quantity, value, k=1.0, **inputs):
+    """The stdout of ``eval``, at the origin unless ``inputs`` say otherwise."""
+    inputs = {"k": k, "mu": 1.0, "z": [0.0, 0.0], "w": [0.0, 0.0], **inputs}
+    return json.dumps({"quantity": quantity, "inputs": inputs, "value": value}) + "\n"
+
+
+class Case(NamedTuple):
+    """One command line and all it shows.
+
+    ``argv`` is split as a shell splits it and run in an empty directory,
+    which holds ``config`` as cfg.json when that is given.  ``err`` is the
+    last line of stderr; the lines before it must be argparse's usage, and
+    only an argparse error (``jacobi-cs ...: error:``) has any.  ``out`` is
+    the whole of stdout, or :data:`JSON`.  No case leaves a file behind.
+    Without ``suites`` every suite checks nothing, so the case shows what
+    ``verify`` refuses before any suite runs.
+    """
+
+    argv: str
+    code: int
+    err: str
+    out: object = ""
+    config: str | None = None
+    suites: bool = True
+
+
+_GEO = "geodesic --dw 0.6"
+_LIMIT = (f"error: a geodesic run is limited to {MAX_GEODESIC_STEPS} steps, "
+          "got t_end / rk4_step =")
+_STEPS = f"error: --steps must be between 1 and {MAX_GEODESIC_STEPS}, got"
+_RK4 = "error: rk4_step must be finite and positive, got"
+_DISK = "is not inside the open disk"
+_HEADER = "re_z,im_z,re_w,im_w,"
+_ROW = "0.0,0.0,0.0,4.0"        # the rest of a volume row at w = 0
+_ORDER = f"error: {{}} must be at most {cli.MAX_TRUNCATION_ORDER}, got 10000"
+_ESCAPE = '{{"error": "boundary escape", "t": {}}}\n'
+_UNREAD_ARGV = {"eval": "eval kernel", "table": "table volume", "geodesic": "geodesic"}
+
+# The contract of the CLI, one case per test id ``Class::test[param]``; each
+# id runs as that test through :func:`contract_test`.  The cases that need
+# a patched module or a forked child have tests of their own.
+CONTRACT: dict[str, Case] = {
+    **{f"TestParsing::test_range_of_bad_form_exits_2[{text}]": Case(
+        f"table potential --re-z {text} --out t.csv", 2, "jacobi-cs table: error: argument "
+        f"--re-z: expected 'value' or 'start:stop:count', got {text!r}")
+       for text in ("0:1:-1", "0:1")},
+    "TestParsing::test_overflowing_span_exits_2_naming_the_range": Case(
+        "table potential --re-z=-1.7e308:1.7e308:3 --out t.csv", 2, "jacobi-cs table: error: "
+        "argument --re-z: range '-1.7e308:1.7e308:3' needs finite ends less than the largest "
+        "float apart"),
+    # a negative value needs no "="
+    "TestParsing::test_negative_complex_without_equals": Case(
+        "eval volume --z -0.5,0.2 --w -.5", 0, "",
+        _eval_out("volume", {"value": 9.481481481481481}, z=[-0.5, 0.2], w=[-0.5, 0.0])),
+    "TestParsing::test_negative_range_without_equals": Case(
+        "table volume --re-z -1:1:2", 0, "", f"{_HEADER}value\n-1.0,{_ROW}\n1.0,{_ROW}\n"),
+    "TestParsing::test_negative_value_after_value_stays_positional": Case(
+        "eval kernel --z -1 -2", 2, "jacobi-cs: error: unrecognized arguments: -2"),
+    "TestEval::test_scalar_curvature": Case(
+        "eval scalar-curvature --k 1 --mu 1 --z 0 --w 0", 0, "",
+        _eval_out("scalar-curvature", {"value": -1.5})),
+    "TestEval::test_kernel_defaults_second_point": Case(
+        "eval kernel --z 0 --w 0 --z2 0 --w2 0", 0, "",
+        _eval_out("kernel", {"re": 1.0, "im": 0.0}, z2=[0.0, 0.0], w2=[0.0, 0.0])),
+    "TestEval::test_eta": Case(
+        "eval eta --z 1 --w 0.5", 0, "",
+        _eval_out("eta", {"re": 2.0, "im": 0.0}, z=[1.0, 0.0], w=[0.5, 0.0])),
+    "TestEval::test_invalid_point_exits_2": Case(
+        "eval potential --w 1.0", 2, f"error: |w|=1 {_DISK}"),
+    # |w| may overflow the float range: the point is still outside the disk
+    **{f"TestEval::test_huge_w_exits_2_without_warning[{w}]": Case(
+        f"eval potential --w={w}", 2, f"error: |w|={r} {_DISK}")
+       for w, r in [("1.7e308,1.7e308", "inf"), ("1e308,1e308", "1.41421356237e+308")]},
+    "TestEval::test_kernel_overflow_exits_3": Case(
+        "eval kernel --z 30", 3, "error: kernel value exceeds the floating-point range"),
+    # an error line, never NaN in place of JSON
+    **{f"TestEval::test_non_finite_value_exits_3[{q}]": Case(
+        f"eval {q} --z 1e200", 3, f"error: {q} is not finite at this point")
+       for q in ("berezin", "potential", "diastasis", "metric", "scalar-curvature")},
+    **{f"TestEval::test_one_point_quantity_refuses_a_second_point[{q} {flag}]": Case(
+        f"eval {q} {flag} 0.5", 2, f"error: {flag} is read by the two-point quantities "
+        f"(kernel, diastasis, berezin) only, not by {q}")
+       for q, flag in [("potential", "--z2"), ("metric", "--w2")]},
+    **{f"TestGeodesic::test_non_finite_t_end_exits_2[{t}]": Case(
+        f"{_GEO} --t-end={t} --out x.csv", 2, f"error: t_end must be finite, got {t}")
+       for t in ("inf", "-inf", "nan")},
+    **{f"TestGeodesic::test_t_end_not_positive_exits_2[{t}]": Case(
+        f"{_GEO} --t-end {t} --out x.csv", 2, f"error: --t-end must be positive, got {float(t)}")
+       for t in ("0", "-1")},
+    **{f"TestGeodesic::test_step_count_over_limit_exits_2[argv{i}]": Case(
+        f"{_GEO} {flags} --out x.csv", 2, err) for i, (flags, err) in enumerate([
+            ("--t-end 1e300", f"{_LIMIT} 1e+303"),
+            (f"--steps {MAX_GEODESIC_STEPS + 1}", f"{_STEPS} {MAX_GEODESIC_STEPS + 1}"),
+            ("--t-end 1e308 --rk4-step 1e-300", f"{_LIMIT} inf")])},
+    **{f"TestGeodesic::test_steps_below_one_exits_2[{n}]": Case(
+        f"{_GEO} --steps {n} --out x.csv", 2, f"{_STEPS} {n}") for n in ("0", "-5")},
+    **{f"TestGeodesic::test_bad_rk4_step_exits_2[steps{i}-{step}]": Case(
+        f"{_GEO} --rk4-step {step} {steps} --out x.csv", 2, f"{_RK4} {float(step)}")
+       for i, steps in enumerate(["", "--steps 10"])
+       for step in ("0", "-1", "-1e-3", "nan", "inf")},
+    "TestGeodesic::test_bad_rk4_step_from_config_exits_2": Case(
+        f"{_GEO} --config cfg.json --out x.csv", 2, f"{_RK4} 0", config='{"rk4_step": 0}'),
+    # |eta|^2 overflows in the metric; the path itself stays put
+    "TestGeodesic::test_non_finite_speed_exits_3": Case(
+        "geodesic --z 1e200 --steps 2 --out x.csv", 3,
+        "error: the speed is not finite along this path"),
+    "TestGeodesic::test_degenerate_metric_exits_2": Case(
+        "geodesic --dw 0.1 --mu 0 --steps 2 --out x.csv", 2,
+        "error: metric coefficients are not positive definite (h_zz=0.0, h_ww=2.0, det=0.0)"),
+    # a Runge-Kutta stage leaves the disk; no CSV at the default path either
+    "TestGeodesic::test_boundary_escape_exits_3": Case(
+        "geodesic --w 0.9 --dw 2.0 --mu 0 --t-end 2", 3,
+        "error: trajectory left the disk at t=0.877", _ESCAPE.format(0.877)),
+    "TestGeodesic::test_boundary_escape_pinned[argv0-0.877-trajectory left the disk at t=0.877]":
+        Case("geodesic --w 0.9 --dw 2.0 --mu 0 --t-end 2 --out x.csv", 3,
+             "error: trajectory left the disk at t=0.877", _ESCAPE.format(0.877)),
+    # every stage stays inside, the accepted first step does not
+    "TestGeodesic::test_boundary_escape_pinned[argv1-0.39999999999999997-step left the disk at "
+    "t=0.4]": Case("geodesic --w 0.7 --dw 0.8,-0.8 --t-end 1.2 --steps 3 --out x.csv", 3,
+                   "error: step left the disk at t=0.4", _ESCAPE.format(0.39999999999999997)),
+    # four d2w stages of about -8.5e307 sum to -inf in one tiny step
+    "TestGeodesic::test_velocity_overflow_exits_3": Case(
+        "geodesic --dz 1.3e154 --t-end 1e-300 --steps 1 --out x.csv", 3,
+        "error: velocity overflowed at t=1e-300"),
+    "TestVerifyCommand::test_geometry_suite_passes": Case(
+        "verify geometry --k 1 --mu 1", 0, "", JSON),
+    "TestVerifyCommand::test_coarse_step_fails_fd_checks": Case(
+        "verify geometry --fd-step 1e-2", 1, "", JSON),
+    "TestVerifyCommand::test_out_of_range_step_exits_2": Case(
+        "verify geometry --fd-step 0.1", 2, "error: step 0.1 outside [1e-7, 1e-2]"),
+    **{f"TestVerifyCommand::test_bad_rk4_step_exits_2[argv{i}]": Case(
+        f"verify geodesics --rk4-step {step}", 2, err) for i, (step, err) in enumerate([
+            ("0", f"{_RK4} 0.0"), ("-1", f"{_RK4} -1.0"), ("1e-7", f"{_LIMIT} 2e+07")])},
+    **{f"TestVerifyCommand::test_mc_samples_out_of_range_exits_2_before_any_suite[{n}]": Case(
+        f"verify all --mc-samples {n}", 2, f"error: mc_samples must be between "
+        f"{verify.MIN_MC_SAMPLES} and {verify.MAX_MC_SAMPLES}, got {n}", suites=False)
+       for n in (verify.MIN_MC_SAMPLES - 1, verify.MAX_MC_SAMPLES + 1)},
+    "TestVerifyCommand::test_negative_seed_exits_2_before_any_suite": Case(
+        "verify all --seed -1", 2, "error: seed must be non-negative, got -1", suites=False),
+    "TestVerifyCommand::test_negative_seed_in_the_config_exits_2_before_any_suite": Case(
+        "verify all --config cfg.json", 2, "error: seed must be non-negative, got -1",
+        config='{"seed": -1}', suites=False),
+    "TestVerifyCommand::test_unknown_tolerance_name_exits_2_before_any_suite": Case(
+        "verify geometry --config cfg.json", 2,
+        "error: tolerances name unknown checks: ['scalar-curvature-constnat']",
+        config='{"tolerances": {"scalar-curvature-constnat": 1e-300}}', suites=False),
+    **{f"TestVerifyCommand::test_truncation_order_over_limit_exits_2_before_any_suite[{key}]":
+       Case(f"verify all --{key.replace('_', '-')} 10000", 2, _ORDER.format(key), suites=False)
+       for key in ("n_max", "m_max")},
+    **{f"TestVerifyCommand::test_truncation_order_in_the_config_over_limit_exits_2[{key}]": Case(
+        "verify all --config cfg.json", 2, _ORDER.format(key), config=json.dumps({key: 10000}),
+        suites=False) for key in ("n_max", "m_max")},
+    **{f"TestVerifyCommand::test_truncation_order_at_the_limit_is_taken[{flag}]": Case(
+        f"verify all --{flag} {cli.MAX_TRUNCATION_ORDER}", 0, "", JSON, suites=False)
+       for flag in ("n-max", "m-max")},
+    "TestVerifyCommand::test_boundary_escape_exits_3": Case(
+        "verify geodesics --rk4-step 1.5", 3, "error: trajectory left the disk at t=0"),
+    # the kernel overflows at this k: an error line, no NaN in place of JSON
+    "TestVerifyCommand::test_non_finite_deviation_exits_3": Case(
+        "verify kernels --k 1e308", 3,
+        "error: kernels check hermitian-symmetry has no finite deviation at these settings"),
+    # the determinant of a finite-difference stencil's metric overflows
+    "TestVerifyCommand::test_overflow_exits_3_naming_the_suite": Case(
+        "verify geometry --mu 1e300", 3,
+        "error: the geometry suite overflowed at these settings: Numerical result out of range"),
+    "TestTable::test_empty_grid_header_only": Case(
+        "table volume --re-w 0:1:0", 0, "", f"{_HEADER}value\n"),
+    "TestTable::test_oversized_axis_refused_while_parsing": Case(
+        f"table potential --re-z 0:1:{10**12}", 2, "jacobi-cs table: error: argument --re-z: "
+        f"{10**12} samples exceed the table limit of {cli.MAX_TABLE_NODES} nodes"),
+    "TestTable::test_disk_violation_exits_2": Case(
+        "table volume --re-w 0:1:5 --out v.csv", 2, f"error: |w|=1 {_DISK}"),
+    "TestTable::test_node_with_overflowing_w_exits_2_without_warning": Case(
+        "table potential --re-w=1.7e308:0:2 --im-w=1.7e308 --out t.csv", 2,
+        f"error: |w|=inf {_DISK}"),
+    # cells that are not finite are written, and nothing is said
+    "TestTable::test_non_finite_cells_are_written": Case(
+        "table diastasis --re-z=1e200", 0, "", f"{_HEADER}value\n1e+200,0.0,0.0,0.0,nan\n"),
+    "TestTable::test_non_finite_metric_cells_are_written": Case(
+        "table metric --re-z=1e200", 0, "",
+        f"{_HEADER}h_ww,h_zw_im,h_zw_re,h_zz\n1e+200,0.0,0.0,0.0,inf,0.0,1e+200,1.0\n"),
+    **{f"TestConfig::test_config_value_of_wrong_type_exits_2[entry{i}]": Case(
+        f"{_GEO} --config cfg.json --out x.csv", 2,
+        f"error: config key {key!r} takes a {kind}, got {value!r}",
+        config=json.dumps({key: value}))
+       for i, (key, kind, value) in enumerate([("k", "float", "1"), ("rk4_step", "float", "0.001"),
+                                               ("seed", "int", 1.5), ("mu", "float", True),
+                                               ("tolerances", "dict", [])])},
+    **{f"TestConfig::test_tolerance_not_a_finite_non_negative_number_exits_2[{tol}]": Case(
+        "verify geometry --config cfg.json", 2, "error: tolerance 'scalar-curvature-constant' "
+        f"takes a finite, non-negative number, got {got}",
+        config=f'{{"tolerances": {{"scalar-curvature-constant": {tol}}}}}')
+       for tol, got in [('"x"', "'x'"), ("NaN", "nan"), ("-1", "-1"), ("true", "True")]},
+    # a flag wins over the file
+    **{f"TestConfig::test_config_file_{name}": Case(
+        f"eval scalar-curvature --config cfg.json {flag}", 0, "",
+        _eval_out("scalar-curvature", {"value": -3 / (2 * k)}, k=k), config='{"k": 2.0}')
+       for name, flag, k in [("is_read", "", 2.0), ("and_override", "--k 3", 3.0)]},
+    "TestConfig::test_unknown_config_key_exits_2": Case(
+        "eval potential --config cfg.json", 2, "error: unknown config key 'bogus'",
+        config='{"bogus": 1}'),
+    "TestConfig::test_config_before_the_command_is_read": Case(
+        "--config cfg.json eval potential", 2, "error: unknown config key 'bogus'",
+        config='{"bogus": 1}'),
+    # a command has no flag for a setting it does not read; verify reads all
+    **{f"TestContract::test_unread_setting_exits_2[{command} --{flag}]": Case(
+        f"{_UNREAD_ARGV[command]} --{flag} 1", 2,
+        f"jacobi-cs: error: unrecognized arguments: --{flag} 1")
+       for command, keys in cli._COMMAND_SETTINGS.items()
+       for flag in [key.replace("_", "-") for key in cli._COMMAND_SETTINGS["verify"]
+                    if key not in keys]},
+}
+
+
+@pytest.mark.filterwarnings("error")
+def contract_test(self, case, capsys, tmp_path, monkeypatch):
+    """Run one :data:`CONTRACT` case; no case may warn."""
+    monkeypatch.chdir(tmp_path)
+    if not case.suites:
+        monkeypatch.setattr(verify, "_SUITES", dict.fromkeys(core.SUITE_NAMES, ()))
+    if case.config is not None:
+        (tmp_path / "cfg.json").write_text(case.config)
+    code, out, err = run(capsys, *shlex.split(case.argv))
+    *usage, last = err.splitlines() or [""]
+    assert (code, last) == (case.code, case.err)
+    assert err.endswith("\n") or not err
+    if usage:
+        assert case.err.startswith("jacobi-cs") and usage[0].startswith("usage: jacobi-cs")
+    if case.out is JSON:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == case.out
+    assert os.listdir() == ([] if case.config is None else ["cfg.json"])
+
+
+def pytest_generate_tests(metafunc):
+    """Run a test with CONTRACT ids ``Class::test[param]`` once per param."""
+    if "case" in metafunc.fixturenames:
+        prefix = f"{metafunc.cls.__name__}::{metafunc.definition.name}["
+        ids = [name[len(prefix):-1] for name in CONTRACT if name.startswith(prefix)]
+        if ids:
+            metafunc.parametrize("case", [CONTRACT[f"{prefix}{i}]"] for i in ids], ids=ids)
+
+
+@pytest.fixture
+def case(request):
+    """The CONTRACT case of a test with the one id ``Class::test``."""
+    return CONTRACT[f"{request.cls.__name__}::{request.node.name}"]
+
+
+class TestContract:
+    def test_readme_exit_table_is_in_the_contract(self):
+        # rows: | `jacobi-cs argv` | config | code | stderr's last line | stdout |
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `jacobi-cs ([^`]*)` \| ?([^|]*?) ?\| (\d) \| (.*) \| (.*) \|$",
+                          readme, re.MULTILINE)
+        assert len(rows) >= 20
+        contract = {(*shlex.split(case.argv), case.config): case for case in CONTRACT.values()}
+        for argv, config, code, err, out in rows:
+            case = contract[(*shlex.split(argv), config.strip("`") or None)]
+            assert case.code == int(code)
+            assert case.err == ("" if err == "nothing" else err.strip("`").replace("\\|", "|"))
+            assert case.out == {"nothing": "", "JSON": JSON}.get(out, out.strip("`") + "\n")
+
+    @pytest.mark.parametrize("command, own", [
+        ("eval", "--z --w --z2 --w2"), ("table", "--re-z --im-z --re-w --im-w --out"),
+        ("geodesic", "--z --w --dz --dw --t-end --steps --out"), ("verify", "")])
+    def test_help_lists_the_settings_read(self, capsys, command, own):
+        code, out, _ = run(capsys, command, "--help")
+        settings = ["--" + key.replace("_", "-") for key in cli._COMMAND_SETTINGS[command]]
+        assert code == 0
+        assert set(re.findall(r"--[a-z0-9-]+", out)) == {"--help", *settings, *own.split()}
 
 
 class TestParsing:
@@ -64,7 +351,6 @@ class TestParsing:
         assert parse_complex("1.0,0.5") == 1 + 0.5j
 
     def test_complex_bad(self):
-        import argparse
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex("a,b")
 
@@ -81,65 +367,13 @@ class TestParsing:
         with pytest.raises(argparse.ArgumentTypeError, match=re.escape(repr(text))):
             parse_range(text)
 
-    @pytest.mark.parametrize("text", ["0:1:-1", "0:1"])
-    def test_range_of_bad_form_exits_2(self, capsys, tmp_path, text):
-        out_file = tmp_path / "t.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "potential", "--re-z", text, "--out", str(out_file)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "jacobi-cs table: error: argument --re-z: expected 'value' or "
-            f"'start:stop:count', got {text!r}")
-        assert not out_file.exists()
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_span_exits_2_naming_the_range(self, capsys, tmp_path):
-        out_file = tmp_path / "t.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "potential", "--re-z=-1.7e308:1.7e308:3",
-                  "--out", str(out_file)])
-        err = capsys.readouterr().err
-        assert exc.value.code == 2
-        assert err.splitlines()[-1] == (
-            "jacobi-cs table: error: argument --re-z: range '-1.7e308:1.7e308:3' "
-            "needs finite ends less than the largest float apart")
-        assert "Warning" not in err and "nan" not in err
-        assert not out_file.exists()
-
-    def test_negative_complex_without_equals(self, capsys):
-        code, out, _ = run(capsys, "eval", "kernel", "--z", "-0.5,0.2", "--w", "-.1")
-        assert code == 0
-        inputs = json.loads(out)["inputs"]
-        assert (inputs["z"], inputs["w"]) == ([-0.5, 0.2], [-0.1, 0.0])
-
-    def test_negative_range_without_equals(self, capsys, tmp_path):
-        out_file = tmp_path / "k.csv"
-        code, _, _ = run(capsys, "table", "kernel", "--re-z", "-1:1:20",
-                         "--out", str(out_file))
-        assert code == 0
-        rows = out_file.read_text().splitlines()[1:]
-        assert len(rows) == 20
-        assert rows[0].split(",")[0] == "-1.0"
-
     def test_parser_built_once_and_commands_found_at_call_time(self, capsys, monkeypatch):
         assert cli.build_parser() is cli.build_parser()
         monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
         assert main(["eval", "kernel"]) == 7
 
-    def test_negative_value_after_value_stays_positional(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "eval", "kernel", "--z", "-1", "-2")
-        assert exc.value.code == 2
-
 
 class TestEval:
-    def test_scalar_curvature(self, capsys):
-        code, out, _ = run(capsys, "eval", "scalar-curvature",
-                           "--k", "1", "--mu", "1", "--z", "0", "--w", "0")
-        assert code == 0
-        record = json.loads(out)
-        assert record["value"]["value"] == pytest.approx(-1.5)
-
     def test_metric_hand_value(self, capsys):
         code, out, _ = run(capsys, "eval", "metric", "--k", "1", "--mu", "1",
                            "--z", "1", "--w", "0.5")
@@ -149,32 +383,6 @@ class TestEval:
         assert value["h_zw_re"] == pytest.approx(8 / 3)
         assert value["h_ww"] == pytest.approx(80 / 9)
 
-    def test_kernel_defaults_second_point(self, capsys):
-        code, out, _ = run(capsys, "eval", "kernel",
-                           "--z", "0", "--w", "0", "--z2", "0", "--w2", "0")
-        assert code == 0
-        value = json.loads(out)["value"]
-        assert value["re"] == pytest.approx(1.0)
-
-    def test_invalid_point_exits_2(self, capsys):
-        code, _, err = run(capsys, "eval", "potential", "--w", "1.0")
-        assert code == 2
-        assert "error" in err
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("w", ["1.7e308,1.7e308", "1e308,1e308"])
-    def test_huge_w_exits_2_without_warning(self, capsys, w):
-        # |w| may overflow the float range: the point is still outside the disk
-        code, out, err = run(capsys, "eval", "potential", f"--w={w}")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: |w|=") and err.endswith(" is not inside the open disk\n")
-        assert err.count("\n") == 1
-
-    def test_eta(self, capsys):
-        code, out, _ = run(capsys, "eval", "eta", "--z", "1", "--w", "0.5")
-        assert code == 0
-        assert json.loads(out)["value"]["re"] == pytest.approx(2.0)
-
     def test_christoffel_pairs(self, capsys):
         code, out, _ = run(capsys, "eval", "christoffel", "--k", "2",
                            "--z", "1", "--w", "0.5")
@@ -182,21 +390,6 @@ class TestEval:
         value = json.loads(out)["value"]
         assert list(value) == ["g_zzz", "g_wzz", "g_zzw", "g_wwz", "g_zww", "g_www"]
         assert value["g_wzz"] == [0.25, 0.0]
-
-    def test_kernel_overflow_exits_3(self, capsys):
-        code, out, err = run(capsys, "eval", "kernel", "--z", "30")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("quantity", ["berezin", "potential", "diastasis",
-                                          "metric", "scalar-curvature"])
-    def test_non_finite_value_exits_3(self, capsys, quantity):
-        code, out, err = run(capsys, "eval", quantity, "--z", "1e200")
-        assert code == 3
-        assert out == ""       # never NaN in place of JSON
-        assert err.startswith("error:")
 
 
 class TestGeodesic:
@@ -226,81 +419,6 @@ class TestGeodesic:
         assert code == 0
         assert json.loads(out)["closed_form_residual"] is None
 
-    @pytest.mark.parametrize("t_end", ["inf", "-inf", "nan"])
-    def test_non_finite_t_end_exits_2(self, capsys, tmp_path, t_end):
-        out_file = tmp_path / "x.csv"
-        code, out, err = run(capsys, "geodesic", "--dw", "0.6",
-                             f"--t-end={t_end}", "--out", str(out_file))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "t_end" in err
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("t_end", ["0", "-1"])
-    def test_t_end_not_positive_exits_2(self, capsys, tmp_path, t_end):
-        out_file = tmp_path / "x.csv"
-        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--t-end", t_end,
-                             "--out", str(out_file))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "--t-end" in err
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ("--t-end", "1e300"),                                  # 1e303 steps
-        ("--steps", str(MAX_GEODESIC_STEPS + 1)),
-        ("--t-end", "1e308", "--rk4-step", "1e-300"),          # inf steps
-    ])
-    def test_step_count_over_limit_exits_2(self, capsys, tmp_path, argv):
-        out_file = tmp_path / "x.csv"
-        code, out, err = run(capsys, "geodesic", "--dw", "0.6", *argv,
-                             "--out", str(out_file))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and str(MAX_GEODESIC_STEPS) in err
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("steps", ["0", "-5"])
-    def test_steps_below_one_exits_2(self, capsys, tmp_path, steps):
-        out_file = tmp_path / "x.csv"
-        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--steps", steps,
-                             "--out", str(out_file))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "--steps" in err
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("rk4_step", ["0", "-1", "-1e-3", "nan", "inf"])
-    @pytest.mark.parametrize("steps", [(), ("--steps", "10")])
-    def test_bad_rk4_step_exits_2(self, capsys, tmp_path, rk4_step, steps):
-        out_file = tmp_path / "x.csv"
-        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--rk4-step", rk4_step,
-                             *steps, "--out", str(out_file))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "rk4_step" in err
-        assert not out_file.exists()
-
-    def test_bad_rk4_step_from_config_exits_2(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rk4_step": 0}))
-        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--config", str(cfg),
-                             "--out", str(tmp_path / "x.csv"))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "rk4_step" in err
-
-    def test_non_finite_speed_exits_3(self, capsys, tmp_path):
-        # |eta|^2 overflows in the metric; the path itself stays put
-        out_file = tmp_path / "x.csv"
-        code, out, err = run(capsys, "geodesic", "--z", "1e200", "--steps", "2",
-                             "--out", str(out_file))
-        assert (code, out) == (3, "")
-        assert err.startswith("error:")
-        assert not out_file.exists()
-
-    def test_degenerate_metric_exits_2(self, capsys, tmp_path):
-        code, out, err = run(capsys, "geodesic", "--dw", "0.1", "--mu", "0",
-                             "--steps", "2", "--out", str(tmp_path / "x.csv"))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: metric coefficients are not positive definite")
-
     def test_csv_pinned(self, capsys, tmp_path):
         # written by the per-sample implementation of an earlier release;
         # t, position and velocity cells must match it byte for byte, the
@@ -325,37 +443,6 @@ class TestGeodesic:
         assert summary["energy_drift"] == pytest.approx(1.1666414612143683e-07,
                                                         abs=4 * math.ulp(0.7031306909993077))
 
-    def test_boundary_escape_exits_3(self, capsys, tmp_path):
-        code, out, err = run(capsys, "geodesic", "--w", "0.9", "--dw", "2.0",
-                             "--mu", "0", "--t-end", "2",
-                             "--out", str(tmp_path / "x.csv"))
-        assert code == 3
-        assert "boundary" in out or "escape" in out
-        assert err
-
-    @pytest.mark.parametrize("argv, t, message", [
-        # a Runge-Kutta stage leaves the disk
-        (("--w", "0.9", "--dw", "2.0", "--mu", "0", "--t-end", "2"),
-         0.877, "trajectory left the disk at t=0.877"),
-        # every stage stays inside, the accepted first step does not
-        (("--w", "0.7", "--dw", "0.8,-0.8", "--t-end", "1.2", "--steps", "3"),
-         0.39999999999999997, "step left the disk at t=0.4"),
-    ])
-    def test_boundary_escape_pinned(self, capsys, tmp_path, argv, t, message):
-        code, out, err = run(capsys, "geodesic", *argv, "--out", str(tmp_path / "x.csv"))
-        assert code == 3
-        assert out == json.dumps({"error": "boundary escape", "t": t}) + "\n"
-        assert err == f"error: {message}\n"
-
-    def test_velocity_overflow_exits_3(self, capsys, tmp_path):
-        # four d2w stages of about -8.5e307 sum to -inf in one tiny step
-        out_file = tmp_path / "x.csv"
-        code, out, err = run(capsys, "geodesic", "--dz", "1.3e154", "--t-end", "1e-300",
-                             "--steps", "1", "--out", str(out_file))
-        assert (code, out) == (3, "")
-        assert err == "error: velocity overflowed at t=1e-300\n"
-        assert not out_file.exists()
-
     def test_summary_min_p(self, capsys, tmp_path):
         out_file = tmp_path / "p.csv"
         code, out, _ = run(capsys, "geodesic", "--z=0.3,-0.2", "--w=0.1,0.2",
@@ -372,104 +459,11 @@ class TestGeodesic:
 
 
 class TestVerifyCommand:
-    def test_geometry_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "geometry", "--k", "1", "--mu", "1")
-        assert code == 0
-        report = json.loads(out)
-        assert report["pass"] is True
-        assert all(rec["pass"] for rec in report["suites"]["geometry"])
-
-    def test_coarse_step_fails_fd_checks(self, capsys):
-        code, out, _ = run(capsys, "verify", "geometry", "--fd-step", "1e-2")
-        assert code == 1
-        report = json.loads(out)
-        failing = [rec["check"] for rec in report["suites"]["geometry"]
-                   if not rec["pass"]]
-        assert failing
-
-    def test_out_of_range_step_exits_2(self, capsys):
-        code, _, err = run(capsys, "verify", "geometry", "--fd-step", "0.1")
-        assert code == 2
-        assert "step" in err
-
-    @pytest.mark.parametrize("argv", [("--rk4-step", "0"), ("--rk4-step", "-1"),
-                                      ("--rk4-step", "1e-7")])
-    def test_bad_rk4_step_exits_2(self, capsys, argv):
-        code, out, err = run(capsys, "verify", "geodesics", *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
-        if argv[1] == "1e-7":
-            assert str(MAX_GEODESIC_STEPS) in err
-
-    @pytest.mark.parametrize("mc_samples", [verify.MIN_MC_SAMPLES - 1,
-                                            verify.MAX_MC_SAMPLES + 1])
-    def test_mc_samples_out_of_range_exits_2_before_any_suite(self, capsys, monkeypatch,
-                                                               mc_samples):
-        monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run, no sample is drawn
-        code, out, err = run(capsys, "verify", "all", "--mc-samples", str(mc_samples))
-        assert (code, out) == (2, "")
-        assert err == (f"error: mc_samples must be between {verify.MIN_MC_SAMPLES} and "
-                       f"{verify.MAX_MC_SAMPLES}, got {mc_samples}\n")
-
-    def test_negative_seed_exits_2_before_any_suite(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run, no sample is drawn
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": -1}))
-        for argv in (["--seed", "-1"], ["--config", str(cfg)]):
-            code, out, err = run(capsys, "verify", "all", *argv)
-            assert (code, out, err) == (2, "", "error: seed must be non-negative, got -1\n")
-
-    def test_unknown_tolerance_name_exits_2_before_any_suite(self, capsys, monkeypatch,
-                                                              tmp_path):
-        monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerances": {"scalar-curvature-constnat": 1e-300}}))
-        code, out, err = run(capsys, "verify", "geometry", "--config", str(cfg))
-        assert (code, out) == (2, "")
-        assert err == ("error: tolerances name unknown checks: "
-                       "['scalar-curvature-constnat']\n")
-
-    @pytest.mark.parametrize("key", ["n_max", "m_max"])
-    def test_truncation_order_over_limit_exits_2_before_any_suite(self, capsys, monkeypatch,
-                                                                  tmp_path, key):
-        monkeypatch.setattr(verify, "_SUITES", {})     # no suite can run, no basis is built
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 10**4}))
-        flag = "--" + key.replace("_", "-")
-        for argv in ([flag, "10000"], ["--config", str(cfg)]):
-            code, out, err = run(capsys, "verify", "all", *argv)
-            assert (code, out) == (2, "")
-            assert err == (f"error: {key} must be at most {cli.MAX_TRUNCATION_ORDER}, "
-                           f"got 10000\n")
-        limit = str(cli.MAX_TRUNCATION_ORDER)
-        assert run(capsys, "eval", "potential", flag, limit)[0] == 0
-        assert run(capsys, "eval", "potential", flag, limit + "1")[0] == 2
-
-    def test_boundary_escape_exits_3(self, capsys):
-        code, out, err = run(capsys, "verify", "geodesics", "--rk4-step", "1.5")
-        assert (code, out, err) == (3, "", "error: trajectory left the disk at t=0\n")
-
     def test_boundary_escape_in_a_worker_exits_3(self, capsys, forked):
         code, out, err = run(capsys, "verify", "all", "--rk4-step", "1.5",
                              "--mc-samples", "10000")
         assert forked == [2]         # the geodesics suite ran in a worker
         assert (code, out, err) == (3, "", "error: trajectory left the disk at t=0\n")
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")    # no numpy warning reaches stderr
-    def test_non_finite_deviation_exits_3(self, capsys):
-        # the kernel overflows at this k: no NaN in place of JSON
-        code, out, err = run(capsys, "verify", "kernels", "--k", "1e308")
-        assert (code, out) == (3, "")
-        assert err == ("error: kernels check hermitian-symmetry has no finite "
-                       "deviation at these settings\n")
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflow_exits_3_naming_the_suite(self, capsys):
-        # the determinant of a finite-difference stencil's metric overflows
-        code, out, err = run(capsys, "verify", "geometry", "--mu", "1e300")
-        assert (code, out) == (3, "")
-        assert err == ("error: the geometry suite overflowed at these settings: "
-                       "Numerical result out of range\n")
 
     def test_forked_error_stderr_is_one_line(self):
         # at mu = 0 the algebra suite raises first in name order; the
@@ -499,12 +493,9 @@ class TestVerifyCommand:
         assert err == f"error: the process running {parts} failed with exit status -9\n"
 
     def test_quadrature_reproducible(self, capsys):
-        code1, out1, _ = run(capsys, "verify", "quadrature", "--seed", "42",
-                             "--mc-samples", "50000")
-        code2, out2, _ = run(capsys, "verify", "quadrature", "--seed", "42",
-                             "--mc-samples", "50000")
-        assert code1 == code2 == 0
-        assert out1 == out2
+        argv = ("verify", "quadrature", "--seed", "42", "--mc-samples", "50000")
+        first = run(capsys, *argv)
+        assert first[0] == 0 and run(capsys, *argv) == first
 
 
 class TestTable:
@@ -526,18 +517,9 @@ class TestTable:
         code, _, _ = run(capsys, "table", "diastasis",
                          "--re-w", "0:0.8:9", "--out", str(out_file))
         assert code == 0
-        rows = out_file.read_text().strip().splitlines()[1:]
-        values = [float(r.split(",")[-1]) for r in rows]
+        values = [float(row.split(",")[-1]) for row in out_file.read_text().splitlines()[1:]]
         assert values == sorted(values)
         assert values[0] == pytest.approx(0.0)
-
-    def test_empty_grid_header_only(self, capsys, tmp_path):
-        out_file = tmp_path / "e.csv"
-        code, _, _ = run(capsys, "table", "volume", "--re-w", "0:1:0",
-                         "--out", str(out_file))
-        assert code == 0
-        lines = out_file.read_text().strip().splitlines()
-        assert len(lines) == 1
 
     def test_oversized_grid_refused_before_allocation(self, capsys):
         # 1e10 nodes would need about 75 GiB for one coordinate grid; the
@@ -549,8 +531,8 @@ class TestTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "10000000000 nodes" in err
+        assert (code, out, err) == (2, "", "error: the grid has 10000000000 nodes, more than "
+                                           "the limit of 10000000\n")
         assert peak < 16e6
 
     def test_peak_memory_flat_in_grid_size(self):
@@ -594,17 +576,7 @@ class TestTable:
         assert code == 0
         code, _, err = run(capsys, "table", "potential", "--re-z", "0:1:3",
                            "--im-z", "0:1:5")
-        assert code == 2 and "15 nodes" in err
-
-    def test_oversized_axis_refused_while_parsing(self):
-        with pytest.raises(argparse.ArgumentTypeError, match="table limit"):
-            parse_range(f"0:1:{10**12}")
-
-    def test_disk_violation_exits_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "table", "volume", "--re-w", "0:1:5",
-                           "--out", str(tmp_path / "v.csv"))
-        assert code == 2
-        assert err
+        assert (code, err) == (2, "error: the grid has 15 nodes, more than the limit of 12\n")
 
     @pytest.mark.parametrize("quantity, axes", [
         # a w outside the disk, first met with the first z
@@ -632,31 +604,6 @@ class TestTable:
         assert (code, out, err) == (2, "", f"error: {want.value}\n")
         assert not out_file.exists()
         assert_no_children()
-
-    @pytest.mark.filterwarnings("error")
-    def test_node_with_overflowing_w_exits_2_without_warning(self, capsys, tmp_path):
-        out_file = tmp_path / "t.csv"
-        code, out, err = run(capsys, "table", "potential", "--re-w=1.7e308:0:2",
-                             "--im-w=1.7e308", "--out", str(out_file))
-        assert (code, out, err) == (2, "", "error: |w|=inf is not inside the open disk\n")
-        assert not out_file.exists()
-
-    @pytest.mark.filterwarnings("error")
-    def test_non_finite_cells_are_written(self, capsys, tmp_path):
-        out_file = tmp_path / "d.csv"
-        code, _, err = run(capsys, "table", "diastasis", "--re-z=1e200",
-                           "--out", str(out_file))
-        assert code == 0
-        assert err == ""
-        assert out_file.read_text().splitlines()[1].split(",")[-1] == "nan"
-
-    def test_non_finite_metric_cells_are_written(self, capsys, tmp_path):
-        out_file = tmp_path / "m.csv"
-        code, _, err = run(capsys, "table", "metric", "--re-z=1e200",
-                           "--out", str(out_file))
-        assert (code, err) == (0, "")
-        header, row = out_file.read_text().splitlines()
-        assert dict(zip(header.split(","), row.split(",")))["h_ww"] == "inf"
 
 
 # 7 * 11 * 17 * 19 = 24,871 rows: three parts of at least 8,192 rows, and
@@ -738,20 +685,13 @@ class TestParallelTable:
         (3, 2 * 8192 - 1, True),        # too few rows for two parts
         (3, 4 * 8192, False),           # no fork on the platform
     ])
-    def test_one_part_runs_in_process(self, monkeypatch, tmp_path, cpus, rows, fork):
+    def test_one_part_runs_in_process(self, monkeypatch, tmp_path, forked, cpus, rows, fork):
         monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
         if not fork:
             monkeypatch.delattr(os, "fork")
-
-        fork_jobs = core._fork_jobs
-
-        def no_fork(here, jobs, take):
-            assert jobs == [], "a child was forked"
-            return fork_jobs(here, jobs, take)
-
-        monkeypatch.setattr(core, "_fork_jobs", no_fork)
         out = tmp_path / "t.csv"
         assert main(["table", "volume", f"--re-w=0:0.5:{rows}", "--out", str(out)]) == 0
+        assert forked == [0]            # no child was forked
         assert out.read_text().count("\n") == rows + 1
 
     def test_coordinates_start_at_any_row(self, monkeypatch):
@@ -809,23 +749,17 @@ class TestParallelTable:
         assert_no_children()
         assert out.read_bytes() == oracle_table(quantity, flags)
 
-    def test_failing_parent_write_reaps_every_child(self, monkeypatch, capsys):
+    def test_failing_parent_write_reaps_every_child(self, monkeypatch, capsys, forked):
         class FailingOut(io.StringIO):
             def write(self, text):
                 if self.tell():         # the header is written, the rows fail
                     raise OSError("no space left on device")
                 return super().write(text)
 
-        monkeypatch.setattr(core, "usable_cpus", lambda: 3)
-        forks = []
-        fork_jobs = core._fork_jobs
-        monkeypatch.setattr(core, "_fork_jobs", lambda here, jobs, take: forks.append(
-            len(jobs)) or fork_jobs(here, jobs, take))
         monkeypatch.setattr(sys, "stdout", FailingOut())
         assert main(["table", "christoffel", *PARALLEL_GRID]) == 2
-        assert forks == [2]
+        assert forked == [2]
         assert capsys.readouterr().err == "error: no space left on device\n"
-        assert_no_children()
 
     def test_failing_child_exits_2_without_traceback(self, monkeypatch, capfd, tmp_path):
         write_rows = cli._write_rows
@@ -863,18 +797,6 @@ class TestParallelTable:
 
 
 class TestConfig:
-    def test_config_file_and_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 2.0}))
-        code, out, _ = run(capsys, "eval", "scalar-curvature",
-                           "--config", str(cfg))
-        assert code == 0
-        assert json.loads(out)["value"]["value"] == pytest.approx(-0.75)
-        # flag wins over file
-        code, out, _ = run(capsys, "eval", "scalar-curvature",
-                           "--config", str(cfg), "--k", "3")
-        assert json.loads(out)["value"]["value"] == pytest.approx(-0.5)
-
     def test_env_var_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 1.5}))
@@ -882,37 +804,6 @@ class TestConfig:
         code, out, _ = run(capsys, "eval", "scalar-curvature")
         assert code == 0
         assert json.loads(out)["value"]["value"] == pytest.approx(-1.0)
-
-    @pytest.mark.parametrize("entry", [{"k": "1"}, {"rk4_step": "0.001"},
-                                       {"seed": 1.5}, {"mu": True}, {"tolerances": []}])
-    def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path, entry):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(entry))
-        code, out, err = run(capsys, "geodesic", "--dw", "0.6", "--config", str(cfg),
-                             "--out", str(tmp_path / "x.csv"))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and next(iter(entry)) in err
-
-    @pytest.mark.parametrize("tol", ['"x"', "NaN", "-1", "true"])
-    def test_tolerance_not_a_finite_non_negative_number_exits_2(self, capsys, tmp_path,
-                                                                tol):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"tolerances": {{"scalar-curvature-constant": {tol}}}}}')
-        code, out, err = run(capsys, "verify", "geometry", "--config", str(cfg))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: tolerance 'scalar-curvature-constant'")
-        assert err.count("\n") == 1
-
-    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run(capsys, "eval", "potential", "--config", str(cfg))
-        assert code == 2
-        assert "bogus" in err
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
 
 
 # finite, huge, and not finite; negative values are often passed without "="
@@ -936,6 +827,11 @@ def _flags(names):
     n = len(names)
     return st.builds(pieces, st.lists(st.none() | _VALUE, min_size=n, max_size=n),
                      st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+def _given(*pairs):
+    """argv pieces for the (flag, value) pairs whose value is not None."""
+    return [piece for flag, value in pairs if value is not None for piece in (flag, str(value))]
 
 
 def _near(lo, hi, rest=_REAL):
@@ -975,9 +871,11 @@ class TestFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(quantity=st.sampled_from(cli._EVAL_QUANTITIES),
-           flags=_flags(["--z", "--w", "--z2", "--w2", "--k", "--mu"]))
-    def test_eval(self, quantity, flags):
-        self.check(["eval", quantity, *flags])
+           flags=_flags(["--z", "--w", "--k", "--mu"]), second=_flags(["--z2", "--w2"]))
+    def test_eval(self, quantity, flags, second):
+        # only a two-point quantity takes a second point
+        two_point = quantity in cli._TWO_POINT_QUANTITIES
+        self.check(["eval", quantity, *flags, *(second if two_point else [])])
 
     @settings(max_examples=150, deadline=None)
     @given(flags=_flags(["--z", "--w", "--dz", "--dw", "--t-end", "--k", "--mu"]),
@@ -997,10 +895,7 @@ class TestFuzz:
         for flag, (a, b, n, join) in zip(("--re-z", "--im-z", "--re-w", "--im-w"), axes):
             value = f"{a!r}:{b!r}:{n}"
             argv += [f"{flag}={value}"] if join else [flag, value]
-        for flag, value in (("--k", k), ("--mu", mu)):
-            if value is not None:
-                argv += [flag, value]
-        self.check(argv, json_stdout=False)
+        self.check(argv + _given(("--k", k), ("--mu", mu)), json_stdout=False)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")    # no numpy warning reaches stderr
     @settings(max_examples=150, deadline=None)
@@ -1008,11 +903,8 @@ class TestFuzz:
            rk4_step=_RK4_STEP, fd_step=st.none() | _near(1e-7, 1e-2),
            k=st.none() | _near(0.75, 10.0), mu=st.none() | _near(0.0, 10.0))
     def test_verify_suite(self, suite, rk4_step, fd_step, k, mu):
-        argv = ["verify", suite, "--rk4-step", rk4_step]
-        for flag, value in (("--fd-step", fd_step), ("--k", k), ("--mu", mu)):
-            if value is not None:
-                argv += [flag, value]
-        self.check(argv)
+        self.check(["verify", suite, "--rk4-step", rk4_step,
+                    *_given(("--fd-step", fd_step), ("--k", k), ("--mu", mu))])
 
     # the suites' basis matrices hold (n_max + 1)(m_max + 1) entries per
     # point, so the orders stay small; 0 and below, and orders over
@@ -1024,12 +916,8 @@ class TestFuzz:
            m_max=st.none() | st.integers(-2, 80) | st.integers(81, 400),
            k=st.none() | _near(0.75, 10.0), mu=st.none() | _near(0.0, 10.0))
     def test_verify_truncation(self, suite, n_max, m_max, k, mu):
-        argv = ["verify", suite]
-        for flag, value in (("--n-max", n_max), ("--m-max", m_max), ("--k", k),
-                            ("--mu", mu)):
-            if value is not None:
-                argv += [flag, str(value)]
-        code = self.check(argv, error_line=True)
+        code = self.check(["verify", suite, *_given(("--n-max", n_max), ("--m-max", m_max),
+                                                    ("--k", k), ("--mu", mu))], error_line=True)
         if any(order is not None and not 1 <= order <= cli.MAX_TRUNCATION_ORDER
                for order in (n_max, m_max)):
             assert code == 2
@@ -1044,3 +932,13 @@ class TestFuzz:
         code = self.check(["verify", "quadrature", f"--mc-samples={mc_samples}"])
         in_range = verify.MIN_MC_SAMPLES <= mc_samples <= verify.MAX_MC_SAMPLES
         assert code in ((0, 1) if in_range else (2,))
+
+
+def _file_contract_tests():
+    """Make each CONTRACT id ``Class::test[param]`` a test of its class."""
+    for name in CONTRACT:
+        cls, test = name.split("[")[0].split("::")
+        setattr(globals()[cls], test, contract_test)
+
+
+_file_contract_tests()
