@@ -3,8 +3,8 @@
 Exit codes are stable across commands: 0 success, 1 verification failure,
 2 invalid input, 3 runtime domain escape.  Complex values are passed as a
 single flag with comma-separated real and imaginary parts ("--z 1.0,0.5").
-A command has a flag for each setting it reads (``_COMMAND_SETTINGS``) and
-for no other; a JSON config file (flag --config or the JACOBI_CS_CONFIG
+A command has a flag for each setting it reads (``core.SETTINGS``) and for
+no other; a JSON config file (flag --config or the JACOBI_CS_CONFIG
 environment variable) provides defaults that these flags override.
 `verify` and `table` run on up to one process per usable CPU, forking
 children through :func:`core._fork_jobs`; a child that fails makes them
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import core, geodesics, geometry, kernels
 from .core import (
+    SETTINGS,
     SUITE_NAMES,
     BoundaryEscape,
     DegenerateAction,
@@ -32,6 +33,7 @@ from .core import (
     TangentVector,
     check_metric,
     check_points,
+    check_setting,
     eta_at,
     make_jacobi_point,
     p_at,
@@ -48,34 +50,7 @@ EXIT_DOMAIN = 3
 # _TABLE_CHUNK_ROWS at a time, so memory does not grow with the grid; the
 # limit bounds the run time and the output, about 1 GB at 10^7 nodes.
 MAX_TABLE_NODES = 10**7
-# Largest series truncation order, in either index.  Basis matrices hold
-# (n_max + 1)(m_max + 1) entries per point, so memory grows with the
-# square of the orders: `verify embedding` peaks at 171 MB at 800 x 800.
-MAX_TRUNCATION_ORDER = 200
-
-_DEFAULTS = {
-    "k": 1.0,
-    "mu": 1.0,
-    "n_max": 40,
-    "m_max": 40,
-    "fd_step": 1e-4,
-    "rk4_step": 1e-3,
-    "seed": 0,
-    "mc_samples": 1_000_000,
-    "tolerances": {},
-}
-# The settings each command reads, each a flag and a config key of the same
-# name; a command has no flag for any other setting.
-_COMMAND_SETTINGS = {
-    "eval": ("k", "mu"),
-    "table": ("k", "mu"),
-    "geodesic": ("k", "mu", "rk4_step"),
-    "verify": ("k", "mu", "n_max", "m_max", "fd_step", "rk4_step", "seed", "mc_samples"),
-}
-_SETTING_HELP = {
-    "n_max": "series truncation in the flat index; convergence is governed by mu |z|^2",
-    "m_max": "series truncation in the disk index; convergence is governed by |w|",
-}
+_JSON_TYPES = {float: "a number", int: "an integer", dict: "an object"}  # by setting type
 
 
 def parse_complex(text: str) -> complex:
@@ -116,20 +91,23 @@ def parse_range(text: str) -> np.ndarray:
         f"expected 'value' or 'start:stop:count', got {text!r}")
 
 
-def load_config(path: str | None) -> dict:
-    merged = dict(_DEFAULTS)
-    source = path or os.environ.get("JACOBI_CS_CONFIG")
+def _settings(args: argparse.Namespace) -> dict:
+    """Each setting's default and ``tolerances``, overridden by the config file
+    (each key's type checked), then by the flags; what a command builds checks bounds."""
+    merged = {name: setting.default for name, setting in SETTINGS.items()}
+    merged["tolerances"] = {}
+    source = args.config or os.environ.get("JACOBI_CS_CONFIG")
     if source:
         with open(source, encoding="utf-8") as fh:
             data = json.load(fh)
         for key, value in data.items():
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
-            kind = type(_DEFAULTS[key])
+            kind = type(merged[key])
             # a float setting takes any JSON number; true/false is no number
             if isinstance(value, bool) or not isinstance(
                     value, (int, float) if kind is float else kind):
-                raise ValueError(f"config key {key!r} takes a {kind.__name__}, "
+                raise ValueError(f"config key {key!r} takes {_JSON_TYPES[kind]}, "
                                  f"got {value!r}")
             if key == "tolerances":
                 for check, tol in value.items():
@@ -138,20 +116,10 @@ def load_config(path: str | None) -> dict:
                         raise ValueError(f"tolerance {check!r} takes a finite, "
                                          f"non-negative number, got {tol!r}")
             merged[key] = value
+    for key in SETTINGS:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
     return merged
-
-
-def _settings(args: argparse.Namespace) -> dict:
-    cfg = load_config(args.config)
-    for key in _COMMAND_SETTINGS[args.command]:
-        override = getattr(args, key)
-        if override is not None:
-            cfg[key] = override
-    for key in ("n_max", "m_max"):
-        if cfg[key] > MAX_TRUNCATION_ORDER:
-            raise ValueError(f"{key} must be at most {MAX_TRUNCATION_ORDER}, "
-                             f"got {cfg[key]}")
-    return cfg
 
 
 _EVAL_QUANTITIES = ("kernel", "potential", "metric", "ricci",
@@ -294,6 +262,8 @@ def _closed_form_residual(path: geodesics.GeodesicPath, s0: GeodesicState) -> fl
 
 
 def cmd_geodesic(args: argparse.Namespace) -> int:
+    if args.out == "-":
+        raise ValueError("--out must name a file: stdout carries the JSON summary")
     cfg = _settings(args)
     params = ModelParams(cfg["k"], cfg["mu"])
     require_finite(args.t_end, "t_end")
@@ -304,7 +274,7 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
     if args.steps is None:
         n_steps = geodesics.step_count(args.t_end, cfg["rk4_step"])
     else:
-        geodesics.check_rk4_step(cfg["rk4_step"])
+        check_setting("rk4_step", cfg["rk4_step"])
         n_steps = args.steps
         if not 1 <= n_steps <= MAX_GEODESIC_STEPS:
             raise ValueError(f"--steps must be between 1 and {MAX_GEODESIC_STEPS}, "
@@ -339,16 +309,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # other command uses
     from .verify import VerifyConfig, run_suites
 
-    cfg = _settings(args)
-    vcfg = VerifyConfig(
-        k=cfg["k"], mu=cfg["mu"],
-        truncation=kernels.TruncationOrder(cfg["n_max"], cfg["m_max"]),
-        fd_step=cfg["fd_step"], rk4_step=cfg["rk4_step"],
-        seed=cfg["seed"], mc_samples=cfg["mc_samples"],
-        tolerances=dict(cfg["tolerances"]),
-    )
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    report = run_suites(names, vcfg)
+    cfg = VerifyConfig(**_settings(args))
+    report = run_suites(list(SUITE_NAMES) if args.suite == "all" else [args.suite], cfg)
     for name, records in report["suites"].items():
         for rec in records:
             if not math.isfinite(rec["deviation"]):
@@ -509,9 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in commands.items():
         # left unset when not given, so a --config before the command stands
         command.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        for key in _COMMAND_SETTINGS[name]:
-            command.add_argument("--" + key.replace("_", "-"), dest=key,
-                                 type=type(_DEFAULTS[key]), help=_SETTING_HELP.get(key))
+        for key, setting in SETTINGS.items():
+            if name in setting.commands:
+                command.add_argument("--" + key.replace("_", "-"), dest=key,
+                                     type=type(setting.default), help=setting.help)
 
     p_eval = commands["eval"]
     p_eval.add_argument("quantity", choices=_EVAL_QUANTITIES)

@@ -16,6 +16,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,50 @@ K_MIN = 0.75
 # command-line parser can offer them without loading the suites.
 SUITE_NAMES = ("algebra", "bargmann", "embedding", "geodesics",
                "geometry", "group", "kernels", "quadrature")
+
+
+class Setting(NamedTuple):
+    """A setting's default, which gives its type; its bound, a finite value from
+    ``low`` to ``high``, where the callers in ``open_low`` (commands, and None
+    for the library) refuse ``low`` itself; the commands that read it; help."""
+
+    default: float | int
+    low: float
+    high: float
+    commands: tuple[str, ...]
+    help: str | None = None
+    open_low: tuple[str | None, ...] = ()
+
+    def bound(self, command: str | None = None) -> str:
+        """The bound in words, as ``command`` (None: the library) reads it."""
+        if self.high < math.inf:
+            return f"between {self.low} and {self.high}"
+        finite = "finite and " if isinstance(self.default, float) else ""
+        if command in self.open_low:
+            return finite + ("positive" if self.low == 0 else f"above {self.low}")
+        return finite + ("non-negative" if self.low == 0 else f"at least {self.low}")
+
+
+_EVERY_COMMAND = ("eval", "table", "geodesic", "verify")
+# The CLI's settings, each a flag and a config key of its name: the one place
+# a default or a bound is written.  The library's guards check them too.
+SETTINGS = {
+    "k": Setting(1.0, K_MIN, math.inf, _EVERY_COMMAND),
+    # mu = 0 is the geodesics' flat limit; verify's kernels and measures need mu > 0
+    "mu": Setting(1.0, 0.0, math.inf, _EVERY_COMMAND, open_low=("verify",)),
+    # a basis matrix holds (n_max + 1)(m_max + 1) entries per point, so memory
+    # grows with the square of the orders: `verify embedding` takes 171 MB at 800 x 800
+    "n_max": Setting(40, 1, 200, ("verify",), "series truncation in the flat index; "
+                     "convergence is governed by mu |z|^2"),
+    "m_max": Setting(40, 1, 200, ("verify",), "series truncation in the disk index; "
+                     "convergence is governed by |w|"),
+    "fd_step": Setting(1e-4, 1e-7, 1e-2, ("verify",)),
+    "rk4_step": Setting(1e-3, 0.0, math.inf, ("geodesic", "verify"),
+                        open_low=(None, "geodesic", "verify")),
+    "seed": Setting(0, 0, math.inf, ("verify",)),
+    # verify's inner product draws a tenth of mc_samples in one array, 0.32 GB at most
+    "mc_samples": Setting(1_000_000, 1000, 10**8, ("verify",)),
+}
 
 
 class NonFinite(ValueError):
@@ -74,6 +119,19 @@ class DimensionMismatch(ValueError):
 
 class EndpointMismatch(ValueError):
     """A path does not connect the requested endpoints."""
+
+
+def check_setting(name: str, value, command: str | None = None):
+    """Return ``value`` if it is within the bound of setting ``name`` as
+    ``command`` (None: the library) reads it; else raise ValueError, or
+    NonFinite for a float that is not finite."""
+    setting = SETTINGS[name]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    above = setting.low < value if command in setting.open_low else setting.low <= value
+    if finite and above and value <= setting.high:
+        return value
+    raise (ValueError if finite else NonFinite)(
+        f"{name} must be {setting.bound(command)}, got {value}")
 
 
 def require_finite(value: complex, name: str = "value") -> complex:
@@ -137,27 +195,18 @@ def check_points(z, w) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Representation parameters: disk weight ``k`` and Heisenberg scale ``mu``.
-
-    ``k`` may not fall below ``K_MIN`` = 3/4; the boundary value itself is
-    admitted because the smallest basis family sits exactly there, but
-    measure operations (whose normalization (4k - 3)/(2 pi^2) degenerates
-    at the boundary) insist on k > 3/4.  ``mu`` is strictly positive for every
-    kernel and measure; ``mu = 0`` is additionally admitted because the
-    geodesic system has a well-defined flat limit that the closed-form
-    solutions are checked against.
-    """
+    """Representation parameters: disk weight ``k`` and Heisenberg scale ``mu``,
+    checked against their :data:`SETTINGS` bounds.  ``k`` = ``K_MIN`` holds the
+    smallest basis family, though measure operations need k > K_MIN; ``mu`` = 0
+    is the flat limit of the geodesic system, though kernels and measures need
+    mu > 0."""
 
     k: float
     mu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and math.isfinite(self.mu)):
-            raise NonFinite("model parameters must be finite")
-        if self.k < K_MIN:
-            raise ValueError(f"k must be at least 3/4, got {self.k}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        check_setting("k", self.k)
+        check_setting("mu", self.mu)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .core import (
     ZeroDirection,
     _join_rows,
     check_points,
+    check_setting,
     eta_at,
     make_jacobi_point,
     p_at,
@@ -179,20 +180,13 @@ MAX_GEODESIC_STEPS = 1_000_000
 _PATH_BLOCK = 1024
 
 
-def check_rk4_step(rk4_step: float) -> float:
-    """Return ``rk4_step``, raising ValueError unless it is finite and positive."""
-    if not (math.isfinite(rk4_step) and rk4_step > 0.0):
-        raise ValueError(f"rk4_step must be finite and positive, got {rk4_step!r}")
-    return rk4_step
-
-
 def step_count(t_end: float, rk4_step: float) -> int:
     """Number of RK4 steps of about ``rk4_step`` over [0, t_end], at least 1.
 
-    Raises ValueError for a step that is not finite and positive, or a
-    count over :data:`MAX_GEODESIC_STEPS` (an inf or nan quotient included).
+    Raises ValueError for a step out of the ``rk4_step`` bound, or a count
+    over :data:`MAX_GEODESIC_STEPS` (an inf or nan quotient included).
     """
-    n_steps = t_end / check_rk4_step(rk4_step)
+    n_steps = t_end / check_setting("rk4_step", rk4_step)
     if not n_steps <= MAX_GEODESIC_STEPS:
         raise ValueError(f"a geodesic run is limited to {MAX_GEODESIC_STEPS} steps, "
                          f"got t_end / rk4_step = {n_steps:.6g}")

@@ -15,8 +15,8 @@ into Wirtinger derivatives,
     d/dz = (d/dx - i d/dy) / 2,   d/dconj(z) = (d/dx + i d/dy) / 2,
 
 which validates each closed form against a derivative it does not share
-code with.  Default step 1e-4 puts the O(step^2) truncation error near
-1e-8, safely below the 1e-6 gates used by the checks.
+code with.  The default step (``fd_step``) puts the O(step^2) truncation
+error near 1e-8, safely below the 1e-6 gates used by the checks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .core import (
     HermitianMetric2,
     JacobiPoint,
     ModelParams,
+    SETTINGS,
     check_metric,
+    check_setting,
     eta_at,
     hermitian_det,
 )
@@ -48,11 +50,10 @@ MIN_STENCIL_STEP = 1e-6
 class WirtingerStencil:
     """Central-difference step for Wirtinger derivatives of smooth fields."""
 
-    step: float = 1e-4
+    step: float = SETTINGS["fd_step"].default
 
     def __post_init__(self):
-        if not (1e-7 <= self.step <= 1e-2):
-            raise ValueError(f"step {self.step} outside [1e-7, 1e-2]")
+        check_setting("fd_step", self.step)
 
 
 def metric_at(z, w, p, params: ModelParams):

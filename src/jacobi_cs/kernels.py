@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import K_MIN, InvalidK, JacobiPoint, ModelParams, p_at
+from .core import InvalidK, JacobiPoint, ModelParams, check_setting, p_at
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class TruncationOrder:
     m_max: int
 
     def __post_init__(self):
-        if self.n_max < 1 or self.m_max < 1:
-            raise ValueError("truncation orders must be >= 1")
+        check_setting("n_max", self.n_max)
+        check_setting("m_max", self.m_max)
 
 
 def heisenberg_kernel(z: complex, z2: complex, mu: float) -> complex:
@@ -65,8 +65,7 @@ def heisenberg_kernel(z: complex, z2: complex, mu: float) -> complex:
 
 def disk_kernel(w: complex, w2: complex, k: float) -> complex:
     """Disk-factor kernel (1 - w conj(w2))^(-2k), principal branch."""
-    if k < K_MIN:
-        raise ValueError(f"k must be at least 3/4, got {k}")
+    check_setting("k", k)
     return cmath.exp(-2.0 * k * cmath.log(1.0 - w * w2.conjugate()))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import K_MIN, InvalidK, JacobiPoint, ModelParams, make_jacobi_point, p_at
+from .core import K_MIN, InvalidK, JacobiPoint, ModelParams, check_setting, make_jacobi_point, p_at
 from .kernels import BasisIndex, basis_factors_at, disk_coeff_log, potential_at
 
 # Flattening exponent for the radial proposal when 2k - 2 <= 0; the target
@@ -50,9 +50,6 @@ _GRAM_Z_INFLATION = 3.0
 # Gauss-Legendre nodes per polar axis of disk_inner_product_gl.
 _GL_NODES = 64
 
-# The fewest samples a Monte Carlo estimate takes.
-MIN_MC_SAMPLES = 1000
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -62,10 +59,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < MIN_MC_SAMPLES:
-            raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        check_setting("mc_samples", self.n_samples)
+        check_setting("seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,10 @@ import numpy as np
 
 from . import algebra, bargmann, core, embedding, geodesics, geometry, group, kernels, quadrature
 from .core import SUITE_NAMES  # noqa: F401  (re-exported; the keys of _SUITES)
-from .core import JacobiPoint, ModelParams, TangentVector, hermitian_det, make_jacobi_point, p_at
+from .core import (SETTINGS, JacobiPoint, ModelParams, TangentVector, check_setting,
+                   hermitian_det, make_jacobi_point, p_at)
 from .geometry import WirtingerStencil
 from .kernels import BasisIndex, TruncationOrder
-from .quadrature import MIN_MC_SAMPLES
 
 # The quadrature Gram part takes longer than the other nine parts together
 # (in-process medians of five at seed 0 on a 2-vCPU Xeon VM, two runs: the
@@ -45,9 +45,6 @@ _GEODESIC_SPAN = 2.0
 # the embedding and quadrature suites need a basis, so they run at this k
 # whatever the configuration says
 _BASIS_K = 1.25
-# The quadrature suite's inner product draws mc_samples / 10 samples in one
-# array, 32 B each: 0.32 GB at this limit.  The floor is quadrature's.
-MAX_MC_SAMPLES = 10**8
 
 # check name -> (identity, default tolerance), in report order.  A default
 # of None is data-dependent: the suite part yields it with the deviation.
@@ -111,32 +108,32 @@ CHECKS: dict[str, tuple[str, float | None]] = {
 
 @dataclass
 class VerifyConfig:
-    k: float = 1.0
-    mu: float = 1.0
-    truncation: TruncationOrder = field(default_factory=lambda: TruncationOrder(40, 40))
-    fd_step: float = 1e-4
-    rk4_step: float = 1e-3
-    seed: int = 0
-    mc_samples: int = 1_000_000
+    """A report's settings, checked when made: each against its bound in
+    ``core.SETTINGS`` (which gives its default) as `verify` reads it, rk4_step
+    against the geodesics suite's span, tolerance names against :data:`CHECKS`.
+    The model parameters, truncation and stencil are built from them."""
+
+    k: float = SETTINGS["k"].default
+    mu: float = SETTINGS["mu"].default
+    n_max: int = SETTINGS["n_max"].default
+    m_max: int = SETTINGS["m_max"].default
+    fd_step: float = SETTINGS["fd_step"].default
+    rk4_step: float = SETTINGS["rk4_step"].default
+    seed: int = SETTINGS["seed"].default
+    mc_samples: int = SETTINGS["mc_samples"].default
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in SETTINGS:
+            check_setting(name, getattr(self, name), "verify")
         # the geodesics suite integrates over t in [0, _GEODESIC_SPAN] at most
         geodesics.step_count(_GEODESIC_SPAN, self.rk4_step)
-        if not MIN_MC_SAMPLES <= self.mc_samples <= MAX_MC_SAMPLES:
-            raise ValueError(f"mc_samples must be between {MIN_MC_SAMPLES} and "
-                             f"{MAX_MC_SAMPLES}, got {self.mc_samples}")
         unknown = [check for check in self.tolerances if check not in CHECKS]
         if unknown:
             raise ValueError(f"tolerances name unknown checks: {unknown}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    def stencil(self) -> WirtingerStencil:
-        return WirtingerStencil(step=self.fd_step)
-
-    def params(self) -> ModelParams:
-        return ModelParams(self.k, self.mu)
+        self.params = ModelParams(self.k, self.mu)
+        self.truncation = TruncationOrder(self.n_max, self.m_max)
+        self.stencil = WirtingerStencil(self.fd_step)
 
 
 def _record(cfg: VerifyConfig, check: str, deviation: float,
@@ -460,7 +457,7 @@ def disk_marginal_deviation() -> float:
 
 def suite_algebra(cfg: VerifyConfig) -> Iterator[tuple]:
     yield "commutation-relations", commutation_deviation(_PARAM_GRID)
-    params = cfg.params()
+    params = cfg.params
     one = algebra.BiPolynomial.one()
     yield "lowest-weight", max(
         algebra.apply_generator(algebra.Generator.A, one, params).max_abs(),
@@ -473,7 +470,7 @@ def suite_algebra(cfg: VerifyConfig) -> Iterator[tuple]:
 
 def suite_kernels(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
-    params = cfg.params()
+    params = cfg.params
     pts = random_points(rng, 60)
     z, w = _zw(pts)
     pairs = _zw(pts[::2]) + _zw(pts[1::2])
@@ -519,12 +516,11 @@ def suite_kernels(cfg: VerifyConfig) -> Iterator[tuple]:
 
 def suite_geometry(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
-    stencil = cfg.stencil()
 
     yield "metric-vs-potential", metric_hessian_deviation(
-        [(pr, random_points(rng, 20)) for pr in _PARAM_GRID], stencil)
+        [(pr, random_points(rng, 20)) for pr in _PARAM_GRID], cfg.stencil)
 
-    params = cfg.params()
+    params = cfg.params
     pts = random_points(rng, 100)
     z, w = _zw(pts)
     p = p_at(w)
@@ -537,10 +533,10 @@ def suite_geometry(cfg: VerifyConfig) -> Iterator[tuple]:
     dev = 0.0
     for pt in pts[:10]:
         rc = geometry.ricci_at(pt.p)
-        rf = geometry.ricci_fd(pt, params, stencil)
+        rf = geometry.ricci_fd(pt, params, cfg.stencil)
         dev = max(dev, *(abs(c - f) for c, f in zip(rc, rf)))
     yield "ricci-closed-vs-fd", dev
-    yield "kahler-condition", max(geometry.kahler_condition_check(pt, params, stencil)
+    yield "kahler-condition", max(geometry.kahler_condition_check(pt, params, cfg.stencil)
                                   for pt in pts[:10])
     yield "non-einstein-witness", non_einstein_deviation(pts[:25], params)
 
@@ -550,7 +546,7 @@ def suite_geometry(cfg: VerifyConfig) -> Iterator[tuple]:
 
 def suite_group(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
-    params = cfg.params()
+    params = cfg.params
     pts = random_points(rng, 40, z_scale=1.0, w_radius=0.5)
     elements = random_elements(rng, 20)
 
@@ -598,7 +594,7 @@ def suite_group(cfg: VerifyConfig) -> Iterator[tuple]:
 
 def suite_geodesics(cfg: VerifyConfig) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
-    params = cfg.params()
+    params = cfg.params
     pts = random_points(rng, 20, w_radius=0.5)
 
     dev = 0.0
@@ -610,7 +606,7 @@ def suite_geodesics(cfg: VerifyConfig) -> Iterator[tuple]:
         a2 = geodesics.christoffel_rhs(state, params)
         dev = max(dev, abs(a1.dz - a2.dz), abs(a1.dw - a2.dw))
     yield "acceleration-two-routes", dev
-    yield "connection-defining-relation", connection_deviation(pts[:10], params, cfg.stencil())
+    yield "connection-defining-relation", connection_deviation(pts[:10], params, cfg.stencil)
 
     n_steps = geodesics.step_count(_GEODESIC_SPAN, cfg.rk4_step)
     yield "flat-limit-closed-form", flat_limit_deviation(
@@ -647,7 +643,7 @@ def suite_embedding(cfg: VerifyConfig) -> Iterator[tuple]:
     dev_pair, dev_angle = pairing_deviation(pts[::2], pts[1::2], params, trunc)
     yield "projective-pairing", dev_pair
     yield "angle-vs-projective-distance", dev_angle
-    yield "projective-metric-pullback", pullback_deviation(pts[:4], params, trunc, cfg.stencil())
+    yield "projective-metric-pullback", pullback_deviation(pts[:4], params, trunc, cfg.stencil)
     yield "embedding-norm-convergence", embedding_norm_deviation(pts[:10], params, trunc)
     yield "length-dominates-angle", angle_bound_violation(pts[::2], pts[1::2], params)
 
@@ -663,7 +659,7 @@ def _quadrature_head(cfg: VerifyConfig) -> Iterator[tuple]:
     yield "weight-kernel-product", np.max(np.abs(product - lam) / lam)
     est = quadrature.inner_product_mc(     # on a tenth of the Gram's samples
         BasisIndex(0, 0), BasisIndex(0, 0), params,
-        quadrature.McConfig(max(MIN_MC_SAMPLES, cfg.mc_samples // 10), cfg.seed))
+        quadrature.McConfig(max(SETTINGS["mc_samples"].low, cfg.mc_samples // 10), cfg.seed))
     yield "unit-normalization", abs(est.value - 1.0), 3.0 * est.std_error
 
 

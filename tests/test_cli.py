@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import assert_no_children, run_python
 from jacobi_cs import cli, core, verify
 from jacobi_cs.cli import MAX_GEODESIC_STEPS, main, parse_complex, parse_range
+from jacobi_cs.core import SETTINGS
 
 
 PINNED_CSV = (
@@ -103,7 +104,8 @@ _RK4 = "error: rk4_step must be finite and positive, got"
 _DISK = "is not inside the open disk"
 _HEADER = "re_z,im_z,re_w,im_w,"
 _ROW = "0.0,0.0,0.0,4.0"        # the rest of a volume row at w = 0
-_ORDER = f"error: {{}} must be at most {cli.MAX_TRUNCATION_ORDER}, got 10000"
+_ORDER = "error: {} must be between 1 and 200, got {}"
+_MC = SETTINGS["mc_samples"]
 _ESCAPE = '{{"error": "boundary escape", "t": {}}}\n'
 _UNREAD_ARGV = {"eval": "eval kernel", "table": "table volume", "geodesic": "geodesic"}
 
@@ -178,6 +180,9 @@ CONTRACT: dict[str, Case] = {
     "TestGeodesic::test_degenerate_metric_exits_2": Case(
         "geodesic --dw 0.1 --mu 0 --steps 2 --out x.csv", 2,
         "error: metric coefficients are not positive definite (h_zz=0.0, h_ww=2.0, det=0.0)"),
+    # stdout carries the summary, so it cannot carry the CSV too
+    "TestGeodesic::test_out_to_stdout_exits_2": Case(
+        f"{_GEO} --out -", 2, "error: --out must name a file: stdout carries the JSON summary"),
     # a Runge-Kutta stage leaves the disk; no CSV at the default path either
     "TestGeodesic::test_boundary_escape_exits_3": Case(
         "geodesic --w 0.9 --dw 2.0 --mu 0 --t-end 2", 3,
@@ -198,14 +203,22 @@ CONTRACT: dict[str, Case] = {
     "TestVerifyCommand::test_coarse_step_fails_fd_checks": Case(
         "verify geometry --fd-step 1e-2", 1, "", JSON),
     "TestVerifyCommand::test_out_of_range_step_exits_2": Case(
-        "verify geometry --fd-step 0.1", 2, "error: step 0.1 outside [1e-7, 1e-2]"),
+        "verify geometry --fd-step 0.1", 2, "error: fd_step must be between 1e-07 and 0.01, "
+        "got 0.1", suites=False),
+    # a setting out of its bound is refused whether or not the suites read it
+    **{f"TestVerifyCommand::test_setting_out_of_range_exits_2_before_any_suite[{argv}]": Case(
+        f"verify {argv}", 2, f"error: {err}", suites=False) for argv, err in [
+            ("algebra --fd-step 1", "fd_step must be between 1e-07 and 0.01, got 1.0"),
+            ("quadrature --fd-step nan", "fd_step must be between 1e-07 and 0.01, got nan"),
+            ("all --fd-step 1", "fd_step must be between 1e-07 and 0.01, got 1.0"),
+            ("all --mu 0", "mu must be finite and positive, got 0.0"),
+            ("all --n-max 0", "n_max must be between 1 and 200, got 0")]},
     **{f"TestVerifyCommand::test_bad_rk4_step_exits_2[argv{i}]": Case(
         f"verify geodesics --rk4-step {step}", 2, err) for i, (step, err) in enumerate([
             ("0", f"{_RK4} 0.0"), ("-1", f"{_RK4} -1.0"), ("1e-7", f"{_LIMIT} 2e+07")])},
     **{f"TestVerifyCommand::test_mc_samples_out_of_range_exits_2_before_any_suite[{n}]": Case(
         f"verify all --mc-samples {n}", 2, f"error: mc_samples must be between "
-        f"{verify.MIN_MC_SAMPLES} and {verify.MAX_MC_SAMPLES}, got {n}", suites=False)
-       for n in (verify.MIN_MC_SAMPLES - 1, verify.MAX_MC_SAMPLES + 1)},
+        f"{_MC.low} and {_MC.high}, got {n}", suites=False) for n in (_MC.low - 1, _MC.high + 1)},
     "TestVerifyCommand::test_negative_seed_exits_2_before_any_suite": Case(
         "verify all --seed -1", 2, "error: seed must be non-negative, got -1", suites=False),
     "TestVerifyCommand::test_negative_seed_in_the_config_exits_2_before_any_suite": Case(
@@ -216,13 +229,15 @@ CONTRACT: dict[str, Case] = {
         "error: tolerances name unknown checks: ['scalar-curvature-constnat']",
         config='{"tolerances": {"scalar-curvature-constnat": 1e-300}}', suites=False),
     **{f"TestVerifyCommand::test_truncation_order_over_limit_exits_2_before_any_suite[{key}]":
-       Case(f"verify all --{key.replace('_', '-')} 10000", 2, _ORDER.format(key), suites=False)
+       Case(f"verify all --{key.replace('_', '-')} 10000", 2, _ORDER.format(key, 10000),
+            suites=False)
        for key in ("n_max", "m_max")},
     **{f"TestVerifyCommand::test_truncation_order_in_the_config_over_limit_exits_2[{key}]": Case(
-        "verify all --config cfg.json", 2, _ORDER.format(key), config=json.dumps({key: 10000}),
+        "verify all --config cfg.json", 2, _ORDER.format(key, 10000),
+        config=json.dumps({key: 10000}),
         suites=False) for key in ("n_max", "m_max")},
     **{f"TestVerifyCommand::test_truncation_order_at_the_limit_is_taken[{flag}]": Case(
-        f"verify all --{flag} {cli.MAX_TRUNCATION_ORDER}", 0, "", JSON, suites=False)
+        f"verify all --{flag} {SETTINGS['n_max'].high}", 0, "", JSON, suites=False)
        for flag in ("n-max", "m-max")},
     "TestVerifyCommand::test_boundary_escape_exits_3": Case(
         "verify geodesics --rk4-step 1.5", 3, "error: trajectory left the disk at t=0"),
@@ -252,11 +267,11 @@ CONTRACT: dict[str, Case] = {
         f"{_HEADER}h_ww,h_zw_im,h_zw_re,h_zz\n1e+200,0.0,0.0,0.0,inf,0.0,1e+200,1.0\n"),
     **{f"TestConfig::test_config_value_of_wrong_type_exits_2[entry{i}]": Case(
         f"{_GEO} --config cfg.json --out x.csv", 2,
-        f"error: config key {key!r} takes a {kind}, got {value!r}",
+        f"error: config key {key!r} takes {kind}, got {value!r}",
         config=json.dumps({key: value}))
-       for i, (key, kind, value) in enumerate([("k", "float", "1"), ("rk4_step", "float", "0.001"),
-                                               ("seed", "int", 1.5), ("mu", "float", True),
-                                               ("tolerances", "dict", [])])},
+       for i, (key, kind, value) in enumerate([
+           ("k", "a number", "1"), ("rk4_step", "a number", "0.001"), ("seed", "an integer", 1.5),
+           ("mu", "a number", True), ("tolerances", "an object", [])])},
     **{f"TestConfig::test_tolerance_not_a_finite_non_negative_number_exits_2[{tol}]": Case(
         "verify geometry --config cfg.json", 2, "error: tolerance 'scalar-curvature-constant' "
         f"takes a finite, non-negative number, got {got}",
@@ -277,9 +292,9 @@ CONTRACT: dict[str, Case] = {
     **{f"TestContract::test_unread_setting_exits_2[{command} --{flag}]": Case(
         f"{_UNREAD_ARGV[command]} --{flag} 1", 2,
         f"jacobi-cs: error: unrecognized arguments: --{flag} 1")
-       for command, keys in cli._COMMAND_SETTINGS.items()
-       for flag in [key.replace("_", "-") for key in cli._COMMAND_SETTINGS["verify"]
-                    if key not in keys]},
+       for command in _UNREAD_ARGV
+       for flag in [key.replace("_", "-") for key, setting in SETTINGS.items()
+                    if command not in setting.commands]},
 }
 
 
@@ -319,10 +334,26 @@ def case(request):
     return CONTRACT[f"{request.cls.__name__}::{request.node.name}"]
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 class TestContract:
+    def test_readme_settings_table_is_the_settings(self):
+        # rows: | `name` | default | bound | commands |, after the table's header
+        text = README.read_text(encoding="utf-8").split("| setting | default | bound | commands |")
+        rows = [line.strip("| ").split(" | ")
+                for line in text[1].split("\n\n")[0].splitlines()[2:]]
+        assert [row[0].strip("`") for row in rows] == list(SETTINGS)
+        for (_, default, bound, commands), setting in zip(rows, SETTINGS.values()):
+            assert type(setting.default)(default) == setting.default
+            assert bound == "; ".join([setting.bound()] + [
+                f"{setting.bound(c)} for `{c}`" for c in setting.commands
+                if setting.bound(c) != setting.bound()])
+            assert commands == ", ".join(f"`{c}`" for c in setting.commands)
+
     def test_readme_exit_table_is_in_the_contract(self):
         # rows: | `jacobi-cs argv` | config | code | stderr's last line | stdout |
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         rows = re.findall(r"^\| `jacobi-cs ([^`]*)` \| ?([^|]*?) ?\| (\d) \| (.*) \| (.*) \|$",
                           readme, re.MULTILINE)
         assert len(rows) >= 20
@@ -338,7 +369,8 @@ class TestContract:
         ("geodesic", "--z --w --dz --dw --t-end --steps --out"), ("verify", "")])
     def test_help_lists_the_settings_read(self, capsys, command, own):
         code, out, _ = run(capsys, command, "--help")
-        settings = ["--" + key.replace("_", "-") for key in cli._COMMAND_SETTINGS[command]]
+        settings = ["--" + key.replace("_", "-") for key, setting in SETTINGS.items()
+                    if command in setting.commands]
         assert code == 0
         assert set(re.findall(r"--[a-z0-9-]+", out)) == {"--help", *settings, *own.split()}
 
@@ -466,15 +498,17 @@ class TestVerifyCommand:
         assert (code, out, err) == (3, "", "error: trajectory left the disk at t=0\n")
 
     def test_forked_error_stderr_is_one_line(self):
-        # at mu = 0 the algebra suite raises first in name order; the
-        # geometry suite, run meanwhile in a worker, warns, but a run in
-        # name order would never have reached it
+        # at mu = 1e300 the embedding suite overflows first in name order;
+        # the geodesics, geometry, group and kernels suites, run meanwhile in
+        # the workers, overflow too, but a run in name order would never have
+        # reached them
         proc = run_python("import sys\n"
                           "from jacobi_cs import cli, core\n"
                           "core.usable_cpus = lambda: 3\n"
-                          "sys.exit(cli.main(['verify', 'all', '--mu', '0']))\n")
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == "error: the operator realization needs mu > 0\n"
+                          "sys.exit(cli.main(['verify', 'all', '--mu', '1e300']))\n")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("error: the embedding suite overflowed at these settings: "
+                               "absolute value too large\n")
 
     @pytest.mark.parametrize("cpus, parts", [
         pytest.param(2, "algebra[0], bargmann[0], embedding[0], geodesics[0], geometry[0], "
@@ -908,7 +942,7 @@ class TestFuzz:
 
     # the suites' basis matrices hold (n_max + 1)(m_max + 1) entries per
     # point, so the orders stay small; 0 and below, and orders over
-    # cli.MAX_TRUNCATION_ORDER, are refused
+    # the n_max and m_max bound of SETTINGS, are refused
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(suite=st.sampled_from(["kernels", "embedding"]),
@@ -918,19 +952,19 @@ class TestFuzz:
     def test_verify_truncation(self, suite, n_max, m_max, k, mu):
         code = self.check(["verify", suite, *_given(("--n-max", n_max), ("--m-max", m_max),
                                                     ("--k", k), ("--mu", mu))], error_line=True)
-        if any(order is not None and not 1 <= order <= cli.MAX_TRUNCATION_ORDER
-               for order in (n_max, m_max)):
+        if any(order is not None and not SETTINGS[key].low <= order <= SETTINGS[key].high
+               for key, order in (("n_max", n_max), ("m_max", m_max))):
             assert code == 2
 
     # in range, the quadrature suite's parts run forked on small sample counts
     @settings(max_examples=60, deadline=None)
     @given(mc_samples=st.one_of(
-        st.integers(verify.MIN_MC_SAMPLES, 20_000),
-        st.integers(max_value=verify.MIN_MC_SAMPLES - 1),
-        st.integers(min_value=verify.MAX_MC_SAMPLES + 1)))
+        st.integers(_MC.low, 20_000),
+        st.integers(max_value=_MC.low - 1),
+        st.integers(min_value=_MC.high + 1)))
     def test_verify_quadrature_mc_samples(self, mc_samples):
         code = self.check(["verify", "quadrature", f"--mc-samples={mc_samples}"])
-        in_range = verify.MIN_MC_SAMPLES <= mc_samples <= verify.MAX_MC_SAMPLES
+        in_range = _MC.low <= mc_samples <= _MC.high
         assert code in ((0, 1) if in_range else (2,))
 
 
