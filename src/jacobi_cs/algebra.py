@@ -12,19 +12,18 @@ Polynomials are closed under all five, so commutators can be evaluated
 exactly and compared coefficient-wise against the structure constants of
 the algebra (a Heisenberg pair extended by the su(1,1) triple).
 ``check_relations`` writes each generator once as a real matrix on the
-monomials, built from the same rewrite rules, and checks a relation on all
-monomials at once with two matrix products.
+monomials, built from the same rewrite rules, and measures a relation on
+all monomials at once with two matrix products.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, check_positive_mu
 
 
 class Generator(enum.Enum):
@@ -118,8 +117,7 @@ def _apply_monomial(g: Generator, i: int, j: int, params: ModelParams,
 
 def apply_generator(g: Generator, p: BiPolynomial, params: ModelParams) -> BiPolynomial:
     """Exact polynomial image of p under one generator."""
-    if params.mu <= 0.0:
-        raise ValueError("the operator realization needs mu > 0")
+    check_positive_mu(params.mu)
     out = BiPolynomial()
     for (i, j), c in p.coeffs.items():
         for di, dj, factor in _apply_monomial(g, i, j, params, 2.0 * params.k):
@@ -152,7 +150,7 @@ _RELATIONS: list[tuple[str, Generator, Generator, float, Generator | None]] = [
 
 
 def _monomials(max_degree: int, extra: int) -> list[tuple[int, int]]:
-    """(i, j) with i + j <= max_degree in report order, then degrees up to max_degree + extra."""
+    """(i, j) with i + j <= max_degree in column order, then degrees up to max_degree + extra."""
     low = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
     high = [(i, d - i) for d in range(max_degree + 1, max_degree + extra + 1)
             for i in range(d + 1)]
@@ -176,48 +174,18 @@ def _generator_matrix(g: Generator, monomials: list[tuple[int, int]],
     return out
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    relation: str
-    monomial: str
-    deviation: float
-    passed: bool
-
-
-@dataclass
-class RelationReport:
-    """Per-relation, per-monomial commutator verification results."""
-
-    max_degree: int
-    k: float
-    mu: float
-    tolerance: float
-    checks: list[RelationCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def max_deviation(self) -> float:
-        return max((c.deviation for c in self.checks), default=0.0)
-
-
 def check_relations(max_degree: int, params: ModelParams,
-                    tolerance: float = 1e-12,
-                    kplus_perturbation: float = 0.0) -> RelationReport:
-    """Verify every structure relation on all monomials z^i w^j, i+j <= max_degree.
+                    kplus_perturbation: float = 0.0) -> np.ndarray:
+    """Deviations of every structure relation on the monomials z^i w^j, i+j <= max_degree.
 
-    Deviations are compared coefficient-wise against ``tolerance`` scaled by
-    the larger coefficient magnitude in play (the rules carry factors mu/2
-    and k, not just integers).  ``kplus_perturbation`` shifts the 2k weight
-    inside the raising operator and exists so negative controls can confirm
-    the checker actually fails on a wrong operator.
+    Row r is relation r of ``_RELATIONS``, column c monomial c of ``_monomials``,
+    and each entry the largest coefficient of lhs - rhs; judging them is the
+    caller's.  ``kplus_perturbation`` shifts the 2k weight inside the raising
+    operator, so negative controls can confirm a wrong operator shows.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if params.mu <= 0.0:
-        raise ValueError("the operator realization needs mu > 0")
+    check_positive_mu(params.mu)
     # a product of two generators raises the degree by at most 4, so every
     # matrix below is exact on the columns it is applied to
     monomials = _monomials(max_degree, 4)
@@ -229,18 +197,10 @@ def check_relations(max_degree: int, params: ModelParams,
         ops[Generator.K_PLUS] = _generator_matrix(Generator.K_PLUS, monomials, params,
                                                   2.0 * params.k + kplus_perturbation)
     identity = np.eye(len(monomials))
-    labels = [f"z^{i} w^{j}" for i, j in monomials[:n_checked]]
-    report = RelationReport(max_degree=max_degree, k=params.k, mu=params.mu,
-                            tolerance=tolerance)
-    for name, g1, g2, coeff, rhs_gen in _RELATIONS:
+    devs = np.empty((len(_RELATIONS), n_checked))
+    for row, (_, g1, g2, coeff, rhs_gen) in enumerate(_RELATIONS):
         # column c holds the coefficients of the image of monomial c
         lhs = ops[g1] @ ops[g2][:, :n_checked] - ops[g2] @ ops[g1][:, :n_checked]
         rhs = coeff * (identity if rhs_gen is None else exact[rhs_gen])[:, :n_checked]
-        devs = np.abs(lhs - rhs).max(axis=0)
-        scales = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=0),
-                                            np.abs(rhs).max(axis=0)))
-        report.checks.extend(
-            RelationCheck(relation=name, monomial=label, deviation=dev,
-                          passed=dev <= tolerance * scale)
-            for label, dev, scale in zip(labels, devs.tolist(), scales.tolist()))
-    return report
+        devs[row] = np.abs(lhs - rhs).max(axis=0)
+    return devs

@@ -134,6 +134,12 @@ def check_setting(name: str, value, command: str | None = None):
         f"{name} must be {setting.bound(command)}, got {value}")
 
 
+def check_positive_mu(mu: float) -> float:
+    """``mu`` if finite and positive, as `verify` reads it and the kernels, the measure
+    and the operators need; :class:`ModelParams` admits the flat limit mu = 0."""
+    return check_setting("mu", mu, "verify")
+
+
 def require_finite(value: complex, name: str = "value") -> complex:
     """Return ``value`` unchanged, raising NonFinite on NaN/Inf components."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

@@ -41,7 +41,7 @@ from .core import (
 )
 from .kernels import kahler_potential
 
-# Step of real_jacobian, and the smallest step resolve_step halves down to.
+# Step of real_jacobian, and the smallest step resolve_step halves a larger one to.
 JACOBIAN_STEP = 1e-5
 MIN_STENCIL_STEP = 1e-6
 
@@ -176,13 +176,18 @@ def real_jacobian(map_fn: Callable[[complex, complex], tuple[complex, complex]],
         return np.array([a1.real, a1.imag, b1.real, b1.imag])
 
     x0 = np.array([a.real, a.imag, b.real, b.imag])
-    jac = np.zeros((4, 4))
-    for j in range(4):
+    return np.column_stack(_central_differences(real_map, x0, JACOBIAN_STEP))
+
+
+def _central_differences(f: Callable[[np.ndarray], object], x0: np.ndarray, h: float) -> list:
+    """(f(x0 + h e_j) - f(x0 - h e_j)) / 2h along each real coordinate j of x0."""
+    out = []
+    for j in range(len(x0)):
         xp, xm = x0.copy(), x0.copy()
-        xp[j] += JACOBIAN_STEP
-        xm[j] -= JACOBIAN_STEP
-        jac[:, j] = (real_map(xp) - real_map(xm)) / (2.0 * JACOBIAN_STEP)
-    return jac
+        xp[j] += h
+        xm[j] -= h
+        out.append((f(xp) - f(xm)) / (2.0 * h))
+    return out
 
 
 def pullback_real(g_target: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -205,16 +210,18 @@ def _from_coords(x: np.ndarray) -> JacobiPoint:
 def resolve_step(zeta: JacobiPoint, stencil: WirtingerStencil) -> float:
     """Step for stencils at zeta, halved near the boundary until it fits.
 
-    Raises BoundaryProximity once halving below :data:`MIN_STENCIL_STEP`
-    would still let the stencil leave the guarded disk.
+    Halving stops at :data:`MIN_STENCIL_STEP`, or, for a stencil already
+    below it, at the smallest ``fd_step`` setting: BoundaryProximity is
+    raised once a halving falls below that floor.
     """
     step = stencil.step
+    floor = MIN_STENCIL_STEP if step >= MIN_STENCIL_STEP else SETTINGS["fd_step"].low
     while abs(zeta.w) + 2.0 * step >= 1.0 - EPS_BOUND:
         step *= 0.5
-        if step < MIN_STENCIL_STEP:
+        if step < floor:
             raise BoundaryProximity(
                 f"point with |w|={abs(zeta.w):.6g} too close to the boundary "
-                f"for a stencil of step >= {MIN_STENCIL_STEP:g}")
+                f"for a stencil of step >= {floor:g}")
     return step
 
 
@@ -280,17 +287,7 @@ def _wirtinger_grad(g: Callable[[JacobiPoint], complex], zeta: JacobiPoint,
 
     The field may also return an array; each entry is differenced.
     """
-    x0 = _coords(zeta)
-
-    def at(idx: int, delta: float) -> complex:
-        x = x0.copy()
-        x[idx] += delta
-        return g(_from_coords(x))
-
-    d_x = (at(0, step) - at(0, -step)) / (2.0 * step)
-    d_y = (at(1, step) - at(1, -step)) / (2.0 * step)
-    d_u = (at(2, step) - at(2, -step)) / (2.0 * step)
-    d_v = (at(3, step) - at(3, -step)) / (2.0 * step)
+    d_x, d_y, d_u, d_v = _central_differences(lambda x: g(_from_coords(x)), _coords(zeta), step)
     return 0.5 * (d_x - 1j * d_y), 0.5 * (d_u - 1j * d_v)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidK, JacobiPoint, ModelParams, check_setting, p_at
+from .core import InvalidK, JacobiPoint, ModelParams, check_positive_mu, check_setting, p_at
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class TruncationOrder:
 
 def heisenberg_kernel(z: complex, z2: complex, mu: float) -> complex:
     """Flat-factor kernel exp(mu * z * conj(z2))."""
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    check_positive_mu(mu)
     return cmath.exp(mu * z * z2.conjugate())
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import K_MIN, InvalidK, JacobiPoint, ModelParams, check_setting, make_jacobi_point, p_at
+from .core import (K_MIN, InvalidK, JacobiPoint, ModelParams, check_positive_mu, check_setting,
+                   make_jacobi_point, p_at)
 from .kernels import BasisIndex, basis_factors_at, disk_coeff_log, potential_at
 
 # Flattening exponent for the radial proposal when 2k - 2 <= 0; the target
@@ -99,8 +100,7 @@ def _beta_shape(k: float) -> float:
 def _draw(params: ModelParams, rng: np.random.Generator,
           n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The random variates of n points, in stream order: s = |w|^2, arg w, xi."""
-    if params.mu <= 0.0:
-        raise ValueError("sampling needs mu > 0")
+    check_positive_mu(params.mu)
     b = _beta_shape(params.k)
     s = rng.beta(1.0, b, size=n)
     # keep strictly inside the guarded disk; redraw the (rare) tail hits
@@ -309,12 +309,11 @@ def disk_inner_product_gl(k: float, m1: int, m2: int) -> complex:
         raise InvalidK(f"the disk weight needs 2k in {{2, 3, ...}}; k={k}")
     log_c = disk_coeff_log(max(m1, m2), two_k)
     coeff = math.exp(0.5 * (log_c[m1] + log_c[m2]))
-    xr, wr = _gauss_legendre(_GL_NODES)
-    r = 0.5 * (xr + 1.0)            # map [-1, 1] -> [0, 1]
-    wr = 0.5 * wr
-    xt, wt = _gauss_legendre(_GL_NODES)
-    theta = math.pi * (xt + 1.0)    # map [-1, 1] -> [0, 2 pi]
-    wt = math.pi * wt
+    x, weights = _gauss_legendre(_GL_NODES)     # one rule for both polar axes
+    r = 0.5 * (x + 1.0)             # map [-1, 1] -> [0, 1]
+    wr = 0.5 * weights
+    theta = math.pi * (x + 1.0)     # map [-1, 1] -> [0, 2 pi]
+    wt = math.pi * weights
     radial = r ** (m1 + m2 + 1) * (1.0 - r**2) ** (two_k - 2.0)
     angular = np.exp(1j * (m2 - m1) * theta)
     total = float(np.sum(wr * radial)) * complex(np.sum(wt * angular))

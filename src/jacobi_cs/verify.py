@@ -13,16 +13,17 @@ deviation, tolerance, pass}, and a report aggregates suites in name order.
 Each part seeds its own generators, so a report runs them on up to one
 process per usable CPU (:func:`run_suites`): this one runs the quadrature
 Gram, about 0.5 s and twice the other parts together, and forked children
-the rest.  The acceptance tests call the same check functions on their own
-seeds and domains.  A configured tolerance overrides a check's default,
-which is how the sensitivity of the finite-difference gates can be shown
-from the command line; a name not in :data:`CHECKS` is refused.
+the rest, or this one when none is forked.  The acceptance tests call the
+same check functions on their own seeds and domains.  A configured
+tolerance overrides the default of a check named in :data:`CHECKS`, which
+shows how sensitive the finite-difference gates are; other names are refused.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -187,7 +188,7 @@ def _zw(points) -> tuple[np.ndarray, np.ndarray]:
 
 def commutation_deviation(grid) -> float:
     """Worst structure-constant deviation on monomials of degree <= 8 over a grid of params."""
-    return max(algebra.check_relations(8, params).max_deviation for params in grid)
+    return max(algebra.check_relations(8, params).max() for params in grid)
 
 
 def kernel_series_deviation(cases, trunc: TruncationOrder) -> float:
@@ -719,15 +720,14 @@ def _run_caught(part: tuple[str, int], cfg: VerifyConfig) -> tuple:
 def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     """Run the requested suites and aggregate their records in name order.
 
-    The unit of work is a suite part.  With more than one usable CPU and
-    more than one part, the quadrature Gram part (or, without it, the first
-    part) runs in this process while forked children
-    (:func:`core._fork_jobs`), up to one per usable CPU in all but this one,
-    each run the other parts dealt to them round-robin in report order, and
-    pickle their outcomes.  Each part seeds its own generators,
-    so the report is the one a single process gives, and a failing run
-    raises the error that running the parts one by one in (suite name,
-    part) order raises first.
+    The unit of work is a suite part, and every report runs through
+    :func:`core._fork_jobs`: forked children, up to one per usable CPU in
+    all but this one, each run the parts dealt to them round-robin in report
+    order, while this process runs the quadrature Gram part (or else the
+    first part).  With no child (one usable CPU, one part, no ``os.fork``)
+    it runs every part in (suite name, part) order up to the first that
+    raises.  Outcomes replay in that order, and each part seeds its own
+    generators: report, warnings and error are those of a one-by-one run.
     """
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
@@ -735,28 +735,30 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
                          f"choose from {sorted(_SUITES)}")
     suites = {name: [] for name in sorted(set(names))}
     parts = [(name, index) for name in suites for index in range(len(_SUITES[name]))]
-    workers = min(len(parts), core.usable_cpus()) - 1
-    if workers < 1 or not hasattr(os, "fork"):
-        for part in parts:
-            suites[part[0]] += _run_part(part, cfg)
-    else:
-        import pickle   # only on the fork path
-        order = sorted(parts, key=lambda part: part != _GRAM)
-        hands = [order[i::workers] for i in range(1, workers + 1)]   # round-robin
-        outcomes = {}
-        outcomes[order[0]] = core._fork_jobs(
-            lambda: _run_caught(order[0], cfg),
-            [("running " + ", ".join(f"{name}[{index}]" for name, index in hand),
-              lambda file, hand=hand: pickle.dump({p: _run_caught(p, cfg) for p in hand}, file))
-             for hand in hands],
-            lambda file: outcomes.update(pickle.load(file)))
-        # warnings and errors surface as a run in part order shows them
-        for name, index in parts:
-            result, caught = outcomes[name, index]
-            for w in caught:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-            if isinstance(result, Exception):
-                raise result
-            suites[name] += result
+    workers = min(len(parts), core.usable_cpus()) - 1 if hasattr(os, "fork") else 0
+    order = sorted(parts, key=lambda part: part != _GRAM)
+    hands = [order[i::workers] for i in range(1, workers + 1)]   # round-robin
+    outcomes = {}
+
+    def here():
+        for part in order[:1] if hands else parts:
+            outcomes[part] = _run_caught(part, cfg)
+            if isinstance(outcomes[part][0], Exception):
+                break       # run one by one, no later part would have run
+
+    core._fork_jobs(
+        here,
+        [("running " + ", ".join(f"{name}[{index}]" for name, index in hand),
+          lambda file, hand=hand: pickle.dump({p: _run_caught(p, cfg) for p in hand}, file))
+         for hand in hands],
+        lambda file: outcomes.update(pickle.load(file)))
+    # warnings and errors surface as a run in part order shows them
+    for name, index in parts:
+        result, caught = outcomes[name, index]
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if isinstance(result, Exception):
+            raise result
+        suites[name] += result
     all_pass = all(rec["pass"] for recs in suites.values() for rec in recs)
     return {"suites": suites, "pass": all_pass}

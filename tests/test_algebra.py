@@ -1,14 +1,19 @@
+import numpy as np
 import pytest
 
 from jacobi_cs import ModelParams
 from jacobi_cs.algebra import (
+    _RELATIONS,
     BiPolynomial,
     Generator,
+    _monomials,
     apply_generator,
     check_relations,
     commutator,
     max_coeff_deviation,
 )
+from jacobi_cs.kernels import heisenberg_kernel
+from jacobi_cs.quadrature import sample_point
 
 P1 = ModelParams(1.0, 1.0)
 
@@ -86,32 +91,38 @@ class TestCommutators:
 
 class TestCheckRelations:
     def test_degree_zero(self):
-        assert check_relations(0, P1).passed
+        devs = check_relations(0, P1)
+        assert devs.shape == (len(_RELATIONS), 1)
+        assert devs.max() <= 1e-12
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
             check_relations(-1, P1)
 
-    def test_operators_need_positive_mu(self):
-        flat = ModelParams(1.0, 0.0)
-        with pytest.raises(ValueError, match="needs mu > 0"):
-            check_relations(2, flat)
-        with pytest.raises(ValueError, match="needs mu > 0"):
-            apply_generator(Generator.A, BiPolynomial.one(), flat)
-
     def test_exact_on_degree_six(self):
-        report = check_relations(6, ModelParams(1.5, 2.0))
-        assert report.passed
-        assert report.max_deviation <= 1e-12
+        devs = check_relations(6, ModelParams(1.5, 2.0))
+        assert devs.shape == (len(_RELATIONS), 28)
+        assert devs.max() <= 1e-12
 
     def test_grid_degree_eight(self):
         for k in (1.0, 1.5, 2.0):
             for mu in (0.5, 1.0, 2.0):
-                assert check_relations(8, ModelParams(k, mu)).passed
+                assert check_relations(8, ModelParams(k, mu)).max() <= 1e-12
 
     def test_negative_control_reports_failure(self):
-        report = check_relations(6, P1, kplus_perturbation=0.37)
-        assert not report.passed
-        failing = {c.relation for c in report.checks if not c.passed}
-        assert "[K-,K+]=2K0" in failing
+        devs = check_relations(6, P1, kplus_perturbation=0.37)
+        row = [name for name, *_ in _RELATIONS].index("[K-,K+]=2K0")
+        assert devs[row].max() == pytest.approx(0.37, rel=1e-12)
+
+
+# Every library guard that needs mu > 0 reads the bound verify reads, with one message.
+@pytest.mark.parametrize("call", [
+    lambda params: check_relations(2, params),
+    lambda params: apply_generator(Generator.A, BiPolynomial.one(), params),
+    lambda params: heisenberg_kernel(0.0, 0.0, params.mu),
+    lambda params: sample_point(params, np.random.default_rng(0)),
+], ids=["check_relations", "apply_generator", "heisenberg_kernel", "sample_point"])
+def test_library_guards_need_positive_mu(call):
+    with pytest.raises(ValueError, match=r"^mu must be finite and positive, got 0\.0$"):
+        call(ModelParams(1.25, 0.0))
 
 
 # The ten structure relations with their right-hand sides as BiPolynomial
@@ -141,19 +152,20 @@ ORACLE_RELATIONS = {
 @pytest.mark.parametrize("k,mu", [(1.0, 1.0), (1.75, 0.6)])
 def test_relation_matrices_match_polynomial_commutators(k, mu):
     params = ModelParams(k, mu)
-    report = check_relations(5, params)
+    devs = check_relations(5, params)
     monomials = [(i, j) for i in range(6) for j in range(6 - i)]
-    assert [(c.relation, c.monomial) for c in report.checks] == [
-        (name, f"z^{i} w^{j}") for name in ORACLE_RELATIONS for i, j in monomials]
-    for check, (i, j) in zip(report.checks, monomials * len(ORACLE_RELATIONS)):
-        g1, g2, rhs_of = ORACLE_RELATIONS[check.relation]
-        p = BiPolynomial.monomial(i, j)
-        lhs, rhs = commutator(g1, g2, p, params), rhs_of(p, params)
-        # the two evaluations round the products g1 g2 p and g2 g1 p in
-        # different orders, so they agree to the size of those terms, not
-        # of their (possibly cancelled) difference
-        terms = (apply_generator(g1, apply_generator(g2, p, params), params),
-                 apply_generator(g2, apply_generator(g1, p, params), params), rhs)
-        scale = max(1.0, *(t.max_abs() for t in terms))
-        assert abs(check.deviation - max_coeff_deviation(lhs, rhs)) <= 1e-15 * scale
-        assert check.passed
+    assert [name for name, *_ in _RELATIONS] == list(ORACLE_RELATIONS)
+    assert _monomials(5, 0) == monomials
+    assert devs.shape == (len(ORACLE_RELATIONS), len(monomials))
+    for row, (g1, g2, rhs_of) in zip(devs.tolist(), ORACLE_RELATIONS.values()):
+        for dev, (i, j) in zip(row, monomials):
+            p = BiPolynomial.monomial(i, j)
+            lhs, rhs = commutator(g1, g2, p, params), rhs_of(p, params)
+            # the two evaluations round the products g1 g2 p and g2 g1 p in
+            # different orders, so they agree to the size of those terms, not
+            # of their (possibly cancelled) difference
+            terms = (apply_generator(g1, apply_generator(g2, p, params), params),
+                     apply_generator(g2, apply_generator(g1, p, params), params), rhs)
+            scale = max(1.0, *(t.max_abs() for t in terms))
+            assert abs(dev - max_coeff_deviation(lhs, rhs)) <= 1e-15 * scale
+            assert dev <= 1e-12

@@ -19,6 +19,7 @@ from jacobi_cs.core import p_at
 from jacobi_cs.geometry import (
     hermitian_to_symplectic,
     metric_at,
+    resolve_step,
     ricci_at,
     scalar_curvature_at,
     speed_at,
@@ -79,8 +80,16 @@ class TestMetricFiniteDifference:
 
     def test_boundary_proximity(self):
         p = make_jacobi_point(0.0, 0.999997)
-        with pytest.raises(BoundaryProximity):
+        with pytest.raises(BoundaryProximity, match=r"step >= 1e-06$"):
             metric_fd(p, P1, WirtingerStencil(1e-4))
+        # a step of at least 1e-6 halves down to 1e-6, a smaller one down to
+        # the smallest fd_step setting, 1e-7
+        near = make_jacobi_point(0.1, 0.9999992)
+        with pytest.raises(BoundaryProximity, match=r"step >= 1e-06$"):
+            resolve_step(near, WirtingerStencil(1e-6))
+        assert resolve_step(near, WirtingerStencil(5e-7)) == 2.5e-7
+        with pytest.raises(BoundaryProximity, match=r"step >= 1e-07$"):
+            resolve_step(make_jacobi_point(0.1, 0.9999999), WirtingerStencil(5e-7))
 
     def test_step_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from jacobi_cs import (
     BasisIndex,
     InvalidK,
     ModelParams,
+    NonFinite,
     TruncationOrder,
     basis_function,
     diastasis_split,
@@ -67,6 +68,8 @@ class TestFactorKernels:
     def test_mu_must_be_positive(self):
         with pytest.raises(ValueError):
             heisenberg_kernel(0.0, 0.0, 0.0)
+        with pytest.raises(NonFinite, match="mu must be finite and positive, got nan"):
+            heisenberg_kernel(0.0, 0.0, math.nan)
 
     def test_disk_at_k_bound_matches_jacobi_kernel(self):
         # k = 3/4 is admitted by ModelParams and disk_kernel alike

@@ -106,7 +106,7 @@ class TestSampler:
             McConfig(100)
         with pytest.raises(ValueError):
             McConfig(10_000, -1)
-        with pytest.raises(ValueError, match="sampling needs mu > 0"):
+        with pytest.raises(ValueError, match=r"mu must be finite and positive, got 0\.0"):
             sample_point(ModelParams(1.25, 0.0), np.random.default_rng(0))
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import assert_no_children, run_python
+from conftest import run_python
 from jacobi_cs import core, verify
 from jacobi_cs.core import BoundaryEscape
 from jacobi_cs.verify import (
@@ -94,42 +94,47 @@ _CHEAP = ["algebra", "bargmann", "group"]
     (4, ["group"], True),       # one suite of one part
     (4, _CHEAP, False),         # no fork start method
 ])
-def test_no_pool_without_a_worker(monkeypatch, cpus, names, fork):
+def test_no_pool_without_a_worker(monkeypatch, forked, cpus, names, fork):
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     if not fork:
         monkeypatch.delattr(os, "fork")
-
-    def no_fork(*args):
-        raise AssertionError("a child was forked")
-
-    monkeypatch.setattr(core, "_fork_jobs", no_fork)
     cfg = VerifyConfig()
     assert run_suites(names, cfg) == _name_order_report(names, cfg)
-    assert_no_children()
-
-
-def _fake_part(error=None, warning=None):
-    def run(cfg):
-        if warning:
-            warnings.warn(warning)
-        if error:
-            raise error
-        yield "lowest-weight", 0.0
-    return run
-
-
-def _fake_suites(monkeypatch, errors=None, warns=None):
-    """Replace every suite part by one that warns ``warns[part]``, raises
-    ``errors[part]`` or yields one check; each suite keeps its number of
-    parts, so the parts run where the real ones would."""
-    errors, warns = errors or {}, warns or {}
-    monkeypatch.setattr(verify, "_SUITES", {
-        name: tuple(_fake_part(errors.get((name, i)), warns.get((name, i)))
-                    for i in range(len(parts)))
-        for name, parts in verify._SUITES.items()})
+    assert forked == [0]            # no child was forked
 
 
 GRAM, HEAD, TAIL = ("quadrature", 1), ("quadrature", 0), ("quadrature", 2)
+PARTS = [(name, index) for name in SUITE_NAMES for index in range(len(verify._SUITES[name]))]
+
+
+def _faulty_run(monkeypatch, forked, cpus, names, errors=None, warns=None):
+    """Run suites ``names`` on ``cpus`` usable CPUs, each part replaced by one
+    that warns ``warns[part]``, raises ``errors[part]`` or yields one check,
+    and expect an error.  Each suite keeps its number of parts, so the parts
+    run where the real ones would.  Returns the error, the messages of the
+    warnings shown and the parts this process ran, in order."""
+    errors, warns, ran = errors or {}, warns or {}, []
+
+    def fake(part):
+        def run(cfg):
+            ran.append(part)
+            if part in warns:
+                warnings.warn(warns[part])
+            if part in errors:
+                raise errors[part]
+            yield "lowest-weight", 0.0
+        return run
+
+    monkeypatch.setattr(verify, "_SUITES", {
+        name: tuple(fake((name, i)) for i in range(len(parts)))
+        for name, parts in verify._SUITES.items()})
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+    forked.clear()
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(Exception) as err:
+        warnings.simplefilter("always")
+        run_suites(names, VerifyConfig())
+    assert forked == [cpus - 1]
+    return err.value, [str(w.message) for w in caught], ran
 
 
 @pytest.mark.parametrize("errors, first", [
@@ -143,38 +148,38 @@ GRAM, HEAD, TAIL = ("quadrature", 1), ("quadrature", 0), ("quadrature", 2)
      BoundaryEscape(0.5)),
 ])
 def test_forked_run_raises_the_first_error_in_name_order(forked, monkeypatch, errors, first):
-    _fake_suites(monkeypatch, errors)
-    with pytest.raises(type(first)) as err:
-        run_suites(list(SUITE_NAMES), VerifyConfig())
-    assert forked == [2]
-    assert str(err.value) == str(first)
-    assert vars(err.value) == vars(first)
+    for cpus in (3, 1):
+        error, _, ran = _faulty_run(monkeypatch, forked, cpus, list(SUITE_NAMES), errors)
+        assert type(error) is type(first)
+        assert str(error) == str(first)
+        assert vars(error) == vars(first)
+    # on one CPU no part after the first failing one ran
+    assert ran == PARTS[:PARTS.index(min(errors)) + 1]
 
 
 def test_forked_warnings_shown_in_name_order_up_to_the_first_error(forked, monkeypatch):
-    _fake_suites(monkeypatch,
-                 errors={("bargmann", 0): ValueError("bargmann")},
-                 warns={("algebra", 0): "algebra", ("bargmann", 0): "bargmann",
-                        ("group", 0): "group"})           # group runs after the error
-    with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError):
-        warnings.simplefilter("always")
-        run_suites(list(SUITE_NAMES), VerifyConfig())
-    assert forked == [2]
-    assert [str(w.message) for w in caught] == ["algebra", "bargmann"]
+    for cpus in (3, 1):
+        error, shown, ran = _faulty_run(
+            monkeypatch, forked, cpus, list(SUITE_NAMES),
+            errors={("bargmann", 0): ValueError("bargmann")},
+            warns={("algebra", 0): "algebra", ("bargmann", 0): "bargmann",
+                   ("group", 0): "group"})          # group runs after the error
+        assert str(error) == "bargmann"
+        assert shown == ["algebra", "bargmann"]
+    assert ran == [("algebra", 0), ("bargmann", 0)]
 
 
 def test_worker_warning_shown_before_the_error_of_a_later_part(forked, monkeypatch):
     # head warns in a worker, the Gram part warns and fails in this process,
     # and the tail warns after it in a worker: a run in part order never
     # reaches the tail
-    _fake_suites(monkeypatch, errors={GRAM: ValueError("gram")},
-                 warns={HEAD: "head", GRAM: "gram", TAIL: "tail"})
-    with warnings.catch_warnings(record=True) as caught, \
-            pytest.raises(ValueError, match="gram"):
-        warnings.simplefilter("always")
-        run_suites(["quadrature"], VerifyConfig())
-    assert forked == [2]
-    assert [str(w.message) for w in caught] == ["head", "gram"]
+    for cpus in (3, 1):
+        error, shown, ran = _faulty_run(monkeypatch, forked, cpus, ["quadrature"],
+                                        errors={GRAM: ValueError("gram")},
+                                        warns={HEAD: "head", GRAM: "gram", TAIL: "tail"})
+        assert str(error) == "gram"
+        assert shown == ["head", "gram"]
+    assert ran == [HEAD, GRAM]
 
 
 @pytest.mark.parametrize("seed", [0, 2])
