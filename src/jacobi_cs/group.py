@@ -84,6 +84,13 @@ def mobius(g: SU11Element, w: complex) -> complex:
     return check_disk(result)
 
 
+def _delta_gamma(e: JacobiGroupElement, zeta: JacobiPoint) -> tuple[complex, complex]:
+    """The action's denominator delta = conj(b) w + conj(a) and its z numerator
+    gamma = z + alpha - conj(alpha) w at a point."""
+    a, b, alpha = e.g.a, e.g.b, e.alpha
+    return b.conjugate() * zeta.w + a.conjugate(), zeta.z + alpha - alpha.conjugate() * zeta.w
+
+
 def jacobi_action(e: JacobiGroupElement, zeta: JacobiPoint,
                   params: ModelParams) -> tuple[JacobiPoint, complex]:
     """Transformed point and scalar multiplier of the coherent-state family.
@@ -96,11 +103,10 @@ def jacobi_action(e: JacobiGroupElement, zeta: JacobiPoint,
     """
     a, b, alpha = e.g.a, e.g.b, e.alpha
     z, w = zeta.z, zeta.w
-    delta = b.conjugate() * w + a.conjugate()
+    delta, gamma = _delta_gamma(e, zeta)
     if abs(delta) <= 1e-12:
         raise DegenerateAction(f"the point action's denominator conj(b) w + conj(a) "
                                f"= {delta!r} vanishes")
-    gamma = z + alpha - alpha.conjugate() * w
     z1 = gamma / delta
     w1 = (a * w + b) / delta
     lam_exponent = (-2.0 * params.k * cmath.log(delta)
@@ -113,10 +119,8 @@ def jacobi_action(e: JacobiGroupElement, zeta: JacobiPoint,
 def action_pushforward(e: JacobiGroupElement, zeta: JacobiPoint,
                        v: TangentVector) -> TangentVector:
     """Image of a tangent vector under the (holomorphic) point action."""
-    a, b, alpha = e.g.a, e.g.b, e.alpha
-    z, w = zeta.z, zeta.w
-    delta = b.conjugate() * w + a.conjugate()
-    gamma = z + alpha - alpha.conjugate() * w
+    b, alpha = e.g.b, e.alpha
+    delta, gamma = _delta_gamma(e, zeta)
     dz1_dz = 1.0 / delta
     dz1_dw = (-alpha.conjugate() * delta - gamma * b.conjugate()) / delta**2
     dw1_dw = 1.0 / delta**2

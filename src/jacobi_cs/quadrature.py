@@ -169,27 +169,30 @@ def _mc_weights(z: np.ndarray, w: np.ndarray, q: np.ndarray,
 
 
 def _mc_blocks(params: ModelParams, cfg: McConfig, n_max: int, m_max: int,
-               draw: int, z_inflation: float = 1.0):
+               draw: int, z_inflation: float = 1.0, first: int = 0, stop: int | None = None):
     """Yield (flat, disk, weights) of :func:`basis_factors_at` block by block.
 
     The cfg.n_samples samples are drawn ``draw`` at a time from one stream
     seeded by cfg.seed; the samples depend on ``draw`` only, not on how
     they are processed.  Each draw's variates (32 B per sample) are held
     whole; they are mapped to points, weights and basis factors in blocks
-    of ``_GRAM_BLOCK``, so nothing else grows with ``draw``.
+    of ``_GRAM_BLOCK``, so nothing else grows with ``draw``.  Only draws
+    ``first`` to ``stop`` (exclusive; None: the last) are mapped: the ones
+    before are made and dropped, so the mapped samples are those of the
+    whole stream, and none after is made.
     """
     rng = np.random.default_rng(cfg.seed)
-    remaining = cfg.n_samples
-    while remaining > 0:
-        take = min(draw, remaining)
+    for index, start in enumerate(range(0, cfg.n_samples, draw)[:stop]):
+        take = min(draw, cfg.n_samples - start)
         s, theta, xi = _draw(params, rng, take)
+        if index < first:
+            continue
         for lo in range(0, take, _GRAM_BLOCK):
             block = slice(lo, lo + _GRAM_BLOCK)
             z, w, q = _transform(params, s[block], theta[block], xi[:, block],
                                  z_inflation)
             flat, disk = basis_factors_at(z, w, params, n_max, m_max)
             yield flat, disk, _mc_weights(z, w, q, params)
-        remaining -= take
 
 
 def inner_product_mc(i1: BasisIndex, i2: BasisIndex, params: ModelParams,
@@ -219,14 +222,29 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
     ``_GRAM_DRAW`` and mapped and accumulated in blocks of ``_GRAM_BLOCK``,
     in order, hence reproducible for a fixed seed; working memory is one
     draw's variates (3.2 MB) and one block's factors and pair products,
-    whatever the sample count.
+    whatever the sample count.  It is :func:`_gram_sum` of the products of
+    every draw (:func:`_gram_products`).
+    """
+    return _gram_sum(n_max, m_max, cfg.n_samples, _gram_products(n_max, m_max, params, cfg))
 
-    The accumulation follows the factorisation f[n, m] = A[n] B[m] of
+
+def _gram_draws(n_samples: int) -> range:
+    """Indices of the ``_GRAM_DRAW``-sample draws of a Gram on n_samples samples."""
+    return range(-(-n_samples // _GRAM_DRAW))
+
+
+def _gram_products(n_max: int, m_max: int, params: ModelParams, cfg: McConfig,
+                   first: int = 0, stop: int | None = None):
+    """Yield, block by block in stream order, the two products that the Gram
+    adds of the blocks of draws ``first`` to ``stop`` (see :func:`_mc_blocks`).
+
+    The products follow the factorisation f[n, m] = A[n] B[m] of
     :func:`basis_factors_at`: the weighted sum of conj(f[n, m]) f[n', m'] is
     the product of the weighted flat pairs conj(A[n]) A[n'] (n <= n' only)
     with the disk pairs conj(B[m]) B[m'], one matmul per block; the second
     moments come from the pairs of |A|^2 and |B|^2 (both symmetric) the same
-    way.  The full matrices are filled in by symmetry once, at the end.
+    way.  Each is a few kB, so a share of the draws can be mapped anywhere
+    and its products added in block order.
 
     The z proposal is inflated by ``_GRAM_Z_INFLATION``: the flat-index-3
     entries carry twelfth moments of the conditional Gaussian, and sampling
@@ -236,26 +254,39 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
     """
     n1, m1 = n_max + 1, m_max + 1
     n_pairs, m_pairs = n1 * (n1 + 1) // 2, m1 * (m1 + 1) // 2
-    s1 = np.zeros((n_pairs, m1 * m1), dtype=complex)
-    s2 = np.zeros((n_pairs, m_pairs))
     flat_pairs = np.empty((n_pairs, _GRAM_BLOCK), dtype=complex)
     disk_pairs = np.empty((m1 * m1, _GRAM_BLOCK), dtype=complex)
     flat_sq_pairs = np.empty((n_pairs, _GRAM_BLOCK))
     disk_sq_pairs = np.empty((m_pairs, _GRAM_BLOCK))
     for flat, disk, weights in _mc_blocks(params, cfg, n_max, m_max, _GRAM_DRAW,
-                                          _GRAM_Z_INFLATION):
+                                          _GRAM_Z_INFLATION, first, stop):
         size = weights.size
         weighted = np.conj(flat)
         weighted *= weights
         u = _pair_products(weighted, flat, flat_pairs[:, :size])
         v = disk_pairs[:, :size]
         np.multiply(np.conj(disk)[:, None], disk[None], out=v.reshape(m1, m1, size))
-        s1 += u @ v.T
         flat_sq = flat.real**2 + flat.imag**2
         flat_sq *= weights
         disk_sq = disk.real**2 + disk.imag**2
-        s2 += (_pair_products(flat_sq, flat_sq, flat_sq_pairs[:, :size])
-               @ _pair_products(disk_sq, disk_sq, disk_sq_pairs[:, :size]).T)
+        yield u @ v.T, (_pair_products(flat_sq, flat_sq, flat_sq_pairs[:, :size])
+                        @ _pair_products(disk_sq, disk_sq, disk_sq_pairs[:, :size]).T)
+
+
+def _gram_sum(n_max: int, m_max: int, n_samples: int,
+              products) -> tuple[np.ndarray, np.ndarray]:
+    """(estimates, standard errors) of the Gram on n_samples samples from its
+    block products (:func:`_gram_products`), added in the order given.
+
+    The sums hold only the pairs n <= n' and the symmetric second-moment
+    pairs; the full Hermitian matrices are filled in once, at the end.
+    """
+    n1, m1 = n_max + 1, m_max + 1
+    s1 = np.zeros((n1 * (n1 + 1) // 2, m1 * m1), dtype=complex)
+    s2 = np.zeros((n1 * (n1 + 1) // 2, m1 * (m1 + 1) // 2))
+    for block_sum, block_moments in products:
+        s1 += block_sum
+        s2 += block_moments
     # entry [(n, m), (n', m')] sits at flat pair (n, n') and disk pair
     # (m, m') when n <= n'; otherwise it is the conjugate of the entry at
     # flat pair (n', n) and disk pair (m', m)
@@ -267,9 +298,9 @@ def orthonormality_matrix_mc(n_max: int, m_max: int, params: ModelParams,
     s1 = s1[rows, np.where(lower, m_ * m1 + m, m * m1 + m_)]
     s1[lower] = np.conj(s1[lower])
     s2 = s2[rows, _pair_index(m1)[m, m_]]
-    mean = s1 / cfg.n_samples
-    var = s2 / cfg.n_samples - np.abs(mean) ** 2
-    return mean, np.sqrt(np.maximum(var, 0.0) / cfg.n_samples)
+    mean = s1 / n_samples
+    var = s2 / n_samples - np.abs(mean) ** 2
+    return mean, np.sqrt(np.maximum(var, 0.0) / n_samples)
 
 
 def _pair_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -11,9 +11,13 @@ yields (check, deviation) pairs, plus the tolerance where that depends on
 the data.  :func:`_run_part` builds the records {check, identity,
 deviation, tolerance, pass}, and a report aggregates suites in name order.
 Each part seeds its own generators, so a report runs them on up to one
-process per usable CPU (:func:`run_suites`): this one runs the quadrature
-Gram, about 0.5 s and twice the other parts together, and forked children
-the rest, or this one when none is forked.  The acceptance tests call the
+process per usable CPU (:func:`run_suites`).  The quadrature Gram part
+takes longer than the others together, so when a report forks, its draws
+are split in two shares: this process maps the leading share and the
+first child the trailing one, and this process adds their block products
+in block order, so the Gram is the one a single process makes, bit for
+bit.  The other parts run in this process beside its share on two CPUs,
+and in the further children with more.  The acceptance tests call the
 same check functions on their own seeds and domains.  A configured
 tolerance overrides the default of a check named in :data:`CHECKS`, which
 shows how sensitive the finite-difference gates are; other names are refused.
@@ -37,11 +41,18 @@ from .core import (SETTINGS, JacobiPoint, ModelParams, TangentVector, check_sett
 from .geometry import WirtingerStencil
 from .kernels import BasisIndex, TruncationOrder
 
-# The quadrature Gram part takes longer than the other nine parts together
-# (in-process medians of five at seed 0 on a 2-vCPU Xeon VM, two runs: the
-# Gram 0.50-0.59 s, the others 0.22-0.29 s, of which geodesics 93-124 ms),
-# so it is the critical path at any CPU count and runs in this process.
+# The quadrature Gram part takes longer than the other nine parts together:
+# in-process at seed 0 on a 2-vCPU Xeon VM, 0.37-0.45 s against 0.15-0.21 s.
+# So when a report forks, this process maps the leading _GRAM_LEAD of the
+# Gram's draws and the first child the rest.  The child also makes, and
+# drops, the draws before its share, so the best split lies below one half:
+# on two CPUs, where this process also runs the other parts, medians of 25
+# whole reports read 0.390, 0.385, 0.383, 0.398 and 0.434 s with this
+# process mapping 1/5, 3/10, 2/5, 1/2 and 3/5 of the draws.
 _GRAM = ("quadrature", 1)
+_GRAM_LEAD = 0.4
+# the Gram covers f[n, m] with n, m <= _GRAM_LEVEL
+_GRAM_LEVEL = 3
 _GEODESIC_SPAN = 2.0
 # the embedding and quadrature suites need a basis, so they run at this k
 # whatever the configuration says
@@ -435,10 +446,9 @@ def angle_bound_violation(points1, points2, params: ModelParams) -> float:
     return max(0.0, -margin)
 
 
-def gram_deviation(params: ModelParams, mc: quadrature.McConfig) -> tuple[float, float]:
-    """Largest gap of the Monte Carlo Gram matrix (levels <= 3) from the
-    identity in standard errors, and the largest standard error."""
-    gram, se = quadrature.orthonormality_matrix_mc(3, 3, params, mc)
+def gram_deviation(gram: np.ndarray, se: np.ndarray) -> tuple[float, float]:
+    """Largest gap of a Monte Carlo Gram matrix from the identity in units of
+    its standard errors ``se``, and the largest standard error."""
     sigmas = np.abs(gram - np.eye(gram.shape[0])) / np.maximum(se, 1e-300)
     return float(np.max(sigmas)), float(np.max(se))
 
@@ -664,9 +674,20 @@ def _quadrature_head(cfg: VerifyConfig) -> Iterator[tuple]:
     yield "unit-normalization", abs(est.value - 1.0), 3.0 * est.std_error
 
 
-def _quadrature_gram(cfg: VerifyConfig) -> Iterator[tuple]:
-    sigmas, se = gram_deviation(ModelParams(_BASIS_K, cfg.mu),
-                                quadrature.McConfig(cfg.mc_samples, cfg.seed))
+def _gram_products(cfg: VerifyConfig, draws: range) -> Iterator[tuple]:
+    """The block products of the Gram part's draws ``draws``, in block order."""
+    return quadrature._gram_products(_GRAM_LEVEL, _GRAM_LEVEL, ModelParams(_BASIS_K, cfg.mu),
+                                     quadrature.McConfig(cfg.mc_samples, cfg.seed),
+                                     draws.start, draws.stop)
+
+
+def _quadrature_gram(cfg: VerifyConfig, products=None) -> Iterator[tuple]:
+    """The Gram part, on the block products of every draw: given when made in
+    shares (:func:`run_suites`), else made here, as one stream."""
+    if products is None:
+        products = _gram_products(cfg, quadrature._gram_draws(cfg.mc_samples))
+    sigmas, se = gram_deviation(*quadrature._gram_sum(_GRAM_LEVEL, _GRAM_LEVEL,
+                                                      cfg.mc_samples, products))
     yield "orthonormality-matrix", sigmas
     yield "orthonormality-precision", se
 
@@ -689,44 +710,71 @@ _SUITES = {
 }
 
 
-def _run_part(part: tuple[str, int], cfg: VerifyConfig) -> list[dict]:
+def _run_part(unit: tuple, cfg: VerifyConfig, *args) -> list:
     """Records of the (check, deviation) pairs of one suite part, given as
-    (suite name, index).
+    (suite name, index) and called with ``args`` after ``cfg``; or, given as
+    (suite name, index, range of draws), the block products of that share
+    of the Gram part's draws.
 
     numpy's floating-point warnings are off: an overflow shows as a
     deviation that is not finite, which the caller reports, while warnings
     the library issues still surface.  An OverflowError is raised again
     naming the suite.
     """
-    name, index = part
+    name, index, *share = unit
     try:
         with np.errstate(all="ignore"):
-            return [_record(cfg, *pair) for pair in _SUITES[name][index](cfg)]
+            if share:
+                return list(_gram_products(cfg, *share))
+            return [_record(cfg, *pair) for pair in _SUITES[name][index](cfg, *args)]
     except OverflowError as exc:
         detail = exc.args[-1] if exc.args else "a value left the floating-point range"
         raise OverflowError(f"the {name} suite overflowed at these settings: "
                             f"{detail}") from exc
 
 
-def _run_caught(part: tuple[str, int], cfg: VerifyConfig) -> tuple:
-    """(records or the error raised, warnings issued) of :func:`_run_part`."""
+def _run_caught(unit: tuple, cfg: VerifyConfig, *args) -> tuple:
+    """(result or the error raised, warnings issued) of :func:`_run_part`."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _run_part(part, cfg), caught
+            return _run_part(unit, cfg, *args), caught
         except Exception as exc:
             return exc, caught
+
+
+def _replay(outcome: tuple):
+    """The result of an outcome of :func:`_run_caught`, once its warnings are
+    shown; the error raised, if it is one."""
+    result, caught = outcome
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _label(unit: tuple) -> str:
+    """A unit of :func:`_run_part` as a child's description names it."""
+    name, index, *share = unit
+    label = f"{name}[{index}]"
+    return f"{label} draws {share[0].start}-{share[0].stop - 1}" if share else label
 
 
 def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     """Run the requested suites and aggregate their records in name order.
 
     The unit of work is a suite part, and every report runs through
-    :func:`core._fork_jobs`: forked children, up to one per usable CPU in
-    all but this one, each run the parts dealt to them round-robin in report
-    order, while this process runs the quadrature Gram part (or else the
-    first part).  With no child (one usable CPU, one part, no ``os.fork``)
-    it runs every part in (suite name, part) order up to the first that
-    raises.  Outcomes replay in that order, and each part seeds its own
+    :func:`core._fork_jobs`, on forked children up to one per usable CPU in
+    all but this one.  When the quadrature Gram part is among the parts, its
+    draws split in two shares: this process maps the leading _GRAM_LEAD of
+    them and the first child the rest.  The other parts run in this process
+    when that child is the only one, and are dealt round-robin, in report
+    order, to the further children otherwise.  Without the Gram, this
+    process runs the first part and the children the rest, dealt the same
+    way.  With no child (one usable CPU, one part, no ``os.fork``) it runs
+    every part in (suite name, part) order up to the first that raises.
+    Outcomes replay in that order, the Gram part's shares first, whose
+    products it adds in block order, and each part seeds its own
     generators: report, warnings and error are those of a one-by-one run.
     """
     unknown = [n for n in names if n not in _SUITES]
@@ -736,29 +784,37 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     suites = {name: [] for name in sorted(set(names))}
     parts = [(name, index) for name in suites for index in range(len(_SUITES[name]))]
     workers = min(len(parts), core.usable_cpus()) - 1 if hasattr(os, "fork") else 0
-    order = sorted(parts, key=lambda part: part != _GRAM)
-    hands = [order[i::workers] for i in range(1, workers + 1)]   # round-robin
+    mine, hands, shares = parts, [], []
+    if workers and _GRAM in parts:
+        draws = quadrature._gram_draws(cfg.mc_samples)
+        split = round(_GRAM_LEAD * len(draws))
+        shares = [(*_GRAM, draws[:split]), (*_GRAM, draws[split:])]
+        lead, trail = shares
+        rest, further = [part for part in parts if part != _GRAM], workers - 1
+        # in report order, the leading share in the Gram's place
+        mine = [lead] if further else [lead if part == _GRAM else part for part in parts]
+        hands = [[trail]] + [rest[i::further] for i in range(further)]
+    elif workers:
+        mine, hands = parts[:1], [parts[i::workers] for i in range(1, workers + 1)]
     outcomes = {}
 
     def here():
-        for part in order[:1] if hands else parts:
-            outcomes[part] = _run_caught(part, cfg)
-            if isinstance(outcomes[part][0], Exception):
-                break       # run one by one, no later part would have run
+        for unit in mine:
+            outcomes[unit] = _run_caught(unit, cfg)
+            if isinstance(outcomes[unit][0], Exception):
+                break       # the units after it in report order are not needed
 
     core._fork_jobs(
         here,
-        [("running " + ", ".join(f"{name}[{index}]" for name, index in hand),
-          lambda file, hand=hand: pickle.dump({p: _run_caught(p, cfg) for p in hand}, file))
+        [("running " + ", ".join(map(_label, hand)),
+          lambda file, hand=hand: pickle.dump({u: _run_caught(u, cfg) for u in hand}, file))
          for hand in hands],
         lambda file: outcomes.update(pickle.load(file)))
     # warnings and errors surface as a run in part order shows them
-    for name, index in parts:
-        result, caught = outcomes[name, index]
-        for w in caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        if isinstance(result, Exception):
-            raise result
-        suites[name] += result
+    for part in parts:
+        if part == _GRAM and shares:
+            products = [block for share in shares for block in _replay(outcomes[share])]
+            outcomes[part] = _run_caught(part, cfg, products)
+        suites[part[0]] += _replay(outcomes[part])
     all_pass = all(rec["pass"] for recs in suites.values() for rec in recs)
     return {"suites": suites, "pass": all_pass}

@@ -51,12 +51,13 @@ def assert_no_children():
 
 
 @pytest.fixture
-def forked(monkeypatch):
-    """Three usable CPUs whatever the machine has, so a report of three or
-    more suite parts forks two children; yields the number of children of
-    each call of the fork helper, and checks that no child is left once the
-    test is over."""
-    monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+def forked(request, monkeypatch):
+    """The usable CPUs that an indirect parameter gives, else three, whatever
+    the machine has, so a report of three or more suite parts forks one
+    child fewer; yields the number of children of each call of the fork
+    helper, and checks that no child is left once the test is over."""
+    cpus = getattr(request, "param", 3)
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     forks = []
     fork_jobs = core._fork_jobs
 

@@ -13,6 +13,7 @@ import numpy as np
 
 import jacobi_cs as jc
 from jacobi_cs import verify
+from jacobi_cs.quadrature import orthonormality_matrix_mc
 from jacobi_cs.verify import random_elements, random_points
 
 
@@ -174,8 +175,8 @@ def test_09_embedding():
 
 def test_10_quadrature():
     start = time.perf_counter()
-    sigmas, worst_se = verify.gram_deviation(jc.ModelParams(1.25, 1.0),
-                                             jc.McConfig(1_000_000, 0))
+    sigmas, worst_se = verify.gram_deviation(*orthonormality_matrix_mc(
+        3, 3, jc.ModelParams(1.25, 1.0), jc.McConfig(1_000_000, 0)))
     worst_disk = verify.disk_marginal_deviation()
     elapsed = time.perf_counter() - start
     report("10 orthonormality within 3 standard errors", 120.0, elapsed,

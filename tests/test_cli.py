@@ -511,16 +511,27 @@ class TestVerifyCommand:
                                "absolute value too large\n")
 
     @pytest.mark.parametrize("cpus, parts", [
-        pytest.param(2, "algebra[0], bargmann[0], embedding[0], geodesics[0], geometry[0], "
-                        "group[0], kernels[0], quadrature[0], quadrature[2]", id="2cpus"),
-        pytest.param(3, "bargmann[0], geodesics[0], group[0], quadrature[0]", id="3cpus"),
+        pytest.param(2, "quadrature[1] draws 1-2", id="2cpus"),
+        pytest.param(3, "algebra[0], bargmann[0], embedding[0], geodesics[0], geometry[0], "
+                        "group[0], kernels[0], quadrature[0], quadrature[2]", id="3cpus"),
     ])
     def test_killed_worker_exits_2_naming_it(self, monkeypatch, capfd, cpus, parts):
-        # the group suite, run in a child, is killed as the OOM killer would
+        # a child is killed as the OOM killer would: on two CPUs the only one,
+        # which maps the Gram's trailing draws, on three the one that runs
+        # the group suite
         monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-        monkeypatch.setitem(verify._SUITES, "group",
-                            (lambda cfg: os.kill(os.getpid(), signal.SIGKILL),))
-        code = main(["verify", "all", "--mc-samples", "10000"])
+
+        def die(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        if cpus == 2:
+            products = verify._gram_products
+            monkeypatch.setattr(verify, "_gram_products",
+                                lambda cfg, draws: die() if draws.start else products(cfg, draws))
+        else:
+            monkeypatch.setitem(verify._SUITES, "group", (die,))
+        # three draws, of which this process maps the first
+        code = main(["verify", "all", "--mc-samples", "300000"])
         assert_no_children()
         out, err = capfd.readouterr()
         assert (code, out) == (2, "")

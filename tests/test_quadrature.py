@@ -158,6 +158,20 @@ class TestGramMatrix:
             assert gram[idx] == pytest.approx(mean, rel=1e-13)
             assert se[idx] == pytest.approx(err, rel=1e-13)
 
+    @pytest.mark.parametrize("split", [0, 1, 2])
+    def test_shares_sum_to_the_one_stream_gram(self, split):
+        # 123,457 samples make two draws, the second one partial; the
+        # trailing share makes and drops the draws before the split, and
+        # its products are added after the leading share's
+        cfg = McConfig(123_457, 7)
+        products = [*quadrature._gram_products(3, 3, PK, cfg, 0, split),
+                    *quadrature._gram_products(3, 3, PK, cfg, split)]
+        gram, se = quadrature._gram_sum(3, 3, cfg.n_samples, products)
+        want_gram, want_se = orthonormality_matrix_mc(3, 3, PK, cfg)
+        assert len(products) == 16      # 13 + 3 blocks of 8,192 samples at most
+        assert np.array_equal(gram, want_gram)
+        assert np.array_equal(se, want_se)
+
     def test_hermitian_by_construction(self):
         gram, _ = orthonormality_matrix_mc(1, 1, PK, McConfig(10_000, 1))
         assert np.allclose(gram, gram.conj().T)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from jacobi_cs import core, verify
+from jacobi_cs import core, quadrature, verify
 from jacobi_cs.core import BoundaryEscape
 from jacobi_cs.verify import (
     CHECKS,
@@ -78,10 +78,11 @@ def _name_order_report(names, cfg):
 
 
 @pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("forked", [1, 2, 3], indirect=True, ids=["1cpu", "2cpus", "3cpus"])
 def test_forked_report_equals_name_order_report(forked, seed):
     cfg = VerifyConfig(seed=seed)
     report = run_suites(list(SUITE_NAMES), cfg)
-    assert forked == [2]
+    assert forked == [core.usable_cpus() - 1]
     assert json.dumps(report) == json.dumps(_name_order_report(SUITE_NAMES, cfg))
     assert report["pass"] is (seed == 0)
 
@@ -104,30 +105,50 @@ def test_no_pool_without_a_worker(monkeypatch, forked, cpus, names, fork):
 
 
 GRAM, HEAD, TAIL = ("quadrature", 1), ("quadrature", 0), ("quadrature", 2)
-PARTS = [(name, index) for name in SUITE_NAMES for index in range(len(verify._SUITES[name]))]
+# the Gram part's leading and trailing draws, as _faulty_run fakes them
+LEAD, TRAIL = (*GRAM, "leading draws"), (*GRAM, "trailing draws")
+# what a run in part order runs, in order: the Gram part maps its draws first
+PARTS = sorted([(name, index) for name in SUITE_NAMES
+                for index in range(len(verify._SUITES[name]))
+                if (name, index) != GRAM] + [LEAD, TRAIL])
 
 
 def _faulty_run(monkeypatch, forked, cpus, names, errors=None, warns=None):
-    """Run suites ``names`` on ``cpus`` usable CPUs, each part replaced by one
-    that warns ``warns[part]``, raises ``errors[part]`` or yields one check,
-    and expect an error.  Each suite keeps its number of parts, so the parts
-    run where the real ones would.  Returns the error, the messages of the
-    warnings shown and the parts this process ran, in order."""
+    """Run suites ``names`` on ``cpus`` usable CPUs, each part but the Gram
+    replaced by one that warns ``warns[part]``, raises ``errors[part]`` or
+    yields one check, and expect an error.  The Gram part keeps its code,
+    but the mapping of its draws is faked alike: a range of draws that
+    starts at the first acts as LEAD, and one that ends at the last then as
+    TRAIL, so one process that maps them all acts as both, in order.  Each
+    suite keeps its number of parts, so the parts run where the real ones
+    would.  Returns the error, the messages of the warnings shown and the
+    units this process ran, in order."""
     errors, warns, ran = errors or {}, warns or {}, []
+
+    def act(unit):
+        ran.append(unit)
+        if unit in warns:
+            warnings.warn(warns[unit])
+        if unit in errors:
+            raise errors[unit]
 
     def fake(part):
         def run(cfg):
-            ran.append(part)
-            if part in warns:
-                warnings.warn(warns[part])
-            if part in errors:
-                raise errors[part]
+            act(part)
             yield "lowest-weight", 0.0
         return run
 
+    def fake_draws(cfg, draws):
+        if draws.start == 0:
+            act(LEAD)
+        if draws.stop == len(quadrature._gram_draws(cfg.mc_samples)):
+            act(TRAIL)
+        return iter(())
+
     monkeypatch.setattr(verify, "_SUITES", {
-        name: tuple(fake((name, i)) for i in range(len(parts)))
+        name: tuple(run if (name, i) == GRAM else fake((name, i)) for i, run in enumerate(parts))
         for name, parts in verify._SUITES.items()})
+    monkeypatch.setattr(verify, "_gram_products", fake_draws)
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     forked.clear()
     with warnings.catch_warnings(record=True) as caught, pytest.raises(Exception) as err:
@@ -138,17 +159,20 @@ def _faulty_run(monkeypatch, forked, cpus, names, errors=None, warns=None):
 
 
 @pytest.mark.parametrize("errors, first", [
-    # the Gram part runs in this process, the others in workers
-    ({("algebra", 0): ValueError("algebra"), GRAM: ValueError("gram")},
+    # the Gram's leading draws are mapped in this process, its trailing
+    # draws in the first worker, and the other parts here or in the others
+    ({("algebra", 0): ValueError("algebra"), LEAD: ValueError("gram")},
      ValueError("algebra")),
-    ({GRAM: ValueError("gram")}, ValueError("gram")),
-    ({GRAM: ValueError("gram"), TAIL: ValueError("tail")}, ValueError("gram")),
-    ({HEAD: ValueError("head"), GRAM: ValueError("gram")}, ValueError("head")),
+    ({LEAD: ValueError("gram")}, ValueError("gram")),
+    ({LEAD: ValueError("gram"), TRAIL: ValueError("trail"), TAIL: ValueError("tail")},
+     ValueError("gram")),
+    ({HEAD: ValueError("head"), LEAD: ValueError("gram")}, ValueError("head")),
     ({("group", 0): ValueError("group"), ("geodesics", 0): BoundaryEscape(0.5)},
      BoundaryEscape(0.5)),
+    ({TRAIL: ValueError("trail"), TAIL: ValueError("tail")}, ValueError("trail")),
 ])
 def test_forked_run_raises_the_first_error_in_name_order(forked, monkeypatch, errors, first):
-    for cpus in (3, 1):
+    for cpus in (3, 2, 1):
         error, _, ran = _faulty_run(monkeypatch, forked, cpus, list(SUITE_NAMES), errors)
         assert type(error) is type(first)
         assert str(error) == str(first)
@@ -158,36 +182,48 @@ def test_forked_run_raises_the_first_error_in_name_order(forked, monkeypatch, er
 
 
 def test_forked_warnings_shown_in_name_order_up_to_the_first_error(forked, monkeypatch):
-    for cpus in (3, 1):
+    for cpus in (3, 2, 1):
         error, shown, ran = _faulty_run(
             monkeypatch, forked, cpus, list(SUITE_NAMES),
             errors={("bargmann", 0): ValueError("bargmann")},
             warns={("algebra", 0): "algebra", ("bargmann", 0): "bargmann",
-                   ("group", 0): "group"})          # group runs after the error
+                   ("group", 0): "group", TRAIL: "trail"})   # both run after the error
         assert str(error) == "bargmann"
         assert shown == ["algebra", "bargmann"]
     assert ran == [("algebra", 0), ("bargmann", 0)]
 
 
 def test_worker_warning_shown_before_the_error_of_a_later_part(forked, monkeypatch):
-    # head warns in a worker, the Gram part warns and fails in this process,
-    # and the tail warns after it in a worker: a run in part order never
-    # reaches the tail
-    for cpus in (3, 1):
-        error, shown, ran = _faulty_run(monkeypatch, forked, cpus, ["quadrature"],
-                                        errors={GRAM: ValueError("gram")},
-                                        warns={HEAD: "head", GRAM: "gram", TAIL: "tail"})
-        assert str(error) == "gram"
-        assert shown == ["head", "gram"]
-    assert ran == [HEAD, GRAM]
+    # head, the Gram's leading and trailing draws and the tail each warn,
+    # wherever they run, and the leading or else the trailing draws fail: a
+    # run in part order never reaches the tail
+    warns = {HEAD: "head", LEAD: "lead", TRAIL: "trail", TAIL: "tail"}
+    for failing, shown_first in ((LEAD, ["head", "lead"]), (TRAIL, ["head", "lead", "trail"])):
+        for cpus in (3, 2, 1):
+            error, shown, ran = _faulty_run(monkeypatch, forked, cpus, ["quadrature"],
+                                            errors={failing: ValueError(failing[2])},
+                                            warns=warns)
+            assert str(error) == failing[2]
+            assert shown == shown_first
+        assert ran == [HEAD, LEAD, TRAIL][:len(shown_first)]
 
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_quadrature_alone_forks_one_worker_on_two_cpus(forked, monkeypatch, seed):
+    # the one worker maps the Gram's trailing six of ten draws, and this
+    # process its leading four and the other two parts
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    jobs, fork_jobs = [], core._fork_jobs
+
+    def seen(here, forks, take):
+        jobs.extend(doing for doing, _ in forks)
+        return fork_jobs(here, forks, take)
+
+    monkeypatch.setattr(core, "_fork_jobs", seen)
     cfg = VerifyConfig(seed=seed)
     report = run_suites(["quadrature"], cfg)
     assert forked == [1]
+    assert jobs == ["running quadrature[1] draws 4-9"]
     assert [rec["check"] for rec in report["suites"]["quadrature"]] == [
         "weight-kernel-product", "unit-normalization", "orthonormality-matrix",
         "orthonormality-precision", "disk-marginal"]
