@@ -1,14 +1,15 @@
 """Command-line front end: evaluate quantities, integrate, verify, tabulate.
 
 Exit codes are stable across commands: 0 success, 1 verification failure,
-2 invalid input, 3 runtime domain escape.  Complex values are passed as a
-single flag with comma-separated real and imaginary parts ("--z 1.0,0.5").
-A command has a flag for each setting it reads (``core.SETTINGS``) and for
-no other; a JSON config file (flag --config or the JACOBI_CS_CONFIG
-environment variable) provides defaults that these flags override.
-`verify` and `table` run on up to one process per usable CPU, forking
-children through :func:`core._fork_jobs`; a child that fails makes them
-exit 2.
+2 invalid input, 3 runtime domain escape.  A command raises its errors, and
+:func:`main` alone prints each as one ``error:`` line and picks 2 or 3.
+Complex values are passed as a single flag with comma-separated real and
+imaginary parts ("--z 1.0,0.5").  A command has a flag for each setting it
+reads (``core.SETTINGS``) and for no other; a JSON config file (flag
+--config or the JACOBI_CS_CONFIG environment variable) provides defaults
+that these flags override.  `verify` and `table` run on up to one process
+per usable CPU, forking children through :func:`core._fork_jobs`; a child
+that fails makes them exit 2.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     SETTINGS,
     SUITE_NAMES,
     BoundaryEscape,
-    DegenerateAction,
     ModelParams,
     TangentVector,
     check_metric,
@@ -226,9 +226,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     columns = evaluate(args.quantity, np.array([args.z]), np.array([args.w]),
                        np.array([z2]), np.array([w2]), params)
     if not all(np.isfinite(col).all() for col in columns.values()):
-        print(f"error: {args.quantity} is not finite at this point",
-              file=sys.stderr)
-        return EXIT_DOMAIN
+        raise FloatingPointError(f"{args.quantity} is not finite at this point")
     value = {}
     for key, col in columns.items():
         cell = col[0].item()
@@ -253,12 +251,8 @@ def _closed_form_residual(path: geodesics.GeodesicPath, s0: GeodesicState) -> fl
     # the family starts at w0 = 0 with z0 = eta0 and the velocity locked to it
     if abs(s0.pos.w) > 0 or not abs(dz0 + z0.conjugate() * dw0) < 1e-14:
         return None
-    residual = 0.0
-    stride = max(1, len(path) // 50)
-    for t, (z, w) in zip(path.t[::stride].tolist(), path.y[::stride, :2].tolist()):
-        ref = geodesics.fc_particular_solution(z0, dw0, t)
-        residual = max(residual, abs(z - ref.pos.z), abs(w - ref.pos.w))
-    return residual
+    return geodesics._closed_form_gap(path, max(1, len(path) // 50),
+                                      geodesics.fc_particular_solution, z0, dw0)
 
 
 def cmd_geodesic(args: argparse.Namespace) -> int:
@@ -282,13 +276,11 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
     try:
         path = geodesics.integrate(state, args.t_end, n_steps, params)
     except BoundaryEscape as exc:
-        print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"error": "boundary escape", "t": exc.t}))
-        return EXIT_DOMAIN
+        raise
     speeds = path.speeds(params)
     if not np.isfinite(speeds).all():
-        print("error: the speed is not finite along this path", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise FloatingPointError("the speed is not finite along this path")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         path.write_csv(fh, speeds)
     z, w = path.y[-1, :2].tolist()
@@ -314,9 +306,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name, records in report["suites"].items():
         for rec in records:
             if not math.isfinite(rec["deviation"]):
-                print(f"error: {name} check {rec['check']} has no finite deviation "
-                      f"at these settings", file=sys.stderr)
-                return EXIT_DOMAIN
+                raise FloatingPointError(f"{name} check {rec['check']} has no finite "
+                                         f"deviation at these settings")
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
@@ -535,12 +526,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.argv[1:] if argv is None else argv))
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError) as exc:   # a failed child raises ChildProcessError, an OSError
+    except (ValueError, OSError, ArithmeticError, BoundaryEscape) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (BoundaryEscape, DegenerateAction, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        # a failed child raises ChildProcessError, an OSError
+        return EXIT_INPUT if isinstance(exc, (ValueError, OSError)) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -259,6 +259,21 @@ def integrate(s0: GeodesicState, t_end: float, n_steps: int,
     return GeodesicPath(t, columns)
 
 
+def _disk_geodesic(b: complex, t: float) -> tuple[complex, complex]:
+    """(w, dw) at t of the disk geodesic from w = 0 with velocity b."""
+    return disk_geodesic_map(b, t), (b / math.cosh(t * abs(b)) ** 2 if abs(b) > 0 else 0j)
+
+
+def _closed_form_gap(path: GeodesicPath, stride: int, solution, *args) -> float:
+    """Worst coordinate gap of every ``stride``-th sample of ``path`` from
+    ``solution(*args, t)``, a closed-form GeodesicState at its time t."""
+    gap = 0.0
+    for t, (z, w) in zip(path.t[::stride].tolist(), path.y[::stride, :2].tolist()):
+        ref = solution(*args, t).pos
+        gap = max(gap, abs(z - ref.z), abs(w - ref.w))
+    return gap
+
+
 def fc_particular_solution(eta0: complex, b: complex, t: float) -> GeodesicState:
     """Geodesic family with constant split coordinate eta = eta0.
 
@@ -266,13 +281,9 @@ def fc_particular_solution(eta0: complex, b: complex, t: float) -> GeodesicState
     z(t) = eta0 - conj(eta0) w(t); an exact solution of the full system for
     every mu because dz + conj(eta) dw vanishes identically along it.
     """
-    w = disk_geodesic_map(b, t)
-    speed = abs(b)
-    dw = b / math.cosh(t * speed) ** 2 if speed > 0 else 0.0 + 0.0j
-    return GeodesicState(
-        pos=make_jacobi_point(eta0 - eta0.conjugate() * w, w),
-        vel=TangentVector(dz=-eta0.conjugate() * dw, dw=dw),
-    )
+    w, dw = _disk_geodesic(b, t)
+    return GeodesicState(make_jacobi_point(eta0 - eta0.conjugate() * w, w),
+                         TangentVector(-eta0.conjugate() * dw, dw))
 
 
 def mu_zero_solution(z0dot: complex, z1: complex, b: complex, t: float) -> GeodesicState:
@@ -285,13 +296,9 @@ def mu_zero_solution(z0dot: complex, z1: complex, b: complex, t: float) -> Geode
         if z0dot != 0:
             raise ZeroDirection("b = 0 admits only a constant solution")
         return GeodesicState(make_jacobi_point(z1, 0.0), TangentVector(0.0, 0.0))
-    w = disk_geodesic_map(b, t)
-    dw = b / math.cosh(t * abs(b)) ** 2
+    w, dw = _disk_geodesic(b, t)
     ratio = z0dot / b
-    return GeodesicState(
-        pos=make_jacobi_point(ratio * w + z1, w),
-        vel=TangentVector(dz=ratio * dw, dw=dw),
-    )
+    return GeodesicState(make_jacobi_point(ratio * w + z1, w), TangentVector(ratio * dw, dw))
 
 
 def curve_length(path: GeodesicPath, params: ModelParams) -> float:

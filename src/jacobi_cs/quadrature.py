@@ -282,11 +282,7 @@ def _gram_sum(n_max: int, m_max: int, n_samples: int,
     pairs; the full Hermitian matrices are filled in once, at the end.
     """
     n1, m1 = n_max + 1, m_max + 1
-    s1 = np.zeros((n1 * (n1 + 1) // 2, m1 * m1), dtype=complex)
-    s2 = np.zeros((n1 * (n1 + 1) // 2, m1 * (m1 + 1) // 2))
-    for block_sum, block_moments in products:
-        s1 += block_sum
-        s2 += block_moments
+    s1, s2 = _gram_fold(n_max, m_max, products)
     # entry [(n, m), (n', m')] sits at flat pair (n, n') and disk pair
     # (m, m') when n <= n'; otherwise it is the conjugate of the entry at
     # flat pair (n', n) and disk pair (m', m)
@@ -301,6 +297,18 @@ def _gram_sum(n_max: int, m_max: int, n_samples: int,
     mean = s1 / n_samples
     var = s2 / n_samples - np.abs(mean) ** 2
     return mean, np.sqrt(np.maximum(var, 0.0) / n_samples)
+
+
+def _gram_fold(n_max: int, m_max: int, products) -> tuple[np.ndarray, np.ndarray]:
+    """The two sums of block products, added to zeros in the order given: a
+    pair that stands for those blocks in :func:`_gram_sum`, bit for bit."""
+    n_pairs, m1 = (n_max + 1) * (n_max + 2) // 2, m_max + 1
+    s1 = np.zeros((n_pairs, m1 * m1), dtype=complex)
+    s2 = np.zeros((n_pairs, m1 * (m1 + 1) // 2))
+    for block_sum, block_moments in products:
+        s1 += block_sum
+        s2 += block_moments
+    return s1, s2
 
 
 def _pair_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:

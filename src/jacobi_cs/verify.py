@@ -13,12 +13,12 @@ deviation, tolerance, pass}, and a report aggregates suites in name order.
 Each part seeds its own generators, so a report runs them on up to one
 process per usable CPU (:func:`run_suites`).  The quadrature Gram part
 takes longer than the others together, so when a report forks, its draws
-are split in two shares: this process maps the leading share and the
-first child the trailing one, and this process adds their block products
-in block order, so the Gram is the one a single process makes, bit for
-bit.  The other parts run in this process beside its share on two CPUs,
-and in the further children with more.  The acceptance tests call the
-same check functions on their own seeds and domains.  A configured
+are split in two shares: this process sums the leading one as it maps it
+and adds the block products of the trailing one, mapped in the first
+child, in block order, so the Gram is the one a single process makes, bit
+for bit.  The other parts run in this process beside its share on two
+CPUs, and in the further children with more.  The acceptance tests call
+the same check functions on their own seeds and domains.  A configured
 tolerance overrides the default of a check named in :data:`CHECKS`, which
 shows how sensitive the finite-difference gates are; other names are refused.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -278,13 +277,10 @@ def flat_limit_deviation(starts, flat: ModelParams, t_end: float, n_steps: int,
                          stride: int) -> float:
     """Worst gap of every ``stride``-th sample of integrated flat-limit paths from
     the tanh closed form; each start is (z0dot, z1, b) of ``mu_zero_solution``."""
-    dev = 0.0
-    for z0dot, z1, b in starts:
-        path = geodesics.integrate(geodesics.mu_zero_solution(z0dot, z1, b, 0.0),
-                                   t_end, n_steps, flat)
-        for t, (z, w) in zip(path.t[::stride].tolist(), path.y[::stride, :2].tolist()):
-            ref = geodesics.mu_zero_solution(z0dot, z1, b, t)
-            dev = max(dev, abs(z - ref.pos.z), abs(w - ref.pos.w))
+    dev, solution = 0.0, geodesics.mu_zero_solution
+    for start in starts:
+        path = geodesics.integrate(solution(*start, 0.0), t_end, n_steps, flat)
+        dev = max(dev, geodesics._closed_form_gap(path, stride, solution, *start))
     return dev
 
 
@@ -714,18 +710,20 @@ def _run_part(unit: tuple, cfg: VerifyConfig, *args) -> list:
     """Records of the (check, deviation) pairs of one suite part, given as
     (suite name, index) and called with ``args`` after ``cfg``; or, given as
     (suite name, index, range of draws), the block products of that share
-    of the Gram part's draws.
-
-    numpy's floating-point warnings are off: an overflow shows as a
-    deviation that is not finite, which the caller reports, while warnings
-    the library issues still surface.  An OverflowError is raised again
-    naming the suite.
+    of the Gram part's draws, summed from zero, as one stream sums them,
+    when the share starts at the first draw.  numpy's floating-point
+    warnings are off: an overflow shows as a deviation that is not finite,
+    which the caller reports.  An OverflowError is raised again naming the
+    suite.
     """
     name, index, *share = unit
     try:
         with np.errstate(all="ignore"):
             if share:
-                return list(_gram_products(cfg, *share))
+                products = _gram_products(cfg, *share)
+                if share[0].start:
+                    return list(products)
+                return [quadrature._gram_fold(_GRAM_LEVEL, _GRAM_LEVEL, products)]
             return [_record(cfg, *pair) for pair in _SUITES[name][index](cfg, *args)]
     except OverflowError as exc:
         detail = exc.args[-1] if exc.args else "a value left the floating-point range"
@@ -733,24 +731,19 @@ def _run_part(unit: tuple, cfg: VerifyConfig, *args) -> list:
                             f"{detail}") from exc
 
 
-def _run_caught(unit: tuple, cfg: VerifyConfig, *args) -> tuple:
-    """(result or the error raised, warnings issued) of :func:`_run_part`."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            return _run_part(unit, cfg, *args), caught
-        except Exception as exc:
-            return exc, caught
+def _run_caught(unit: tuple, cfg: VerifyConfig, *args):
+    """The result of :func:`_run_part`, or the error it raised."""
+    try:
+        return _run_part(unit, cfg, *args)
+    except Exception as exc:
+        return exc
 
 
-def _replay(outcome: tuple):
-    """The result of an outcome of :func:`_run_caught`, once its warnings are
-    shown; the error raised, if it is one."""
-    result, caught = outcome
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    if isinstance(result, Exception):
-        raise result
-    return result
+def _replay(outcome):
+    """An outcome of :func:`_run_caught`: raised if it is an error, else returned."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _label(unit: tuple) -> str:
@@ -773,9 +766,9 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     process runs the first part and the children the rest, dealt the same
     way.  With no child (one usable CPU, one part, no ``os.fork``) it runs
     every part in (suite name, part) order up to the first that raises.
-    Outcomes replay in that order, the Gram part's shares first, whose
-    products it adds in block order, and each part seeds its own
-    generators: report, warnings and error are those of a one-by-one run.
+    Outcomes replay in that order, the Gram part's shares first, and each
+    part seeds its own generators: report and error are those of a
+    one-by-one run.
     """
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
@@ -801,7 +794,7 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
     def here():
         for unit in mine:
             outcomes[unit] = _run_caught(unit, cfg)
-            if isinstance(outcomes[unit][0], Exception):
+            if isinstance(outcomes[unit], Exception):
                 break       # the units after it in report order are not needed
 
     core._fork_jobs(
@@ -810,7 +803,7 @@ def run_suites(names: list[str], cfg: VerifyConfig) -> dict:
           lambda file, hand=hand: pickle.dump({u: _run_caught(u, cfg) for u in hand}, file))
          for hand in hands],
         lambda file: outcomes.update(pickle.load(file)))
-    # warnings and errors surface as a run in part order shows them
+    # an error surfaces as a run in part order raises it
     for part in parts:
         if part == _GRAM and shares:
             products = [block for share in shares for block in _replay(outcomes[share])]

@@ -162,15 +162,17 @@ class TestGramMatrix:
     def test_shares_sum_to_the_one_stream_gram(self, split):
         # 123,457 samples make two draws, the second one partial; the
         # trailing share makes and drops the draws before the split, and
-        # its products are added after the leading share's
+        # its products are added after the leading share's, block by block
+        # or summed from zero
         cfg = McConfig(123_457, 7)
-        products = [*quadrature._gram_products(3, 3, PK, cfg, 0, split),
-                    *quadrature._gram_products(3, 3, PK, cfg, split)]
-        gram, se = quadrature._gram_sum(3, 3, cfg.n_samples, products)
+        lead = [*quadrature._gram_products(3, 3, PK, cfg, 0, split)]
+        trail = [*quadrature._gram_products(3, 3, PK, cfg, split)]
         want_gram, want_se = orthonormality_matrix_mc(3, 3, PK, cfg)
-        assert len(products) == 16      # 13 + 3 blocks of 8,192 samples at most
-        assert np.array_equal(gram, want_gram)
-        assert np.array_equal(se, want_se)
+        assert len(lead + trail) == 16      # 13 + 3 blocks of 8,192 samples at most
+        for first in (lead, [quadrature._gram_fold(3, 3, lead)]):
+            gram, se = quadrature._gram_sum(3, 3, cfg.n_samples, first + trail)
+            assert np.array_equal(gram, want_gram)
+            assert np.array_equal(se, want_se)
 
     def test_hermitian_by_construction(self):
         gram, _ = orthonormality_matrix_mc(1, 1, PK, McConfig(10_000, 1))

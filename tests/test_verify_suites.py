@@ -2,7 +2,6 @@
 
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from jacobi_cs.verify import (
 )
 
 
+@pytest.mark.filterwarnings("error")
 def test_all_suites_pass():
     report = run_suites(list(SUITE_NAMES), VerifyConfig())
     failing = [f"{name}/{rec['check']}: {rec['deviation']:.3e} > {rec['tolerance']:.1e}"
@@ -77,6 +77,7 @@ def _name_order_report(names, cfg):
             "pass": all(rec["pass"] for recs in suites.values() for rec in recs)}
 
 
+@pytest.mark.filterwarnings("error")     # forked children inherit the filter
 @pytest.mark.parametrize("seed", [0, 2])
 @pytest.mark.parametrize("forked", [1, 2, 3], indirect=True, ids=["1cpu", "2cpus", "3cpus"])
 def test_forked_report_equals_name_order_report(forked, seed):
@@ -113,22 +114,19 @@ PARTS = sorted([(name, index) for name in SUITE_NAMES
                 if (name, index) != GRAM] + [LEAD, TRAIL])
 
 
-def _faulty_run(monkeypatch, forked, cpus, names, errors=None, warns=None):
+def _faulty_run(monkeypatch, forked, cpus, names, errors):
     """Run suites ``names`` on ``cpus`` usable CPUs, each part but the Gram
-    replaced by one that warns ``warns[part]``, raises ``errors[part]`` or
-    yields one check, and expect an error.  The Gram part keeps its code,
-    but the mapping of its draws is faked alike: a range of draws that
-    starts at the first acts as LEAD, and one that ends at the last then as
-    TRAIL, so one process that maps them all acts as both, in order.  Each
-    suite keeps its number of parts, so the parts run where the real ones
-    would.  Returns the error, the messages of the warnings shown and the
-    units this process ran, in order."""
-    errors, warns, ran = errors or {}, warns or {}, []
+    replaced by one that raises ``errors[part]`` or yields one check, and
+    expect an error.  The Gram part keeps its code, but the mapping of its
+    draws is faked alike: a range of draws that starts at the first acts as
+    LEAD, and one that ends at the last then as TRAIL, so one process that
+    maps them all acts as both, in order.  Each suite keeps its number of
+    parts, so the parts run where the real ones would.  Returns the error
+    and the units this process ran, in order."""
+    ran = []
 
     def act(unit):
         ran.append(unit)
-        if unit in warns:
-            warnings.warn(warns[unit])
         if unit in errors:
             raise errors[unit]
 
@@ -151,11 +149,10 @@ def _faulty_run(monkeypatch, forked, cpus, names, errors=None, warns=None):
     monkeypatch.setattr(verify, "_gram_products", fake_draws)
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     forked.clear()
-    with warnings.catch_warnings(record=True) as caught, pytest.raises(Exception) as err:
-        warnings.simplefilter("always")
+    with pytest.raises(Exception) as err:
         run_suites(names, VerifyConfig())
     assert forked == [cpus - 1]
-    return err.value, [str(w.message) for w in caught], ran
+    return err.value, ran
 
 
 @pytest.mark.parametrize("errors, first", [
@@ -173,39 +170,12 @@ def _faulty_run(monkeypatch, forked, cpus, names, errors=None, warns=None):
 ])
 def test_forked_run_raises_the_first_error_in_name_order(forked, monkeypatch, errors, first):
     for cpus in (3, 2, 1):
-        error, _, ran = _faulty_run(monkeypatch, forked, cpus, list(SUITE_NAMES), errors)
+        error, ran = _faulty_run(monkeypatch, forked, cpus, list(SUITE_NAMES), errors)
         assert type(error) is type(first)
         assert str(error) == str(first)
         assert vars(error) == vars(first)
     # on one CPU no part after the first failing one ran
     assert ran == PARTS[:PARTS.index(min(errors)) + 1]
-
-
-def test_forked_warnings_shown_in_name_order_up_to_the_first_error(forked, monkeypatch):
-    for cpus in (3, 2, 1):
-        error, shown, ran = _faulty_run(
-            monkeypatch, forked, cpus, list(SUITE_NAMES),
-            errors={("bargmann", 0): ValueError("bargmann")},
-            warns={("algebra", 0): "algebra", ("bargmann", 0): "bargmann",
-                   ("group", 0): "group", TRAIL: "trail"})   # both run after the error
-        assert str(error) == "bargmann"
-        assert shown == ["algebra", "bargmann"]
-    assert ran == [("algebra", 0), ("bargmann", 0)]
-
-
-def test_worker_warning_shown_before_the_error_of_a_later_part(forked, monkeypatch):
-    # head, the Gram's leading and trailing draws and the tail each warn,
-    # wherever they run, and the leading or else the trailing draws fail: a
-    # run in part order never reaches the tail
-    warns = {HEAD: "head", LEAD: "lead", TRAIL: "trail", TAIL: "tail"}
-    for failing, shown_first in ((LEAD, ["head", "lead"]), (TRAIL, ["head", "lead", "trail"])):
-        for cpus in (3, 2, 1):
-            error, shown, ran = _faulty_run(monkeypatch, forked, cpus, ["quadrature"],
-                                            errors={failing: ValueError(failing[2])},
-                                            warns=warns)
-            assert str(error) == failing[2]
-            assert shown == shown_first
-        assert ran == [HEAD, LEAD, TRAIL][:len(shown_first)]
 
 
 @pytest.mark.parametrize("seed", [0, 2])
